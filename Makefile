@@ -27,8 +27,8 @@ verify-all:
 # per-shard supervisors.
 race:
 	$(GO) test -race ./internal/core/... ./internal/link/... ./internal/faultinject/... \
-		./internal/telemetry/... ./internal/rt/... ./internal/cov/... ./internal/persist/... \
-		./internal/serve/...
+		./internal/telemetry/... ./internal/rt/... ./internal/vm/... ./internal/cov/... \
+		./internal/persist/... ./internal/serve/...
 
 # Extended supervisor soak: 8 goroutines of random probe toggles against a
 # fault-injecting supervised engine under the race detector, asserting every
@@ -107,10 +107,13 @@ serve-storm:
 serve-chaos:
 	$(GO) run ./cmd/odin-bench -experiment serve-chaos
 
-# Allocation budget: the probe-toggle hot loop must stay within its pinned
-# allocs/op envelope (arena-backed cloning + lazy materialization).
+# Allocation budgets: the probe-toggle hot loop must stay within its pinned
+# allocs/op envelope (arena-backed cloning + lazy materialization), and a
+# steady-state execution with every probe active within its own (a machine
+# that keeps its call stack, builtin table and argument buffer).
 alloc-budget:
 	$(GO) test ./internal/core/ -run TestSpliceAllocBudget -v
+	$(GO) test ./internal/cov/ -run TestRunInputAllocBudget -v
 
 # Verification budget: the default boundaries tier may cost at most 5% of
 # p50 rebuild latency (the experiment exits 1 when any workload exceeds

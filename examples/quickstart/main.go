@@ -104,13 +104,17 @@ func main() {
 	fmt.Printf("initial build: %d fragments compiled, linked in %v\n\n",
 		len(stats.Fragments), stats.LinkDur)
 
+	// One machine serves both images: the hook stays installed, and Rebind
+	// below moves the machine to the rebuilt executable.
+	mach := vm.New(exe)
+	hits := 0
+	mach.Env.Builtins["on_block"] = func(env *rt.Env, args []int64) (int64, error) {
+		hits++
+		return 0, nil
+	}
 	run := func(tag string) {
-		mach := vm.New(exe)
-		hits := 0
-		mach.Env.Builtins["on_block"] = func(env *rt.Env, args []int64) (int64, error) {
-			hits++
-			return 0, nil
-		}
+		mach.Reset()
+		hits = 0
 		ret, err := mach.Run("main")
 		if err != nil {
 			log.Fatal(err)
@@ -136,5 +140,6 @@ func main() {
 	}
 	fmt.Printf("\non-the-fly recompilation: %d of %d fragments rebuilt in %v\n",
 		len(stats.Fragments), len(engine.Plan.Fragments), stats.Total)
+	mach.Rebind(exe)
 	run("without probe")
 }

@@ -73,9 +73,7 @@ func Instrument(exe *link.Executable) (*link.Executable, *Meta) {
 
 // Coverage reads the coverage table from a machine that ran the build.
 func Coverage(mach *vm.Machine, meta *Meta) []byte {
-	out := make([]byte, meta.NumBlocks)
-	copy(out, mach.Env.Mem[meta.CounterBase:meta.CounterBase+int64(meta.NumBlocks)])
-	return out
+	return mach.Counters(meta.CounterBase, meta.NumBlocks)
 }
 
 // CoveredBlocks counts blocks hit at least once.

@@ -363,12 +363,14 @@ func (e *Engine) trySplice(out *fragOut, frag *Fragment, temp *ir.Module, th tem
 // freshly generated FuncSyms for dirty functions, cached FuncSyms for clean
 // ones (member order preserved — symbol order determines image layout), the
 // reduced compile's Datas wholesale (every global recompiles; byte copies
-// are cheap), and AliasSyms rebuilt from the plan. When the fragment
-// optimizes at a level that runs GlobalDCE, an object-level mark-sweep
-// applies the equivalent liveness. The result must validate; any
+// are cheap) plus the data symbols the optimizer synthesised for cached
+// functions (carrySynthDatas), and AliasSyms rebuilt from the plan. When
+// the fragment optimizes at a level that runs GlobalDCE, an object-level
+// mark-sweep applies the equivalent liveness. The result must validate; any
 // irregularity aborts the splice rather than committing a corrupt object.
 func (e *Engine) spliceObject(frag *Fragment, idx *fragIndex, cached *obj.Object, cachedFn map[string]int, ro *obj.Object, need map[string]bool, level int) (*obj.Object, error) {
 	so := &obj.Object{Name: ro.Name, Datas: ro.Datas}
+	carried := carrySynthDatas(so, idx, cached)
 	freshFn := make(map[string]int, len(ro.Funcs))
 	for i := range ro.Funcs {
 		freshFn[ro.Funcs[i].Name] = i
@@ -395,11 +397,85 @@ func (e *Engine) spliceObject(frag *Fragment, idx *fragIndex, cached *obj.Object
 	if level >= 2 {
 		sweepObject(so)
 	}
+	if err := orderSynthDatas(so, idx, cached, carried); err != nil {
+		return nil, err
+	}
 	recomputeImports(so)
 	if err := so.Validate(); err != nil {
 		return nil, err
 	}
 	return so, nil
+}
+
+// Synthesised data symbols are the ones the optimizer adds to a fragment
+// module (instcombine's printf-to-puts rewrite makes <g>.puts from <g>): they
+// are defined in the object but are no member or clone of the fragment. The
+// reduced compile makes them only for the functions it defines, so a cached
+// function outside the dirty closure would keep a relocation to a string
+// nobody defines — the link failed on "msg1.puts". carrySynthDatas appends
+// the cached object's synthesised datas that the reduced compile did not
+// make to so, for the sweep to judge like any other symbol, and returns
+// their names.
+func carrySynthDatas(so *obj.Object, idx *fragIndex, cached *obj.Object) map[string]bool {
+	fresh := make(map[string]bool, len(so.Datas))
+	for i := range so.Datas {
+		fresh[so.Datas[i].Name] = true
+	}
+	var carried map[string]bool
+	for _, d := range cached.Datas {
+		if !idx.defined[d.Name] && !fresh[d.Name] {
+			if carried == nil {
+				carried = make(map[string]bool)
+			}
+			carried[d.Name] = true
+			so.Datas = append(so.Datas, d)
+		}
+	}
+	return carried
+}
+
+// orderSynthDatas puts so's synthesised datas in cold-compile order. The
+// optimizer creates them on its first instcombine run, walking the member
+// functions in plan order, before any pass can move or remove a call: their
+// order is a property of the fragment, not of the probe set, so the cached
+// object — a cold compile, or a splice ordered by this function — holds its
+// share of them in that order. With nothing carried over, the reduced
+// compile's own order stands. With a survivor the cached object never held
+// next to a carried one, their relative order is unknown and the splice is
+// abandoned for the whole-fragment ladder.
+func orderSynthDatas(so *obj.Object, idx *fragIndex, cached *obj.Object, carried map[string]bool) error {
+	if len(carried) == 0 {
+		return nil
+	}
+	pos := make(map[string]int, len(cached.Datas))
+	for i := range cached.Datas {
+		pos[cached.Datas[i].Name] = i
+	}
+	var slots []int
+	var synth []obj.DataSym
+	anyCarried, unknown := false, ""
+	for i, d := range so.Datas {
+		if idx.defined[d.Name] {
+			continue
+		}
+		anyCarried = anyCarried || carried[d.Name]
+		if _, ok := pos[d.Name]; !ok {
+			unknown = d.Name
+		}
+		slots = append(slots, i)
+		synth = append(synth, d)
+	}
+	if !anyCarried {
+		return nil // the sweep removed them all
+	}
+	if unknown != "" {
+		return fmt.Errorf("core: synthesised data %s is new beside carried ones: order unknown", unknown)
+	}
+	sort.Slice(synth, func(a, b int) bool { return pos[synth[a].Name] < pos[synth[b].Name] })
+	for k, i := range slots {
+		so.Datas[i] = synth[k]
+	}
+	return nil
 }
 
 // sweepObject is GlobalDCE at the object level: roots are externally linked

@@ -294,6 +294,78 @@ func TestSpliceDeadFunctionStaysDead(t *testing.T) {
 	assertSameImage(t, "dead-sweep splice vs cold", e, cold)
 }
 
+// splicePutsSrc has two printf calls the optimizer rewrites to puts of a
+// synthesised string (@hi.puts, @yo.puts). Neither function references the
+// other, so probing one leaves the other cached and outside the reduced
+// compile: its string exists only in the cached object.
+const splicePutsSrc = `
+const @hi : [4 x i8] = bytes"\68\69\0a\00"
+const @yo : [4 x i8] = bytes"\79\6f\0a\00"
+declare func @printf(%fmt: ptr) -> i32
+func @w0(%x: i64) -> i64 noinline comdat(g) {
+entry:
+  %p = call i32 @printf(ptr @hi)
+  %r = add i64 %x, 1
+  ret i64 %r
+}
+func @w1(%x: i64) -> i64 noinline comdat(g) {
+entry:
+  %p = call i32 @printf(ptr @yo)
+  %r = add i64 %x, 2
+  ret i64 %r
+}
+func @w2(%x: i64) -> i64 noinline comdat(g) {
+entry:
+  %r = add i64 %x, 3
+  ret i64 %r
+}
+func @main(%n: i64) -> i64 {
+entry:
+  %a = call i64 @w0(i64 %n)
+  %b = call i64 @w1(i64 %a)
+  %c = call i64 @w2(i64 %b)
+  ret i64 %c
+}
+`
+
+// TestSpliceCarriesSynthesisedData: the strings instcombine made for cached
+// functions must come along with their code, in cold-compile order, whichever
+// function recompiles — the reduced compile makes none of them (w2), the
+// later one (w1) or the earlier one (w0).
+func TestSpliceCarriesSynthesisedData(t *testing.T) {
+	for _, target := range []string{"w2", "w1", "w0"} {
+		t.Run(target, func(t *testing.T) {
+			e := spliceEngine(t, splicePutsSrc, Options{Variant: VariantOdin, Workers: 1})
+			if _, _, err := e.BuildAll(); err != nil {
+				t.Fatal(err)
+			}
+			var synth []string
+			for _, d := range e.cache[e.Plan.FragOf["w0"]].Datas {
+				if strings.HasSuffix(d.Name, ".puts") {
+					synth = append(synth, d.Name)
+				}
+			}
+			if !reflect.DeepEqual(synth, []string{"hi.puts", "yo.puts"}) {
+				t.Fatalf("cold object's synthesised datas = %v: the rewrite did not fire as the test assumes", synth)
+			}
+			probeOn(t, e, target, 1)
+			_, stats, err := rebuildOnce(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fc := spliceFragStat(t, e, stats, target); !fc.Spliced || fc.FuncsCompiled != 1 {
+				t.Fatalf("fragment not spliced: %+v", fc)
+			}
+			cold := spliceEngine(t, splicePutsSrc, Options{Variant: VariantOdin, Workers: 1})
+			probeOn(t, cold, target, 1)
+			if _, _, err := cold.BuildAll(); err != nil {
+				t.Fatal(err)
+			}
+			assertSameImage(t, "spliced vs cold", e, cold)
+		})
+	}
+}
+
 // TestSpliceCodegenFuncFault: an injected fault at the new per-function
 // codegen site aborts the splice; the whole-fragment ladder takes over and
 // the committed image is still byte-identical to a fault-free cold build.

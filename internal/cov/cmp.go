@@ -6,7 +6,6 @@ import (
 	"odin/internal/core"
 	"odin/internal/ir"
 	"odin/internal/rt"
-	"odin/internal/vm"
 )
 
 // CmpProbe records the operands used in one comparison (the CmpLog scheme
@@ -68,11 +67,8 @@ func (p *CmpProbe) Instrument(s *core.Sched) error {
 // CmpTool instruments every comparison against a constant (fuzzing
 // roadblocks) in the program with CmpProbes.
 type CmpTool struct {
-	Engine *core.Engine
+	binding
 	Probes []*CmpProbe
-
-	mgrIDs []int
-	mach   *vm.Machine
 }
 
 // NewCmpTool installs a probe on every comparison whose right operand is a
@@ -83,7 +79,7 @@ func NewCmpTool(m *ir.Module, opts core.Options) (*CmpTool, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &CmpTool{Engine: eng}
+	t := &CmpTool{binding: binding{Engine: eng}}
 	for _, f := range eng.Pristine.Funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
@@ -102,13 +98,7 @@ func NewCmpTool(m *ir.Module, opts core.Options) (*CmpTool, error) {
 	if _, _, err := eng.BuildAll(); err != nil {
 		return nil, err
 	}
-	t.bindMachine()
-	return t, nil
-}
-
-func (t *CmpTool) bindMachine() {
-	t.mach = vm.New(t.Engine.Executable())
-	t.mach.Env.Builtins[CmpHook] = func(env *rt.Env, args []int64) (int64, error) {
+	t.bind(map[string]rt.Builtin{CmpHook: func(env *rt.Env, args []int64) (int64, error) {
 		id := args[0]
 		if id >= 0 && id < int64(len(t.Probes)) {
 			p := t.Probes[id]
@@ -117,39 +107,12 @@ func (t *CmpTool) bindMachine() {
 			}
 		}
 		return 0, nil
-	}
-}
-
-// Machine exposes the current execution engine.
-func (t *CmpTool) Machine() *vm.Machine { return t.mach }
-
-// RunInput executes one input.
-func (t *CmpTool) RunInput(input []byte) Result {
-	ret, out, cycles, err := vm.RunProgram(t.mach, input)
-	return Result{Ret: ret, Out: out, Cycles: cycles, Err: err}
+	}}, 0)
+	return t, nil
 }
 
 // PruneSolved removes probes the fuzzer marked Solved and recompiles.
 func (t *CmpTool) PruneSolved() (int, error) {
-	pruned := 0
-	for i, p := range t.Probes {
-		if p.Solved && t.Engine.Manager.IsActive(t.mgrIDs[i]) {
-			if err := t.Engine.Manager.Remove(t.mgrIDs[i]); err != nil {
-				return pruned, err
-			}
-			pruned++
-		}
-	}
-	if pruned == 0 {
-		return 0, nil
-	}
-	sched, err := t.Engine.Schedule()
-	if err != nil {
-		return pruned, err
-	}
-	if _, _, err := sched.Rebuild(); err != nil {
-		return pruned, err
-	}
-	t.bindMachine()
-	return pruned, nil
+	pruned, _, err := t.prune(func(i int) bool { return t.Probes[i].Solved })
+	return pruned, err
 }

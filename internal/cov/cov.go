@@ -19,7 +19,6 @@ import (
 	"odin/internal/ir"
 	"odin/internal/link"
 	"odin/internal/rt"
-	"odin/internal/vm"
 )
 
 // Runtime hook symbols bound by the linker.
@@ -69,14 +68,12 @@ type Result struct {
 // Tool is OdinCov: the engine, one probe per original basic block, and the
 // prune policy.
 type Tool struct {
-	Engine *core.Engine
+	binding
 	Probes []*BlockProbe
 	// Prune controls Untracer-style removal of triggered probes
 	// (false = OdinCov-NoPrune).
 	Prune bool
 
-	mgrIDs   []int
-	mach     *vm.Machine
 	Rebuilds []core.RebuildStats
 }
 
@@ -88,7 +85,7 @@ func New(m *ir.Module, opts core.Options, prune bool) (*Tool, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tool{Engine: eng, Prune: prune}
+	t := &Tool{binding: binding{Engine: eng}, Prune: prune}
 	for _, f := range eng.Pristine.Funcs {
 		if f.IsDecl() {
 			continue
@@ -104,47 +101,16 @@ func New(m *ir.Module, opts core.Options, prune bool) (*Tool, error) {
 		return nil, err
 	}
 	t.Rebuilds = append(t.Rebuilds, *stats)
-	t.bindMachine()
+	t.bind(map[string]rt.Builtin{
+		HitHook: countingHook(len(t.Probes), func(id int64) { t.Probes[id].Hits++ }),
+	}, len(t.Probes))
 	return t, nil
 }
-
-func (t *Tool) bindMachine() {
-	t.mach = vm.New(t.Engine.Executable())
-	// With telemetry on, mirror per-site hits onto the registry's hit
-	// vector. HitVec registration reuses the existing vector, so rebinding
-	// after a rebuild keeps accumulated counts.
-	if reg := t.Engine.Telemetry(); reg != nil {
-		reg.Describe(core.MetricProbeHits, "Probe-site firings observed by the execution engine.")
-		t.mach.Env.Hits = reg.HitVec(core.MetricProbeHits, len(t.Probes))
-	}
-	t.mach.Env.Builtins[HitHook] = func(env *rt.Env, args []int64) (int64, error) {
-		id := args[0]
-		if id >= 0 && id < int64(len(t.Probes)) {
-			t.Probes[id].Hits++
-			env.CountHit(id)
-		}
-		return 0, nil
-	}
-}
-
-// Machine exposes the current execution engine (rebound after rebuilds).
-func (t *Tool) Machine() *vm.Machine { return t.mach }
 
 // ManagerID returns the PatchManager ID of the i-th probe, letting external
 // drivers (e.g. odin-fuzz -storm) toggle coverage probes through a
 // core.Supervisor instead of the tool's own prune loop.
 func (t *Tool) ManagerID(i int) int { return t.mgrIDs[i] }
-
-// Rebind refreshes the tool's execution machine against the engine's current
-// image. Call it after rebuilds performed outside MaybePrune — for example a
-// batch of supervisor generations.
-func (t *Tool) Rebind() { t.bindMachine() }
-
-// RunInput executes one input on the instrumented program.
-func (t *Tool) RunInput(input []byte) Result {
-	ret, out, cycles, err := vm.RunProgram(t.mach, input)
-	return Result{Ret: ret, Out: out, Cycles: cycles, Err: err}
-}
 
 // MaybePrune removes every triggered, still-active probe and recompiles the
 // affected fragments, returning how many probes were pruned. With pruning
@@ -153,29 +119,11 @@ func (t *Tool) MaybePrune() (int, error) {
 	if !t.Prune {
 		return 0, nil
 	}
-	pruned := 0
-	for i, p := range t.Probes {
-		if p.Hits > 0 && t.Engine.Manager.IsActive(t.mgrIDs[i]) {
-			if err := t.Engine.Manager.Remove(t.mgrIDs[i]); err != nil {
-				return pruned, err
-			}
-			pruned++
-		}
+	pruned, stats, err := t.prune(func(i int) bool { return t.Probes[i].Hits > 0 })
+	if stats != nil {
+		t.Rebuilds = append(t.Rebuilds, *stats)
 	}
-	if pruned == 0 {
-		return 0, nil
-	}
-	sched, err := t.Engine.Schedule()
-	if err != nil {
-		return pruned, err
-	}
-	_, stats, err := sched.Rebuild()
-	if err != nil {
-		return pruned, err
-	}
-	t.Rebuilds = append(t.Rebuilds, *stats)
-	t.bindMachine()
-	return pruned, nil
+	return pruned, err
 }
 
 // CoveredCount returns how many blocks have been hit at least once.

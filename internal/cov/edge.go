@@ -6,7 +6,6 @@ import (
 	"odin/internal/core"
 	"odin/internal/ir"
 	"odin/internal/rt"
-	"odin/internal/vm"
 )
 
 // EdgeHook is the runtime hook edge probes call.
@@ -90,12 +89,10 @@ func SplitEdge(from, to *ir.Block) (*ir.Block, error) {
 
 // EdgeTool instruments every control-flow edge of the pristine program.
 type EdgeTool struct {
-	Engine *core.Engine
+	binding
 	Probes []*EdgeProbe
 
-	mgrIDs []int
-	mach   *vm.Machine
-	Prune  bool
+	Prune bool
 }
 
 // NewEdgeTool installs a probe on every CFG edge and builds.
@@ -105,7 +102,7 @@ func NewEdgeTool(m *ir.Module, opts core.Options, prune bool) (*EdgeTool, error)
 	if err != nil {
 		return nil, err
 	}
-	t := &EdgeTool{Engine: eng, Prune: prune}
+	t := &EdgeTool{binding: binding{Engine: eng}, Prune: prune}
 	for _, f := range eng.Pristine.Funcs {
 		for _, b := range f.Blocks {
 			seen := map[*ir.Block]bool{}
@@ -123,30 +120,10 @@ func NewEdgeTool(m *ir.Module, opts core.Options, prune bool) (*EdgeTool, error)
 	if _, _, err := eng.BuildAll(); err != nil {
 		return nil, err
 	}
-	t.bind()
+	t.bind(map[string]rt.Builtin{
+		EdgeHook: countingHook(len(t.Probes), func(id int64) { t.Probes[id].Hits++ }),
+	}, len(t.Probes))
 	return t, nil
-}
-
-func (t *EdgeTool) bind() {
-	t.mach = vm.New(t.Engine.Executable())
-	if reg := t.Engine.Telemetry(); reg != nil {
-		reg.Describe(core.MetricProbeHits, "Probe-site firings observed by the execution engine.")
-		t.mach.Env.Hits = reg.HitVec(core.MetricProbeHits, len(t.Probes))
-	}
-	t.mach.Env.Builtins[EdgeHook] = func(env *rt.Env, args []int64) (int64, error) {
-		id := args[0]
-		if id >= 0 && id < int64(len(t.Probes)) {
-			t.Probes[id].Hits++
-			env.CountHit(id)
-		}
-		return 0, nil
-	}
-}
-
-// RunInput executes one input.
-func (t *EdgeTool) RunInput(input []byte) Result {
-	ret, out, cycles, err := vm.RunProgram(t.mach, input)
-	return Result{Ret: ret, Out: out, Cycles: cycles, Err: err}
 }
 
 // CoveredEdges counts edges traversed at least once.
@@ -165,25 +142,6 @@ func (t *EdgeTool) MaybePrune() (int, error) {
 	if !t.Prune {
 		return 0, nil
 	}
-	pruned := 0
-	for i, p := range t.Probes {
-		if p.Hits > 0 && t.Engine.Manager.IsActive(t.mgrIDs[i]) {
-			if err := t.Engine.Manager.Remove(t.mgrIDs[i]); err != nil {
-				return pruned, err
-			}
-			pruned++
-		}
-	}
-	if pruned == 0 {
-		return 0, nil
-	}
-	sched, err := t.Engine.Schedule()
-	if err != nil {
-		return pruned, err
-	}
-	if _, _, err := sched.Rebuild(); err != nil {
-		return pruned, err
-	}
-	t.bind()
-	return pruned, nil
+	pruned, _, err := t.prune(func(i int) bool { return t.Probes[i].Hits > 0 })
+	return pruned, err
 }

@@ -6,7 +6,6 @@ import (
 	"odin/internal/core"
 	"odin/internal/ir"
 	"odin/internal/rt"
-	"odin/internal/vm"
 )
 
 // Function-tracing hooks (the XRay-style scheme from §6.3's related work:
@@ -60,13 +59,10 @@ type TraceEvent struct {
 
 // TraceTool traces every defined function, producing a call-sequence log.
 type TraceTool struct {
-	Engine *core.Engine
+	binding
 	Probes []*FuncProbe
 	// Events is the trace of the most recent RunInput.
 	Events []TraceEvent
-
-	mgrIDs []int
-	mach   *vm.Machine
 }
 
 // NewTraceTool instruments every defined function and builds.
@@ -76,7 +72,7 @@ func NewTraceTool(m *ir.Module, opts core.Options) (*TraceTool, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &TraceTool{Engine: eng}
+	t := &TraceTool{binding: binding{Engine: eng}}
 	for _, f := range eng.Pristine.Funcs {
 		if f.IsDecl() {
 			continue
@@ -88,12 +84,6 @@ func NewTraceTool(m *ir.Module, opts core.Options) (*TraceTool, error) {
 	if _, _, err := eng.BuildAll(); err != nil {
 		return nil, err
 	}
-	t.bind()
-	return t, nil
-}
-
-func (t *TraceTool) bind() {
-	t.mach = vm.New(t.Engine.Executable())
 	record := func(enter bool) rt.Builtin {
 		return func(env *rt.Env, args []int64) (int64, error) {
 			id := args[0]
@@ -108,43 +98,23 @@ func (t *TraceTool) bind() {
 			return 0, nil
 		}
 	}
-	t.mach.Env.Builtins[EnterHook] = record(true)
-	t.mach.Env.Builtins[ExitHook] = record(false)
+	t.bind(map[string]rt.Builtin{EnterHook: record(true), ExitHook: record(false)}, 0)
+	return t, nil
 }
 
 // RunInput executes one input, replacing the event log.
 func (t *TraceTool) RunInput(input []byte) Result {
 	t.Events = nil
-	ret, out, cycles, err := vm.RunProgram(t.mach, input)
-	return Result{Ret: ret, Out: out, Cycles: cycles, Err: err}
+	return t.binding.RunInput(input)
 }
 
 // Retire removes tracing from functions the user no longer cares about
 // (e.g. hot functions drowning the log) and recompiles.
 func (t *TraceTool) Retire(funcNames ...string) (int, error) {
-	retired := 0
 	want := map[string]bool{}
 	for _, n := range funcNames {
 		want[n] = true
 	}
-	for i, p := range t.Probes {
-		if want[p.FuncName] && t.Engine.Manager.IsActive(t.mgrIDs[i]) {
-			if err := t.Engine.Manager.Remove(t.mgrIDs[i]); err != nil {
-				return retired, err
-			}
-			retired++
-		}
-	}
-	if retired == 0 {
-		return 0, nil
-	}
-	sched, err := t.Engine.Schedule()
-	if err != nil {
-		return retired, err
-	}
-	if _, _, err := sched.Rebuild(); err != nil {
-		return retired, err
-	}
-	t.bind()
-	return retired, nil
+	retired, _, err := t.prune(func(i int) bool { return want[t.Probes[i].FuncName] })
+	return retired, err
 }

@@ -29,10 +29,9 @@ func New(m *ir.Module, env *rt.Env) (*Interp, error) {
 		addr = align(addr, 8)
 		ip.globalAddr[g.Name] = addr
 		if !g.Decl && g.Init != nil {
-			if err := env.CheckAddr(addr, int64(len(g.Init))); err != nil {
+			if err := env.WriteMem(addr, g.Init); err != nil {
 				return nil, err
 			}
-			copy(env.Mem[addr:], g.Init)
 		}
 		sz := g.Elem.Size()
 		if sz == 0 {

@@ -180,8 +180,10 @@ func (in Inst) String() string {
 }
 
 // Cycles returns the cost of executing the instruction once. Taken branches
-// and calls have additional costs applied by the execution engine.
-func (in Inst) Cycles() int64 {
+// and calls have additional costs applied by the execution engine. The
+// receiver is a pointer because the execution engine asks once per executed
+// instruction and an Inst is about 100 bytes to copy.
+func (in *Inst) Cycles() int64 {
 	switch in.Op {
 	case Nop:
 		return 1

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"odin/internal/telemetry"
 )
@@ -30,6 +31,18 @@ const (
 	MemSize = 0x800000
 )
 
+// Memory is tracked in pages: the write set records which pages may differ
+// from the loaded image, so restoring the image costs what the execution
+// wrote and not the size of the address space. 4 KiB keeps the set at 2048
+// bits (one scan of 32 words) while a typical execution — one input page, a
+// stack page or two, a few pages of globals — restores under 64 KiB.
+const (
+	pageShift = 12
+	// PageSize is the granularity of the write set.
+	PageSize = 1 << pageShift
+	numPages = MemSize / PageSize
+)
+
 // TrapError reports an execution fault (bad memory access, abort,
 // unreachable, division by zero).
 type TrapError struct {
@@ -49,7 +62,14 @@ type Builtin func(e *Env, args []int64) (int64, error)
 
 // Env is one execution's mutable state.
 type Env struct {
-	Mem      []byte
+	// mem is written only through touch-ing methods of this package, so the
+	// write set below is complete; other packages read it with ReadMem.
+	mem []byte
+	// dirty is the write set: bit p is set when page p may differ from the
+	// loaded image (zeros, with image at GlobalBase).
+	dirty [numPages / 64]uint64
+	image []byte
+
 	Out      bytes.Buffer
 	Builtins map[string]Builtin
 
@@ -74,7 +94,7 @@ func (e *Env) CountHit(id int64) { e.Hits.Hit(id) }
 // NewEnv allocates a fresh environment with the standard builtins.
 func NewEnv() *Env {
 	e := &Env{
-		Mem:       make([]byte, MemSize),
+		mem:       make([]byte, MemSize),
 		Builtins:  make(map[string]Builtin),
 		StepLimit: 200_000_000,
 	}
@@ -91,9 +111,58 @@ func (e *Env) Step() error {
 	return nil
 }
 
+// touch adds the pages of [addr, addr+n) to the write set. It is the one
+// marking path: every write to mem calls it first, with a range that is in
+// bounds and not empty. An access that straddles a page boundary marks both
+// pages.
+func (e *Env) touch(addr, n int64) {
+	first, last := addr>>pageShift, (addr+n-1)>>pageShift
+	e.dirty[first>>6] |= 1 << (first & 63)
+	for p := first + 1; p <= last; p++ {
+		e.dirty[p>>6] |= 1 << (p & 63)
+	}
+}
+
+// LoadImage makes data, placed at GlobalBase, the state ResetMem restores
+// and restores it. The ranges of the previous image and of the new one are
+// both rewritten, so an Env can move from one program image to the next
+// without being reallocated. data is read on every ResetMem and must not
+// change while loaded.
+func (e *Env) LoadImage(data []byte) {
+	if len(data) > MemSize-GlobalBase {
+		data = data[:MemSize-GlobalBase]
+	}
+	if n := max(len(e.image), len(data)); n > 0 {
+		e.touch(GlobalBase, int64(n))
+	}
+	e.image = data
+	e.ResetMem()
+}
+
+// ResetMem restores every page in the write set to the loaded image — zero
+// it, then re-copy the part of the image that overlaps it — and empties the
+// set. Afterwards memory is byte for byte what a fresh Env given the same
+// LoadImage holds.
+func (e *Env) ResetMem() {
+	for w, set := range e.dirty {
+		for ; set != 0; set &= set - 1 {
+			lo := (w<<6 + bits.TrailingZeros64(set)) << pageShift
+			page := e.mem[lo : lo+PageSize]
+			n := 0
+			// GlobalBase is page-aligned: a page overlaps the image from
+			// its first byte or not at all.
+			if off := lo - GlobalBase; off >= 0 && off < len(e.image) {
+				n = copy(page, e.image[off:])
+			}
+			clear(page[n:])
+		}
+		e.dirty[w] = 0
+	}
+}
+
 // CheckAddr validates an n-byte access at addr.
 func (e *Env) CheckAddr(addr int64, n int64) error {
-	if addr < NullGuard || addr+n > int64(len(e.Mem)) {
+	if n < 0 || addr < NullGuard || addr > int64(len(e.mem))-n {
 		return Trapf("out-of-bounds %d-byte access at %#x", n, addr)
 	}
 	return nil
@@ -106,13 +175,13 @@ func (e *Env) Load(addr int64, size int64) (int64, error) {
 	}
 	switch size {
 	case 1:
-		return int64(int8(e.Mem[addr])), nil
+		return int64(int8(e.mem[addr])), nil
 	case 2:
-		return int64(int16(binary.LittleEndian.Uint16(e.Mem[addr:]))), nil
+		return int64(int16(binary.LittleEndian.Uint16(e.mem[addr:]))), nil
 	case 4:
-		return int64(int32(binary.LittleEndian.Uint32(e.Mem[addr:]))), nil
+		return int64(int32(binary.LittleEndian.Uint32(e.mem[addr:]))), nil
 	case 8:
-		return int64(binary.LittleEndian.Uint64(e.Mem[addr:])), nil
+		return int64(binary.LittleEndian.Uint64(e.mem[addr:])), nil
 	}
 	return 0, Trapf("bad load size %d", size)
 }
@@ -124,17 +193,69 @@ func (e *Env) Store(addr int64, size int64, v int64) error {
 	}
 	switch size {
 	case 1:
-		e.Mem[addr] = byte(v)
+		e.touch(addr, 1)
+		e.mem[addr] = byte(v)
 	case 2:
-		binary.LittleEndian.PutUint16(e.Mem[addr:], uint16(v))
+		e.touch(addr, 2)
+		binary.LittleEndian.PutUint16(e.mem[addr:], uint16(v))
 	case 4:
-		binary.LittleEndian.PutUint32(e.Mem[addr:], uint32(v))
+		e.touch(addr, 4)
+		binary.LittleEndian.PutUint32(e.mem[addr:], uint32(v))
 	case 8:
-		binary.LittleEndian.PutUint64(e.Mem[addr:], uint64(v))
+		e.touch(addr, 8)
+		binary.LittleEndian.PutUint64(e.mem[addr:], uint64(v))
 	default:
 		return Trapf("bad store size %d", size)
 	}
 	return nil
+}
+
+// ReadMem copies len(dst) bytes of memory at addr into dst. It is the host's
+// view (coverage tables, tests): any address inside memory is readable.
+func (e *Env) ReadMem(dst []byte, addr int64) error {
+	if addr < 0 || addr > int64(len(e.mem)-len(dst)) {
+		return fmt.Errorf("rt: read of %d bytes at %#x outside memory", len(dst), addr)
+	}
+	copy(dst, e.mem[addr:])
+	return nil
+}
+
+// WriteMem copies src into memory at addr: the host's store (global
+// initialisers, the fuzz input).
+func (e *Env) WriteMem(addr int64, src []byte) error {
+	if err := e.CheckAddr(addr, int64(len(src))); err != nil {
+		return err
+	}
+	if len(src) > 0 {
+		e.touch(addr, int64(len(src)))
+		copy(e.mem[addr:], src)
+	}
+	return nil
+}
+
+// Fill sets the n bytes at addr to c.
+func (e *Env) Fill(addr, n int64, c byte) error {
+	if err := e.CheckAddr(addr, n); err != nil {
+		return err
+	}
+	if n > 0 {
+		e.touch(addr, n)
+		b := e.mem[addr : addr+n]
+		for i := range b {
+			b[i] = c
+		}
+	}
+	return nil
+}
+
+// Bump increments the byte counter at addr, saturating at 0xFF: the effect
+// of a mir.Probe, which binary-level instrumenters place without bounds
+// checks of their own. An address outside memory is ignored.
+func (e *Env) Bump(addr int64) {
+	if addr > 0 && addr < int64(len(e.mem)) && e.mem[addr] != 0xFF {
+		e.touch(addr, 1)
+		e.mem[addr]++
+	}
 }
 
 // CString reads a NUL-terminated string at addr.
@@ -143,13 +264,13 @@ func (e *Env) CString(addr int64) (string, error) {
 		return "", err
 	}
 	end := addr
-	for end < int64(len(e.Mem)) && e.Mem[end] != 0 {
+	for end < int64(len(e.mem)) && e.mem[end] != 0 {
 		end++
 	}
-	if end == int64(len(e.Mem)) {
+	if end == int64(len(e.mem)) {
 		return "", Trapf("unterminated string at %#x", addr)
 	}
-	return string(e.Mem[addr:end]), nil
+	return string(e.mem[addr:end]), nil
 }
 
 // WriteInput copies the fuzz input into the input region and returns its
@@ -158,7 +279,9 @@ func (e *Env) WriteInput(data []byte) (ptr, length int64, err error) {
 	if len(data) > InputMax {
 		return 0, 0, Trapf("input too large: %d", len(data))
 	}
-	copy(e.Mem[InputBase:], data)
+	if err := e.WriteMem(InputBase, data); err != nil {
+		return 0, 0, err
+	}
 	return InputBase, int64(len(data)), nil
 }
 
@@ -203,15 +326,12 @@ func RegisterStdlib(e *Env) {
 		if err := e.CheckAddr(b, n); err != nil {
 			return 0, err
 		}
-		return int64(bytes.Compare(e.Mem[a:a+n], e.Mem[b:b+n])), nil
+		return int64(bytes.Compare(e.mem[a:a+n], e.mem[b:b+n])), nil
 	}
 	e.Builtins["memset"] = func(e *Env, args []int64) (int64, error) {
 		p, c, n := args[0], args[1], args[2]
-		if err := e.CheckAddr(p, n); err != nil {
+		if err := e.Fill(p, n, byte(c)); err != nil {
 			return 0, err
-		}
-		for i := int64(0); i < n; i++ {
-			e.Mem[p+i] = byte(c)
 		}
 		return p, nil
 	}
@@ -223,7 +343,10 @@ func RegisterStdlib(e *Env) {
 		if err := e.CheckAddr(s, n); err != nil {
 			return 0, err
 		}
-		copy(e.Mem[d:d+n], e.Mem[s:s+n])
+		if n > 0 {
+			e.touch(d, n)
+			copy(e.mem[d:d+n], e.mem[s:s+n])
+		}
 		return d, nil
 	}
 }

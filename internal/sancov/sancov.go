@@ -104,9 +104,7 @@ func Instrument(m *ir.Module) (*Meta, error) {
 
 // Coverage reads the counter array out of a machine that ran the build.
 func Coverage(mach *vm.Machine, meta *Meta) []byte {
-	out := make([]byte, meta.NumProbes)
-	copy(out, mach.Env.Mem[meta.CounterAddr:meta.CounterAddr+int64(meta.NumProbes)])
-	return out
+	return mach.Counters(meta.CounterAddr, meta.NumProbes)
 }
 
 // CoveredBlocks returns how many probes have fired at least once.
@@ -122,7 +120,7 @@ func CoveredBlocks(mach *vm.Machine, meta *Meta) int {
 
 // ResetCoverage zeroes the counters between inputs.
 func ResetCoverage(mach *vm.Machine, meta *Meta) {
-	for i := int64(0); i < int64(meta.NumProbes); i++ {
-		mach.Env.Mem[meta.CounterAddr+i] = 0
+	if err := mach.Env.Fill(meta.CounterAddr, int64(meta.NumProbes), 0); err != nil {
+		panic(err) // meta does not describe the image mach runs
 	}
 }

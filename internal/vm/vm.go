@@ -18,7 +18,8 @@ const (
 	BuiltinCallCost    = 8
 )
 
-// Machine executes one program image.
+// Machine executes one program image at a time and outlives the images it
+// runs: Rebind moves it to the next one.
 type Machine struct {
 	Exe *link.Executable
 	Env *rt.Env
@@ -27,25 +28,49 @@ type Machine struct {
 	Cycles int64
 
 	regs [mir.NumRegs]int64
+	// stack, builtins and args are exec's scratch, kept between runs so a
+	// steady-state execution allocates nothing.
+	stack    []frame
+	builtins []rt.Builtin
+	args     [mir.MaxRegArgs]int64
 }
 
 // New loads the executable's data segment into a fresh environment.
 func New(exe *link.Executable) *Machine {
-	env := rt.NewEnv()
-	copy(env.Mem[rt.GlobalBase:], exe.Data)
-	return &Machine{Exe: exe, Env: env}
+	m := &Machine{Env: rt.NewEnv()}
+	m.Rebind(exe)
+	return m
 }
 
-// Reset reloads the data segment and clears cycles; used between fuzz runs
-// when a pristine program state is required.
+// Rebind points the machine at another image of the program, typically the
+// one a rebuild just produced. Memory, output and counters are what
+// New(exe) would hold; the Env itself, the builtins installed into it and
+// its hit vector are kept.
+func (m *Machine) Rebind(exe *link.Executable) {
+	m.Exe = exe
+	m.Env.LoadImage(exe.Data)
+	m.Reset()
+}
+
+// Reset restores the pages the last execution wrote to the loaded image and
+// clears output, steps and cycles; RunProgram does it before every input.
 func (m *Machine) Reset() {
-	for i := range m.Env.Mem {
-		m.Env.Mem[i] = 0
-	}
-	copy(m.Env.Mem[rt.GlobalBase:], m.Exe.Data)
+	m.Env.ResetMem()
 	m.Env.Out.Reset()
 	m.Env.Steps = 0
 	m.Cycles = 0
+}
+
+// Counters returns a copy of the n bytes at addr: how the instrumenters read
+// the coverage table their build placed in the data segment. A table outside
+// memory means the metadata is of another build than the machine's image,
+// and panics.
+func (m *Machine) Counters(addr int64, n int) []byte {
+	out := make([]byte, n)
+	if err := m.Env.ReadMem(out, addr); err != nil {
+		panic(err)
+	}
+	return out
 }
 
 type frame struct {
@@ -71,6 +96,13 @@ func (m *Machine) Run(name string, args ...int64) (int64, error) {
 		m.regs[i] = a
 	}
 	m.regs[mir.SP] = rt.StackTop
+	// Builtins resolve once per run, not per call; a hook installed into
+	// Env.Builtins after New is picked up by the next run. A builtin the
+	// image names but nobody registered stays nil and traps when called.
+	m.builtins = m.builtins[:0]
+	for _, name := range m.Exe.Builtins {
+		m.builtins = append(m.builtins, m.Env.Builtins[name])
+	}
 	return m.exec(fi)
 }
 
@@ -78,7 +110,7 @@ const maxCallDepth = 400
 
 func (m *Machine) exec(entry int) (int64, error) {
 	env := m.Env
-	var stack []frame
+	m.stack = m.stack[:0]
 	fn := entry
 	pc := 0
 	code := m.Exe.Funcs[fn].Code
@@ -161,13 +193,13 @@ func (m *Machine) exec(entry int) (int64, error) {
 		case mir.Call:
 			if in.FuncIdx < 0 {
 				bi := -(in.FuncIdx + 1)
-				name := m.Exe.Builtins[bi]
-				fnB, ok := env.Builtins[name]
-				if !ok {
-					return 0, rt.Trapf("builtin %q not registered", name)
+				fnB := m.builtins[bi]
+				if fnB == nil {
+					return 0, rt.Trapf("builtin %q not registered", m.Exe.Builtins[bi])
 				}
 				m.Cycles += BuiltinCallCost
-				r, err := fnB(env, []int64{m.regs[0], m.regs[1], m.regs[2], m.regs[3], m.regs[4], m.regs[5]})
+				copy(m.args[:], m.regs[:mir.MaxRegArgs])
+				r, err := fnB(env, m.args[:])
 				if err != nil {
 					return 0, err
 				}
@@ -175,19 +207,19 @@ func (m *Machine) exec(entry int) (int64, error) {
 				pc++
 				continue
 			}
-			if len(stack) >= maxCallDepth {
+			if len(m.stack) >= maxCallDepth {
 				return 0, rt.Trapf("call depth exceeded")
 			}
-			stack = append(stack, frame{fn: fn, pc: pc + 1, sp: m.regs[mir.SP]})
+			m.stack = append(m.stack, frame{fn: fn, pc: pc + 1, sp: m.regs[mir.SP]})
 			fn = in.FuncIdx
 			code = m.Exe.Funcs[fn].Code
 			pc = 0
 		case mir.Ret:
-			if len(stack) == 0 {
+			if len(m.stack) == 0 {
 				return m.regs[0], nil
 			}
-			fr := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+			fr := m.stack[len(m.stack)-1]
+			m.stack = m.stack[:len(m.stack)-1]
 			fn, pc = fr.fn, fr.pc
 			m.regs[mir.SP] = fr.sp
 			code = m.Exe.Funcs[fn].Code
@@ -206,11 +238,7 @@ func (m *Machine) exec(entry int) (int64, error) {
 			pc++
 		case mir.Probe:
 			// Binary-instrumentation counter bump (saturating byte).
-			if in.ProbeAddr > 0 && in.ProbeAddr < int64(len(env.Mem)) {
-				if env.Mem[in.ProbeAddr] != 0xFF {
-					env.Mem[in.ProbeAddr]++
-				}
-			}
+			env.Bump(in.ProbeAddr)
 			pc++
 		default:
 			return 0, rt.Trapf("bad machine op %s", in.Op)

@@ -14,10 +14,18 @@
 //	engine, _ := odin.New(m, odin.Options{})
 //	probeID := engine.Manager.Add(myProbe)     // probes reference the pristine IR
 //	exe, _, _ := engine.BuildAll()             // instrument -> optimize -> codegen -> link
-//	...                                         // fuzz with vm.New(exe)
+//	mach := vm.New(exe)                        // one machine for the whole campaign
+//	...                                         // fuzz with vm.RunProgram(mach, input)
 //	engine.Manager.Remove(probeID)             // requirement changed
 //	sched, _ := engine.Schedule()              // Algorithm 2: minimal fragment set
 //	exe, stats, _ = sched.Rebuild()            // on-the-fly recompilation
+//	mach.Rebind(exe)                           // same machine, new image
+//
+// The machine outlives the images it runs: Rebind keeps its memory, the
+// hooks installed into mach.Env.Builtins and its hit vector, and restores
+// only the data segment; between inputs RunProgram restores only the pages
+// the last execution wrote. An execution costs what it executes, and a
+// rebuild costs no new machine.
 //
 // The implementation spans several internal packages — ir (the SSA IR),
 // irtext (its textual format), opt (the optimizer), codegen/obj/link (the

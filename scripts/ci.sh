@@ -22,10 +22,16 @@ echo "== go test (ODIN_VERIFY=all: strict IR verification after every optimizer 
 # error.
 ODIN_VERIFY=all go test ./internal/core/ ./internal/cov/ ./internal/bench/
 
-echo "== go test -race (core, link, faultinject, telemetry, rt, cov, persist, serve) =="
+echo "== go test -race (core, link, faultinject, telemetry, rt, vm, cov, persist, serve) =="
 go test -race ./internal/core/... ./internal/link/... ./internal/faultinject/... \
-	./internal/telemetry/... ./internal/rt/... ./internal/cov/... ./internal/persist/... \
-	./internal/serve/...
+	./internal/telemetry/... ./internal/rt/... ./internal/vm/... ./internal/cov/... \
+	./internal/persist/... ./internal/serve/...
+
+echo "== fuzz: reset contract (10s) =="
+# Generated images that store, memset, memcpy and bump counters anywhere in
+# memory, trap and run out of steps: after Reset a machine's 8 MiB must equal
+# a fresh vm.New's byte for byte, and after Rebind the second image's.
+go test -run xxx -fuzz FuzzResetEquivalence -fuzztime 10s ./internal/vm
 
 echo "== supervisor soak (-race, ~30s) =="
 # Bounded concurrent-supervisor soak: 8 goroutines of random probe toggles
@@ -241,11 +247,14 @@ echo "== persist fault sweep (persist:* sites) =="
 # `odin-bench -experiment faults`.
 go run ./cmd/odin-bench -experiment faults -programs json,sqlite,libxml2 -fault-rounds 2
 
-echo "== allocation budget (probe-toggle hot loop) =="
+echo "== allocation budgets (probe-toggle hot loop, steady-state execution) =="
 # The function-granular splice path's steady-state allocation envelope,
 # pinned with testing.AllocsPerRun. Catches an accidental return to
-# whole-fragment cloning long before it shows up as latency.
+# whole-fragment cloning long before it shows up as latency. The execution
+# budget does the same for Tool.RunInput with every probe active: a hook
+# call, a run or a rebuild that allocates again shows as allocs per exec.
 go test ./internal/core/ -run TestSpliceAllocBudget
+go test ./internal/cov/ -run TestRunInputAllocBudget
 
 echo "== bench regression gate (probe-toggle + verify-overhead + cold-warm + serve-storm + serve-chaos vs committed artifact) =="
 # Compare the current tree's trajectory against the committed BENCH
