@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test verify-all race soak fmt-check bench-parallel bench-telemetry bench-record bench-check alloc-budget verify-budget warm-bench persist-faults serve-storm serve-chaos ci
+.PHONY: all build vet test verify-all race soak fmt-check bench-parallel bench-telemetry bench-record bench-check alloc-budget verify-budget warm-bench persist-faults serve-storm serve-chaos loc ci
 
 all: build
 
@@ -120,6 +120,10 @@ alloc-budget:
 # bench.VerifyOverheadBudgetPct).
 verify-budget:
 	$(GO) run ./cmd/odin-bench -experiment verify-overhead -toggle-rounds 60
+
+# Non-test Go lines per package directory (the ROADMAP's tracked number).
+loc:
+	@scripts/loc.sh
 
 ci: vet build test verify-all race fmt-check alloc-budget verify-budget bench-check
 	@echo "ci: all checks passed"

@@ -40,6 +40,7 @@ import (
 	"odin/internal/irtext"
 	"odin/internal/progen"
 	"odin/internal/rt"
+	"odin/internal/telemetry"
 )
 
 type covTarget struct {
@@ -255,14 +256,17 @@ func run(program, irFile string, iters int, seed uint64, prune bool, rebuildTime
 	if err := ir.VerifyStrict(m); err != nil {
 		return classifyInvalidIR("before campaign", err)
 	}
-	tool, err := cov.New(m, core.Options{
+	opts := core.Options{
 		Variant:        core.VariantOdin,
 		RebuildTimeout: rebuildTimeout,
-		MetricsAddr:    metricsAddr,
 		Verify:         verify,
 		CacheDir:       cacheDir,
 		SnapshotPath:   snapshot,
-	}, prune)
+	}
+	if metricsAddr != "" {
+		opts.Telemetry = telemetry.NewRegistry()
+	}
+	tool, err := cov.New(m, opts, prune)
 	if err != nil {
 		return err
 	}
@@ -270,8 +274,13 @@ func run(program, irFile string, iters int, seed uint64, prune bool, rebuildTime
 	// An interrupted campaign still flushes the artifact cache and snapshot:
 	// Close is Once-guarded, so the deferred call stays a no-op afterwards.
 	defer closeOnSignal(tool.Engine.Close)()
-	if addr := tool.Engine.TelemetryAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving on %s\n", addr)
+	if metricsAddr != "" {
+		srv, err := telemetry.Serve(metricsAddr, opts.Telemetry, func() any { return tool.Engine.Snapshot() })
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "telemetry: serving on %s\n", srv.Addr())
 	}
 	fmt.Printf("target %s: %d probes over %d fragments\n",
 		name, len(tool.Probes), len(tool.Engine.Plan.Fragments))

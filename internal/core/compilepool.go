@@ -383,19 +383,17 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 	out.hash = fragmentHash(frag, th)
 	out.fc = FragCompile{FragID: id, Level: e.opts.OptLevel, FuncsTotal: countMemberFuncs(frag, temp)}
 	e.mu.RLock()
-	cached, haveObj := e.cache[id]
-	prev, known := e.hashes[id]
-	meta := e.funcMeta[id]
+	st := e.frags[id]
 	bypass := e.persistBypass
 	e.mu.RUnlock()
-	if haveObj && known && prev == out.hash {
+	if st.obj != nil && st.hashKnown && st.hash == out.hash {
 		// Content-hash hit: the post-instrumentation IR is byte-identical
 		// to what produced the cached object, so the whole pipeline —
 		// materialize included — would reproduce it exactly. Skip it all.
-		out.obj = cached
+		out.obj = st.obj
 		out.fc.CacheHit = true
 		out.fc.FuncCacheHits = out.fc.FuncsTotal
-		out.fc.Instrs = cached.CodeSize()
+		out.fc.Instrs = st.obj.CodeSize()
 		return out
 	}
 
@@ -405,9 +403,10 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 	// exactly like a memory hit; the commit installs it — with its function
 	// metadata — into the in-memory tier. Bypassed between InvalidateCache
 	// and the next committed rebuild, and for fragments with quarantined
-	// passes (their cold compile would differ from the clean entry).
-	if !bypass {
-		if ent := e.loadPersisted(id, out.hash); ent != nil {
+	// passes (a cold compile would route around them, so a clean persisted
+	// object would no longer be byte-identical to it).
+	if !bypass && len(st.quarantine) == 0 {
+		if ent := e.loadPersisted(out.hash); ent != nil {
 			out.obj = ent.Object
 			out.meta = &fragMeta{level: ent.Level, funcHashes: ent.FuncHashes}
 			out.fc.WarmHit = true
@@ -424,49 +423,35 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 	arena := ir.GetCloneArena()
 	defer ir.PutCloneArena(arena)
 
-	if meta != nil && haveObj && !e.opts.NoFuncCache &&
-		meta.level == e.opts.OptLevel && len(e.quarantinedPasses(id)) == 0 {
-		if e.trySplice(&out, frag, temp, th, meta, cached, arena, fs) {
+	if st.meta != nil && st.obj != nil && !e.opts.NoFuncCache &&
+		st.meta.level == e.opts.OptLevel && len(st.quarantine) == 0 {
+		reason := e.trySplice(&out, frag, temp, th, st.meta, st.obj, arena, fs)
+		if reason == "" {
 			return out
 		}
 		// Fall through to the whole-fragment path; the splice attempt's
 		// stage timings stay accumulated on fc (they are real compile cost).
 		out.fc.SpliceFallback = true
+		out.fc.SpliceFallbackReason = reason
 	}
 
-	tm0 := time.Now()
-	fm, merr := e.materializeIsolated(frag, temp, arena)
-	dm := time.Since(tm0)
-	// Stage spans reuse the engine's own timers (dm here, fc.Opt/fc.CodeGen
-	// in compileAttempt), so tracing adds no clock reads on this path.
-	fs.StaticChild(StageMaterialize, tm0, dm).EndErr(merr)
-	out.fc.Materialize += dm
-	if merr != nil {
-		return e.degradeToCache(id, out, stageError(id, StageMaterialize, "", merr))
-	}
-
-	quarantined := e.quarantinedPasses(id)
+	quarantined := st.quarantine
 	var lastErr FragError
 	for attempt, lv := range ladderLevels(e.opts.OptLevel) {
-		if attempt > 0 {
-			// The failed attempt may have left fm half-transformed;
-			// rematerialize a pristine fragment module before retrying.
-			rs := fs.Child(StageMaterialize)
-			fm, merr = e.materializeIsolated(frag, temp, arena)
-			rs.EndErr(merr)
-			if merr != nil {
-				return e.degradeToCache(id, out, stageError(id, StageMaterialize, "", merr))
-			}
-			if lv == 0 && lastErr.Pass != "" {
-				// Last compile rung: quarantine the pass that failed so
-				// future rebuilds of this fragment route around it.
-				e.addQuarantine(id, lastErr.Pass)
-				out.fc.QuarantinedPass = lastErr.Pass
-				quarantined = e.quarantinedPasses(id)
-			}
+		// Every rung starts from a pristine fragment module: a failed
+		// attempt may have left the previous one half-transformed.
+		fm, merr := e.materializeIsolated(frag, temp, nil, arena, &out.fc, fs)
+		if merr != nil {
+			return degradeToCache(st.obj, out, stageError(id, StageMaterialize, "", merr))
+		}
+		if attempt > 0 && lv == 0 && lastErr.Pass != "" {
+			// Last compile rung: quarantine the pass that failed so
+			// future rebuilds of this fragment route around it.
+			quarantined = e.addQuarantine(id, lastErr.Pass)
+			out.fc.QuarantinedPass = lastErr.Pass
 		}
 		out.fc.Attempts = attempt + 1
-		o, ferr := e.compileAttempt(id, fm, lv, quarantined, &out.fc, fs)
+		o, ferr := e.compileAttempt(id, fm, attemptSpec{level: lv, quarantined: quarantined}, &out.fc, fs)
 		if ferr == nil {
 			out.fc.Level = lv
 			out.fc.Degraded = attempt > 0 || len(quarantined) > 0
@@ -483,29 +468,47 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 		}
 		lastErr = *ferr
 	}
-	return e.degradeToCache(id, out, lastErr)
+	return degradeToCache(st.obj, out, lastErr)
 }
 
-// materializeIsolated is materialize under panic isolation.
-func (e *Engine) materializeIsolated(frag *Fragment, temp *ir.Module, arena *ir.CloneArena) (*ir.Module, error) {
+// materializeIsolated is materializeSubset under panic isolation, timed onto
+// fc and recorded as a stage span under fs. The span reuses the engine's own
+// timer, so tracing adds no clock reads on this path.
+func (e *Engine) materializeIsolated(frag *Fragment, temp *ir.Module, only map[string]bool, arena *ir.CloneArena, fc *FragCompile, fs *telemetry.Span) (*ir.Module, error) {
 	var fm *ir.Module
+	t0 := time.Now()
 	err := capture(func() error {
 		var merr error
-		fm, merr = e.materializeSubset(frag, temp, nil, arena)
+		fm, merr = e.materializeSubset(frag, temp, only, arena)
 		return merr
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fm, nil
+	d := time.Since(t0)
+	fc.Materialize += d
+	fs.StaticChild(StageMaterialize, t0, d).EndErr(err)
+	return fm, err
 }
 
-// compileAttempt runs optimize+codegen once at the given level under panic
-// isolation, returning the object or a stage-attributed failure. Opt and
-// codegen times accumulate onto fc across attempts. When tracing is on, the
-// attempt records opt and codegen stage spans under fs, with the optimizer's
-// individual passes as children of the opt span.
-func (e *Engine) compileAttempt(id int, fm *ir.Module, level int, quarantined map[string]bool, fc *FragCompile, fs *telemetry.Span) (*obj.Object, *FragError) {
+// attemptSpec is what varies between compile attempts of one fragment: the
+// ladder's rung (level, quarantined passes) and, for the splice path's
+// reduced module, the three adjustments that keep its output identical to a
+// whole-fragment compile's (funccache.go): GlobalDCE left to the object-level
+// sweep, DAE's module-wide gating set passed in, and clean closure functions
+// optimized against but not lowered.
+type attemptSpec struct {
+	level         int
+	quarantined   map[string]bool
+	skipGlobalDCE bool
+	keepArgs      map[string]bool
+	omitFuncs     map[string]bool
+}
+
+// compileAttempt is the one place a fragment module is optimized, verified
+// and lowered: it runs optimize+codegen once under panic isolation, returning
+// the object or a stage-attributed failure. Opt and codegen times accumulate
+// onto fc across attempts. When tracing is on, the attempt records opt and
+// codegen stage spans under fs, with the optimizer's individual passes as
+// children of the opt span.
+func (e *Engine) compileAttempt(id int, fm *ir.Module, spec attemptSpec, fc *FragCompile, fs *telemetry.Span) (*obj.Object, *FragError) {
 	trace := &opt.PassTrace{}
 	var onPass func(pass string, start time.Time, dur time.Duration, changed bool)
 	var scr *passScratch
@@ -539,13 +542,15 @@ func (e *Engine) compileAttempt(id int, fm *ir.Module, level int, quarantined ma
 	to := time.Now()
 	err := capture(func() error {
 		if err := opt.OptimizeChecked(fm, &opt.Options{
-			Level:      level,
-			Quarantine: quarantined,
-			Trace:      trace,
-			FaultHook:  e.opts.FaultHook,
-			OnPass:     onPass,
-			VerifyEach: e.verifyEach(),
-			OnVerify:   e.onPassVerify,
+			Level:         spec.level,
+			Quarantine:    spec.quarantined,
+			SkipGlobalDCE: spec.skipGlobalDCE,
+			KeepArgs:      spec.keepArgs,
+			Trace:         trace,
+			FaultHook:     e.opts.FaultHook,
+			OnPass:        onPass,
+			VerifyEach:    e.verifyEach(),
+			OnVerify:      e.onPassVerify,
 		}); err != nil {
 			return err
 		}
@@ -561,7 +566,7 @@ func (e *Engine) compileAttempt(id int, fm *ir.Module, level int, quarantined ma
 			obs = append(obs, telemetry.SpanObs{Name: a.name, Start: a.start, Dur: a.dur, Attrs: passAttrs(a.runs, a.changed)})
 		}
 		os := fs.StaticChild(StageOpt, to, dOpt)
-		os.SetAttrInt("level", int64(level))
+		os.SetAttrInt("level", int64(spec.level))
 		os.SetAttrInt("attempt", int64(fc.Attempts))
 		os.StaticChildren(obs)
 		os.EndErr(err)
@@ -574,10 +579,14 @@ func (e *Engine) compileAttempt(id int, fm *ir.Module, level int, quarantined ma
 	}
 
 	tc := time.Now()
+	cgopts := e.opts.Codegen
+	if spec.omitFuncs != nil {
+		cgopts.OmitFuncs = spec.omitFuncs
+	}
 	var o *obj.Object
 	err = capture(func() error {
 		var cerr error
-		o, cerr = codegen.CompileModuleOpts(fm, e.opts.Codegen)
+		o, cerr = codegen.CompileModuleOpts(fm, cgopts)
 		return cerr
 	})
 	dCG := time.Since(tc)
@@ -593,11 +602,8 @@ func (e *Engine) compileAttempt(id int, fm *ir.Module, level int, quarantined ma
 // degradeToCache is the degradation ladder's last rung: serve the
 // fragment's last-good cached object, deferring the probe change, or
 // surface the hard failure when the fragment has never been built.
-func (e *Engine) degradeToCache(id int, out fragOut, fe FragError) fragOut {
-	e.mu.RLock()
-	cached, ok := e.cache[id]
-	e.mu.RUnlock()
-	if !ok {
+func degradeToCache(cached *obj.Object, out fragOut, fe FragError) fragOut {
+	if cached == nil {
 		out.err = fe
 		return out
 	}

@@ -137,21 +137,22 @@ func TestRecompileChurnPreservesSemantics(t *testing.T) {
 	}
 }
 
-// TestHistoryAccumulates: the engine records every rebuild for the
-// experiment harness.
+// TestHistoryAccumulates: every rebuild hands its statistics to the caller,
+// and the engine keeps the count and the latest for introspection.
 func TestHistoryAccumulates(t *testing.T) {
 	m := progen.Demo().Generate()
 	eng, err := New(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.BuildAll(); err != nil {
+	_, st, err := eng.BuildAll()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.History) != 1 {
-		t.Fatalf("history = %d, want 1", len(eng.History))
+	snap := eng.Snapshot()
+	if snap.Rebuilds != 1 || snap.LastRebuild == nil || snap.LastRebuild.Total != st.Total {
+		t.Fatalf("snapshot rebuilds = %d, last = %+v, want 1 and the returned stats", snap.Rebuilds, snap.LastRebuild)
 	}
-	st := eng.History[0]
 	if len(st.Fragments) == 0 || st.Total <= 0 {
 		t.Fatalf("bad stats: %+v", st)
 	}

@@ -3,13 +3,11 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"odin/internal/codegen"
 	"odin/internal/ir"
-	"odin/internal/ir/analysis"
 	"odin/internal/link"
 	"odin/internal/obj"
 	"odin/internal/persist"
@@ -67,13 +65,6 @@ type Options struct {
 	// verification after every optimizer pass with the offending pass
 	// attributed on violation.
 	Verify VerifyMode
-	// MetricsAddr, when non-empty, makes the engine own a live introspection
-	// endpoint on this host:port (port 0 picks a free port): Prometheus text
-	// at /metrics, a JSON snapshot of engine state plus recent rebuild
-	// traces at /debug/odin, and net/http/pprof. A registry is created when
-	// Telemetry is nil. TelemetryAddr reports the bound address; Close stops
-	// the server.
-	MetricsAddr string
 	// CacheDir, when non-empty, attaches a crash-safe persistent artifact
 	// store (internal/persist) as a second cache tier behind the in-memory
 	// fragment cache: clean compiles publish their objects, and later
@@ -147,9 +138,13 @@ type FragCompile struct {
 	// Spliced records that the object was assembled by the function-granular
 	// path: dirty functions freshly compiled, clean functions' machine code
 	// reused from the cached object. SpliceFallback records that a splice
-	// was attempted but failed, and the whole-fragment path ran instead.
-	Spliced        bool `json:"spliced,omitempty"`
-	SpliceFallback bool `json:"splice_fallback,omitempty"`
+	// was attempted but failed, and the whole-fragment path ran instead;
+	// SpliceFallbackReason says where: "nothing-reusable" (every function
+	// was dirty), "materialize", "opt:<pass>", "codegen", or
+	// "splice:<class>" when the assembled object was refused.
+	Spliced              bool   `json:"spliced,omitempty"`
+	SpliceFallback       bool   `json:"splice_fallback,omitempty"`
+	SpliceFallbackReason string `json:"splice_fallback_reason,omitempty"`
 	// Level is the optimization level the committed object was compiled
 	// at; below Options.OptLevel it reflects the degradation ladder.
 	Level int `json:"level"`
@@ -221,6 +216,34 @@ type RebuildStats struct {
 	Total           time.Duration `json:"total_ns"`
 }
 
+// tally adds one fragment's outcome to the rebuild's aggregate counters.
+func (st *RebuildStats) tally(fc *FragCompile) {
+	st.CompileCPU += fc.Materialize + fc.Opt + fc.CodeGen
+	if fc.CacheHit {
+		st.CacheHits++
+	}
+	if fc.WarmHit {
+		st.WarmHits++
+	}
+	st.FuncCacheHits += fc.FuncCacheHits
+	st.FuncsCompiled += fc.FuncsCompiled
+	if fc.Spliced {
+		st.Spliced++
+	}
+	if fc.SpliceFallback {
+		st.SpliceFallbacks++
+	}
+	if fc.Deferred {
+		st.Deferred++
+		st.DeferredFrags = append(st.DeferredFrags, fc.FragID)
+	} else if fc.Degraded {
+		st.Degraded++
+	}
+	if fc.QuarantinedPass != "" {
+		st.Quarantined++
+	}
+}
+
 // SerialEquivalent is the middle+back-end compile time summed over
 // fragments — the serial pipeline cost Figures 11/12 report, independent of
 // how many workers the rebuild actually used.
@@ -230,6 +253,50 @@ func (st *RebuildStats) SerialEquivalent() time.Duration {
 		sum += fc.MiddleBackEnd()
 	}
 	return sum
+}
+
+// fragState is everything the engine keeps per fragment: the machine-code
+// cache entry of Figure 5 and, beside it, what the splice and the degradation
+// ladder need to know about it. A compile copies its fragment's record once;
+// finish commits every staged result in one critical section; the state
+// snapshot saves and restores the same fields.
+type fragState struct {
+	// obj is the cached object; nil until the fragment's first build.
+	obj *obj.Object
+	// hash fingerprints the post-instrumentation IR that produced obj.
+	// hashKnown is false before the first build and after InvalidateCache.
+	hash      uint64
+	hashKnown bool
+	// meta is obj's function-granular metadata (per-function deep hashes +
+	// compile level), present only when a clean compile at the configured
+	// level produced obj — the splice path's eligibility bar.
+	meta *fragMeta
+	// quarantine holds the optimizer passes that made this fragment's
+	// compile fail; later rebuilds skip them (degradation ladder, step 3).
+	// The map is replaced, never mutated, so a copied record reads it
+	// without the lock.
+	quarantine map[string]bool
+	// deferred marks that the last rebuild served obj instead of the newly
+	// instrumented IR; the fragment stays scheduled until a rebuild commits
+	// a fresh object for it.
+	deferred bool
+}
+
+// commit folds one staged compilation result into the record. finish calls
+// it only after every scheduled fragment succeeded AND the staged image
+// linked. A deferred fragment keeps its last-good object and fingerprint.
+func (st *fragState) commit(o *fragOut) {
+	if o.deferred {
+		st.deferred = true
+		return
+	}
+	st.obj, st.hash, st.hashKnown, st.deferred = o.obj, o.hash, true, false
+	// A clean compile, splice or warm load brings fresh metadata; a degraded
+	// object is no splice donor (nil); a cache hit left the object, and so
+	// its metadata, as they were.
+	if !o.fc.CacheHit {
+		st.meta = o.meta
+	}
 }
 
 // Engine is the Odin instrumentation framework instance for one program.
@@ -243,43 +310,22 @@ type Engine struct {
 	Manager  *PatchManager
 
 	opts Options
-	// mu guards cache, hashes, quarantine, and deferredFrags. Pool workers
-	// read them concurrently, and a worker abandoned by a rebuild deadline
-	// may still be reading while a later rebuild commits.
-	mu    sync.RWMutex
-	cache map[int]*obj.Object
-	// hashes maps fragment ID to the content fingerprint of the
-	// post-instrumentation IR that produced the cached object.
-	hashes map[int]uint64
-	// funcMeta maps fragment ID to the function-granular cache metadata of
-	// the cached object (per-function deep hashes + compile level). Present
-	// only for objects produced by clean compiles at the configured level —
-	// the splice path's eligibility bar. Guarded by mu with the cache.
-	funcMeta map[int]*fragMeta
-	// quarantine maps fragment ID to optimizer passes that caused that
-	// fragment's compile to fail; later rebuilds skip them (degradation
-	// ladder, step 3).
-	quarantine map[int]map[string]bool
-	// deferredFrags are fragments whose last rebuild served the last-good
-	// cached object instead of the newly instrumented IR; they stay
-	// scheduled until a rebuild commits a fresh object for them.
-	deferredFrags map[int]bool
-	linker        *link.Incremental
-	exe           *link.Executable
-	// neverBuilt tracks fragments that have no cache entry yet; nbSorted
-	// caches its sorted ID list between cache commits.
-	neverBuilt map[int]bool
-	nbSorted   []int
+	// mu guards frags, exe, persistBypass and the rebuild tally. Pool workers
+	// read concurrently, and a worker abandoned by a rebuild deadline may
+	// still be reading while a later rebuild commits.
+	mu sync.RWMutex
+	// frags is the machine-code cache: one record per fragment, indexed by
+	// fragment ID (dense plan indices).
+	frags  []fragState
+	linker *link.Incremental
+	exe    *link.Executable
 	// aliasByName indexes the pristine module's aliases by name, built once
 	// at engine construction; materialize consults it per member instead of
 	// scanning every alias per member (O(members × aliases)).
 	aliasByName map[string]*ir.Alias
-	// ancache caches per-function analysis results (dominators, def-use,
-	// liveness, verified-clean status) keyed on symbol name + content hash,
-	// two generations deep — a probe toggle alternates a function between
-	// exactly two IR states, and keeping both makes the steady-state toggle
-	// loop a pure verification cache hit.
-	ancache *analysis.Cache
+	// verified remembers which function bodies strict verification already
+	// accepted (verify.go).
+	verified verifiedTable
 	// allDirty forces every fragment into the next schedule (MarkAllDirty).
 	allDirty bool
 	// testFragHook, when set by tests, can poison individual fragment
@@ -288,13 +334,10 @@ type Engine struct {
 	// metrics holds the pre-registered telemetry handles (all nil when
 	// Options.Telemetry is nil; every handle method is nil-safe).
 	metrics engineMetrics
-	// telemetrySrv is the engine-owned introspection endpoint, non-nil only
-	// when Options.MetricsAddr was set. closeOnce makes Close idempotent
-	// and concurrent-safe: the first call stops the server, every later
-	// call returns the same result instead of re-closing it.
-	telemetrySrv *telemetry.Server
-	closeOnce    sync.Once
-	closeErr     error
+	// closeOnce makes Close idempotent and concurrent-safe: the first call
+	// does the work, every later call returns the same result.
+	closeOnce sync.Once
+	closeErr  error
 	// store is the persistent artifact tier, non-nil only when
 	// Options.CacheDir named a usable directory. persistBypass (guarded by
 	// mu) suppresses warm loads between InvalidateCache and the next
@@ -312,21 +355,18 @@ type Engine struct {
 	// aliases the pristine module (BuildAll, no probes) reuses it instead of
 	// re-fingerprinting every symbol.
 	pristineHashes tempHashes
-	// verifiedClean maps function names to the FingerprintSym hash last
-	// strictly verified clean, seeded from a snapshot and carried into the
-	// next one so warm rebuilds skip re-verifying unchanged functions. The
-	// map is replaced, never mutated, under mu (copy-on-write), so verify
-	// passes read a grabbed reference without holding the lock.
-	verifiedClean map[string]uint64
 	// supMu guards the supervisor state hooks: restoredSup carries a
 	// snapshot's supervisor state to the first Supervise call, and supState
 	// is the live supervisor's state-capture callback for SaveSnapshot.
 	supMu       sync.Mutex
 	restoredSup *persist.SupervisorState
 	supState    func() *persist.SupervisorState
-	// History accumulates rebuild statistics for the experiment harness.
-	// finish appends under mu so Snapshot can read it concurrently.
-	History []RebuildStats
+	// rebuilds counts committed rebuilds and lastRebuild is the most recent
+	// one's statistics, both published under mu at commit. A long-running
+	// daemon keeps only these; callers that want every rebuild's statistics
+	// keep what BuildAll and Rebuild return.
+	rebuilds    int
+	lastRebuild RebuildStats
 }
 
 // New surveys and partitions the program, returning an engine whose cache is
@@ -336,9 +376,6 @@ func New(m *ir.Module, opts Options) (*Engine, error) {
 		opts.OptLevel = 2
 	}
 	opts.Verify = opts.Verify.resolve()
-	if opts.MetricsAddr != "" && opts.Telemetry == nil {
-		opts.Telemetry = telemetry.NewRegistry()
-	}
 	// Wrap the fault hook with injection counters before fanning it out to
 	// the back end and linker, so every site's faults are counted once.
 	opts.FaultHook = wrapFaultHook(opts.Telemetry, opts.FaultHook)
@@ -379,19 +416,14 @@ func New(m *ir.Module, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		Pristine:      pristine,
-		Plan:          plan,
-		Manager:       NewPatchManager(),
-		opts:          opts,
-		cache:         map[int]*obj.Object{},
-		hashes:        map[int]uint64{},
-		funcMeta:      map[int]*fragMeta{},
-		quarantine:    map[int]map[string]bool{},
-		deferredFrags: map[int]bool{},
-		linker:        link.NewIncremental(),
-		neverBuilt:    map[int]bool{},
-		aliasByName:   make(map[string]*ir.Alias, len(pristine.Aliases)),
-		ancache:       analysis.NewCache(),
+		Pristine:    pristine,
+		Plan:        plan,
+		Manager:     NewPatchManager(),
+		opts:        opts,
+		frags:       make([]fragState, len(plan.Fragments)),
+		linker:      link.NewIncremental(),
+		aliasByName: make(map[string]*ir.Alias, len(pristine.Aliases)),
+		verified:    verifiedTable{clean: map[string][2]uint64{}},
 	}
 	for _, a := range pristine.Aliases {
 		e.aliasByName[a.Name] = a
@@ -401,58 +433,29 @@ func New(m *ir.Module, opts Options) (*Engine, error) {
 	e.metrics.fragments.Set(int64(len(plan.Fragments)))
 	e.metrics.workers.Set(int64(opts.workers()))
 	e.linker.Instrument(opts.Telemetry)
-	for _, f := range plan.Fragments {
-		e.neverBuilt[f.ID] = true
-	}
 	// Attach the persistent tier and restore any state snapshot before the
 	// engine is published; failures degrade to a cold start, never an error.
 	e.pristineHashes = symHashes
 	e.openPersistence(moduleHash, pm, snapState)
-	if opts.MetricsAddr != "" {
-		srv, err := telemetry.Serve(opts.MetricsAddr, opts.Telemetry, func() any { return e.Snapshot() })
-		if err != nil {
-			if e.store != nil {
-				e.store.Close() // release the writer lock; New is failing
-			}
-			return nil, err
-		}
-		e.telemetrySrv = srv
-	}
 	return e, nil
 }
 
-// TelemetryAddr returns the bound address of the engine-owned introspection
-// endpoint, or "" when Options.MetricsAddr was unset.
-func (e *Engine) TelemetryAddr() string {
-	if e.telemetrySrv == nil {
-		return ""
-	}
-	return e.telemetrySrv.Addr()
-}
-
 // Close releases the engine's resources exactly once: it writes the state
-// snapshot (when Options.SnapshotPath is set), flushes and closes the
-// persistent store, and stops the introspection endpoint. Close is
-// idempotent and safe to call concurrently — including while a rebuild is
-// in flight: a racing commit's store publishes lose cleanly (counted
-// fallbacks, in-memory cache unaffected), and the store's journal is
-// flushed exactly once.
+// snapshot (when Options.SnapshotPath is set), then flushes and closes the
+// persistent store. Close is idempotent and safe to call concurrently —
+// including while a rebuild is in flight: a racing commit's store publishes
+// lose cleanly (counted fallbacks, in-memory cache unaffected), and the
+// store's journal is flushed exactly once.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		// Snapshot before closing the store: SaveSnapshot reads only engine
 		// state (under the engine lock), never the store.
-		serr := e.SaveSnapshot()
+		e.closeErr = e.SaveSnapshot()
 		if e.store != nil {
-			if cerr := e.store.Close(); serr == nil {
-				serr = cerr
+			if cerr := e.store.Close(); e.closeErr == nil {
+				e.closeErr = cerr
 			}
 		}
-		if e.telemetrySrv != nil {
-			if terr := e.telemetrySrv.Close(); serr == nil {
-				serr = terr
-			}
-		}
-		e.closeErr = serr
 	})
 	return e.closeErr
 }
@@ -498,10 +501,13 @@ func (e *Engine) MarkAllDirty() { e.allDirty = true }
 func (e *Engine) InvalidateCache() {
 	e.allDirty = true
 	e.mu.Lock()
-	e.hashes = map[int]uint64{}
-	// Function-granular metadata keys off the same fingerprints; dropping it
-	// forces whole-fragment recompiles (no splicing against stale hashes).
-	e.funcMeta = map[int]*fragMeta{}
+	for i := range e.frags {
+		// Function-granular metadata keys off the same fingerprints;
+		// dropping it forces whole-fragment recompiles (no splicing against
+		// stale hashes).
+		e.frags[i].hashKnown = false
+		e.frags[i].meta = nil
+	}
 	// The persistent tier would defeat the invalidation — the evicted
 	// objects are still on disk under unchanged keys — so warm loads are
 	// bypassed until the forced rebuild commits.
@@ -511,114 +517,46 @@ func (e *Engine) InvalidateCache() {
 
 // affectedFragments computes the fragment set that must be recompiled for
 // the current dirty symbols (the symbol-to-fragment propagation of
-// Algorithm 2), plus fragments never built.
+// Algorithm 2), plus fragments never built and fragments whose probe change
+// a failed compile deferred, in ascending ID order.
 func (e *Engine) affectedFragments(dirtySyms []string) []int {
-	if e.allDirty {
-		out := make([]int, len(e.Plan.Fragments))
-		for i := range out {
-			out[i] = i // fragment IDs are dense plan indices
-		}
-		return out
-	}
-	if len(dirtySyms) == 0 && len(e.deferredFrags) == 0 {
-		// Fast path: nothing dirty, so the affected set is exactly the
-		// never-built fragments — no per-call map building or sorting.
-		return e.neverBuiltIDs()
-	}
-	set := map[int]bool{}
-	for id := range e.neverBuilt {
-		set[id] = true
-	}
-	// Deferred fragments carry an unapplied probe change; they stay
-	// scheduled until a rebuild commits a fresh object for them.
-	for id := range e.deferredFrags {
-		set[id] = true
-	}
+	dirty := make([]bool, len(e.frags))
 	for _, s := range dirtySyms {
 		for _, id := range e.Plan.FragmentsOf(s) {
-			set[id] = true
+			dirty[id] = true
 		}
 	}
 	var out []int
-	for id := range set {
-		out = append(out, id)
+	e.mu.RLock()
+	for id := range e.frags {
+		if st := &e.frags[id]; e.allDirty || dirty[id] || st.obj == nil || st.deferred {
+			out = append(out, id)
+		}
 	}
-	sort.Ints(out)
+	e.mu.RUnlock()
 	return out
 }
 
-// neverBuiltIDs returns the sorted never-built fragment IDs, cached until
-// the next cache commit. Callers must not mutate the result.
-func (e *Engine) neverBuiltIDs() []int {
-	if len(e.neverBuilt) == 0 {
-		return nil
-	}
-	if e.nbSorted == nil {
-		e.nbSorted = make([]int, 0, len(e.neverBuilt))
-		for id := range e.neverBuilt {
-			e.nbSorted = append(e.nbSorted, id)
-		}
-		sort.Ints(e.nbSorted)
-	}
-	return e.nbSorted
-}
-
-// commitFragment installs one staged compilation result into the cache.
-// finish calls it only after every scheduled fragment succeeded AND the
-// staged image linked. Deferred fragments keep their last-good cache entry
-// and fingerprint, and stay scheduled for the next rebuild.
-func (e *Engine) commitFragment(o *fragOut) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id := o.fc.FragID
-	if o.deferred {
-		e.deferredFrags[id] = true
-		return
-	}
-	e.cache[id] = o.obj
-	e.hashes[id] = o.hash
-	switch {
-	case o.meta != nil:
-		// Clean compile (or splice): fresh deep hashes for the new object.
-		e.funcMeta[id] = o.meta
-	case o.fc.CacheHit:
-		// Fragment unchanged, object unchanged: stored metadata stays valid.
-	default:
-		// Degraded compile: the object is not a splice donor.
-		delete(e.funcMeta, id)
-	}
-	delete(e.deferredFrags, id)
-	if e.neverBuilt[id] {
-		delete(e.neverBuilt, id)
-		e.nbSorted = nil
-	}
-}
-
 // linkStaged links the current cache contents overlaid with this rebuild's
-// staged objects, under panic isolation, reusing the previous link's
+// staged objects (outs ascends by fragment ID, as affectedFragments
+// scheduled them), under panic isolation, reusing the previous link's
 // symbol-resolution state when the object layout is unchanged. Nothing is
 // committed to the cache until this succeeds, so a link-stage fault leaves
 // both the cache and the current executable untouched. The second result
 // reports whether the incremental path was taken.
 func (e *Engine) linkStaged(outs []fragOut) (*link.Executable, bool, error) {
+	objs := make([]*obj.Object, 0, len(e.frags))
 	e.mu.RLock()
-	cand := make(map[int]*obj.Object, len(e.cache)+len(outs))
-	for id, o := range e.cache {
-		cand[id] = o
+	for id := range e.frags {
+		o := e.frags[id].obj
+		if len(outs) > 0 && outs[0].fc.FragID == id {
+			o, outs = outs[0].obj, outs[1:]
+		}
+		if o != nil {
+			objs = append(objs, o)
+		}
 	}
 	e.mu.RUnlock()
-	for i := range outs {
-		cand[outs[i].fc.FragID] = outs[i].obj
-	}
-	ids := make([]int, 0, len(cand))
-	for id := range cand {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	objs := make([]*obj.Object, 0, len(ids))
-	for _, id := range ids {
-		objs = append(objs, cand[id])
-	}
 	var exe *link.Executable
 	var incremental bool
 	err := capture(func() error {
@@ -632,38 +570,30 @@ func (e *Engine) linkStaged(outs []fragOut) (*link.Executable, bool, error) {
 	return exe, incremental, nil
 }
 
-// quarantinedPasses returns a copy of the fragment's quarantined pass set,
-// or nil when the fragment has none.
-func (e *Engine) quarantinedPasses(id int) map[string]bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	q := e.quarantine[id]
-	if len(q) == 0 {
-		return nil
-	}
-	out := make(map[string]bool, len(q))
-	for p := range q {
-		out[p] = true
-	}
-	return out
-}
-
 // addQuarantine records that a pass caused the fragment's compile to fail;
-// future rebuilds of the fragment skip it.
-func (e *Engine) addQuarantine(id int, pass string) {
+// future rebuilds of the fragment skip it. It returns the fragment's new
+// quarantine set.
+func (e *Engine) addQuarantine(id int, pass string) map[string]bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.quarantine[id] == nil {
-		e.quarantine[id] = map[string]bool{}
+	st := &e.frags[id]
+	next := make(map[string]bool, len(st.quarantine)+1)
+	for p := range st.quarantine {
+		next[p] = true
 	}
-	e.quarantine[id][pass] = true
+	next[pass] = true
+	st.quarantine = next
+	return next
 }
 
 // Quarantined returns the quarantined pass names for a fragment, sorted.
 func (e *Engine) Quarantined(id int) []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return sortedKeys(e.quarantine[id])
+	if id < 0 || id >= len(e.frags) {
+		return nil
+	}
+	return sortedKeys(e.frags[id].quarantine)
 }
 
 // DeferredFragments returns the fragments whose probe changes are deferred
@@ -671,13 +601,11 @@ func (e *Engine) Quarantined(id int) []string {
 func (e *Engine) DeferredFragments() []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if len(e.deferredFrags) == 0 {
-		return nil
+	var out []int
+	for id := range e.frags {
+		if e.frags[id].deferred {
+			out = append(out, id)
+		}
 	}
-	out := make([]int, 0, len(e.deferredFrags))
-	for id := range e.deferredFrags {
-		out = append(out, id)
-	}
-	sort.Ints(out)
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -9,16 +10,13 @@ import (
 
 // TestEngineCloseIdempotent: Close must be safe to call repeatedly and from
 // many goroutines — defer-happy callers and a supervisor tearing down in
-// parallel must not double-close the telemetry server (which used to
-// surface http.ErrServerClosed on the second call).
+// parallel must not close the store or write the snapshot twice.
 func TestEngineCloseIdempotent(t *testing.T) {
 	m := irtext.MustParse("m", manyFuncSrc(2))
-	e, err := New(m, Options{Variant: VariantMax, MetricsAddr: "127.0.0.1:0"})
+	dir := t.TempDir()
+	e, err := New(m, Options{Variant: VariantMax, CacheDir: dir, SnapshotPath: filepath.Join(dir, "engine.snap")})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.TelemetryAddr() == "" {
-		t.Fatal("no telemetry endpoint bound")
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("first close: %v", err)
@@ -38,13 +36,13 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	}
 	wg.Wait()
 
-	// An engine without a telemetry server closes cleanly too.
+	// An engine with nothing to flush closes cleanly too.
 	e2, err := New(irtext.MustParse("m2", manyFuncSrc(2)), Options{Variant: VariantMax})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.Close(); err != nil || e2.Close() != nil {
-		t.Fatalf("close without server: %v", err)
+		t.Fatalf("close without persistence: %v", err)
 	}
 }
 
@@ -53,7 +51,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 // panic or race with the commit path.
 func TestEngineCloseDuringRebuild(t *testing.T) {
 	m := irtext.MustParse("m", manyFuncSrc(8))
-	e, err := New(m, Options{Variant: VariantMax, Workers: 4, MetricsAddr: "127.0.0.1:0"})
+	e, err := New(m, Options{Variant: VariantMax, Workers: 4, CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

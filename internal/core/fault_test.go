@@ -11,7 +11,6 @@ import (
 	"odin/internal/faultinject"
 	"odin/internal/irtext"
 	"odin/internal/link"
-	"odin/internal/obj"
 )
 
 // hookBox lets a test swap the engine's fault hook after construction: the
@@ -46,33 +45,34 @@ func faultEngine(t *testing.T, n, workers int) (*Engine, *hookBox, int64) {
 	return e, box, ref
 }
 
-// engineSnap captures the engine's committed state by identity: objects and
-// executables are immutable after construction, so pointer equality is
-// byte-identity.
+// engineSnap captures the engine's committed state by identity: objects,
+// function metadata and executables are immutable after construction, so
+// pointer equality is byte-identity.
 type engineSnap struct {
-	cache map[int]*obj.Object
+	frags []fragState
 	exe   *link.Executable
 }
 
 func snapEngine(e *Engine) engineSnap {
-	s := engineSnap{cache: map[int]*obj.Object{}, exe: e.exe}
-	for id, o := range e.cache {
-		s.cache[id] = o
-	}
-	return s
+	return engineSnap{frags: append([]fragState(nil), e.frags...), exe: e.exe}
 }
 
+// cachedObjects counts the fragments that have a committed object.
+func cachedObjects(e *Engine) int { return e.Snapshot().CachedObjects }
+
+// requireUnchanged asserts a failed rebuild left the image and every
+// fragment's record — object, fingerprint, function metadata, deferral —
+// exactly as they were.
 func (s engineSnap) requireUnchanged(t *testing.T, e *Engine, when string) {
 	t.Helper()
 	if e.exe != s.exe {
 		t.Fatalf("%s: executable replaced", when)
 	}
-	if len(e.cache) != len(s.cache) {
-		t.Fatalf("%s: cache size %d -> %d", when, len(s.cache), len(e.cache))
-	}
-	for id, o := range s.cache {
-		if e.cache[id] != o {
-			t.Fatalf("%s: cache entry %d replaced", when, id)
+	for id, was := range s.frags {
+		now := e.frags[id]
+		if now.obj != was.obj || now.hash != was.hash || now.hashKnown != was.hashKnown ||
+			now.meta != was.meta || now.deferred != was.deferred {
+			t.Fatalf("%s: fragment %d record changed: %+v -> %+v", when, id, was, now)
 		}
 	}
 }
@@ -131,9 +131,9 @@ func TestFaultEverySiteNoCorruption(t *testing.T) {
 				t.Fatalf("deferred %d of %d fragments (%v), want all",
 					st.Deferred, len(st.Fragments), st.DeferredFrags)
 			}
-			for id, o := range snap.cache {
-				if e.cache[id] != o {
-					t.Fatalf("deferred fragment %d lost its last-good object", id)
+			for id, was := range snap.frags {
+				if e.frags[id].obj != was.obj || !e.frags[id].deferred {
+					t.Fatalf("deferred fragment %d lost its last-good object or its deferral", id)
 				}
 			}
 			if r, rerr := vmRun(e.Executable(), "main", 7); rerr != nil || r != ref {
@@ -316,7 +316,7 @@ func TestFaultPanicHardFailure(t *testing.T) {
 	if !faultinject.IsInjected(err) {
 		t.Fatalf("injected panic not identifiable through the error chain: %v", err)
 	}
-	if len(e.cache) != 0 || e.Executable() != nil {
+	if cachedObjects(e) != 0 || e.Executable() != nil {
 		t.Fatal("failed cold build committed state")
 	}
 }

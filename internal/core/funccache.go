@@ -40,15 +40,11 @@ package core
 // corrupt splice.
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
-	"odin/internal/codegen"
 	"odin/internal/ir"
 	"odin/internal/mir"
 	"odin/internal/obj"
-	"odin/internal/opt"
 	"odin/internal/telemetry"
 )
 
@@ -239,10 +235,11 @@ func (e *Engine) keepArgsFor(frag *Fragment, idx *fragIndex, temp *ir.Module) ma
 // compile at the configured level. It compiles a reduced module holding only
 // the dirty functions (plus their reference closure, lowered as imports) and
 // splices the result with the cached machine code of clean functions. On
-// success out is fully populated and true is returned; on any failure the
-// caller falls back to the whole-fragment ladder with out's timing
-// accumulated but no flags set.
-func (e *Engine) trySplice(out *fragOut, frag *Fragment, temp *ir.Module, th tempHashes, meta *fragMeta, cached *obj.Object, arena *ir.CloneArena, fs *telemetry.Span) bool {
+// success out is fully populated and "" is returned; on any failure it
+// returns the reason (FragCompile.SpliceFallbackReason) and the caller falls
+// back to the whole-fragment ladder with out's timing accumulated but no
+// flags set.
+func (e *Engine) trySplice(out *fragOut, frag *Fragment, temp *ir.Module, th tempHashes, meta *fragMeta, cached *obj.Object, arena *ir.CloneArena, fs *telemetry.Span) string {
 	idx := buildFragIndex(frag, temp)
 	deep := deepFuncHashes(idx, th)
 
@@ -261,7 +258,7 @@ func (e *Engine) trySplice(out *fragOut, frag *Fragment, temp *ir.Module, th tem
 		}
 	}
 	if len(need) >= len(idx.funcs) {
-		return false // nothing reusable; the whole-fragment path is no slower
+		return "nothing-reusable" // the whole-fragment path is no slower
 	}
 
 	// Close the dirty set over intra-fragment references so interprocedural
@@ -291,62 +288,25 @@ func (e *Engine) trySplice(out *fragOut, frag *Fragment, temp *ir.Module, th tem
 		}
 	}
 
-	tm0 := time.Now()
-	var fm *ir.Module
-	merr := capture(func() error {
-		var err error
-		fm, err = e.materializeSubset(frag, temp, defs, arena)
-		return err
-	})
-	dm := time.Since(tm0)
-	fs.StaticChild(StageMaterialize, tm0, dm).EndErr(merr)
-	out.fc.Materialize += dm
-	if merr != nil {
-		return false
+	fm, err := e.materializeIsolated(frag, temp, defs, arena, &out.fc, fs)
+	if err != nil {
+		return StageMaterialize
 	}
-
-	to := time.Now()
-	oerr := capture(func() error {
-		if err := opt.OptimizeChecked(fm, &opt.Options{
-			Level:         meta.level,
-			SkipGlobalDCE: true,
-			KeepArgs:      e.keepArgsFor(frag, idx, temp),
-			FaultHook:     e.opts.FaultHook,
-			VerifyEach:    e.verifyEach(),
-			OnVerify:      e.onPassVerify,
-		}); err != nil {
-			return err
+	ro, ferr := e.compileAttempt(frag.ID, fm, attemptSpec{
+		level:         meta.level,
+		skipGlobalDCE: true,
+		keepArgs:      e.keepArgsFor(frag, idx, temp),
+		omitFuncs:     omit,
+	}, &out.fc, fs)
+	if ferr != nil {
+		if ferr.Pass != "" {
+			return ferr.Stage + ":" + ferr.Pass
 		}
-		return e.verifyCompiled(fm)
-	})
-	dOpt := time.Since(to)
-	out.fc.Opt += dOpt
-	os := fs.StaticChild(StageOpt, to, dOpt)
-	os.SetAttrInt("level", int64(meta.level))
-	os.EndErr(oerr)
-	if oerr != nil {
-		return false
+		return ferr.Stage
 	}
-
-	tc := time.Now()
-	cgopts := e.opts.Codegen
-	cgopts.OmitFuncs = omit
-	var ro *obj.Object
-	cerr := capture(func() error {
-		var err error
-		ro, err = codegen.CompileModuleOpts(fm, cgopts)
-		return err
-	})
-	dCG := time.Since(tc)
-	out.fc.CodeGen += dCG
-	fs.StaticChild(StageCodegen, tc, dCG).EndErr(cerr)
-	if cerr != nil {
-		return false
-	}
-
-	so, serr := e.spliceObject(frag, idx, cached, cachedFn, ro, need, meta.level)
-	if serr != nil {
-		return false
+	so, class := e.spliceObject(frag, idx, cached, cachedFn, ro, need, meta.level)
+	if class != "" {
+		return "splice:" + class
 	}
 	out.obj = so
 	out.fc.Spliced = true
@@ -356,7 +316,7 @@ func (e *Engine) trySplice(out *fragOut, frag *Fragment, temp *ir.Module, th tem
 	out.fc.FuncsCompiled = len(need)
 	out.fc.FuncCacheHits = len(idx.funcs) - len(need)
 	out.meta = &fragMeta{level: meta.level, funcHashes: deep}
-	return true
+	return ""
 }
 
 // spliceObject assembles the fragment object from the reduced compile:
@@ -367,8 +327,9 @@ func (e *Engine) trySplice(out *fragOut, frag *Fragment, temp *ir.Module, th tem
 // functions (carrySynthDatas), and AliasSyms rebuilt from the plan. When
 // the fragment optimizes at a level that runs GlobalDCE, an object-level
 // mark-sweep applies the equivalent liveness. The result must validate; any
-// irregularity aborts the splice rather than committing a corrupt object.
-func (e *Engine) spliceObject(frag *Fragment, idx *fragIndex, cached *obj.Object, cachedFn map[string]int, ro *obj.Object, need map[string]bool, level int) (*obj.Object, error) {
+// irregularity aborts the splice — the second result names which, "" for
+// none — rather than committing a corrupt object.
+func (e *Engine) spliceObject(frag *Fragment, idx *fragIndex, cached *obj.Object, cachedFn map[string]int, ro *obj.Object, need map[string]bool, level int) (*obj.Object, string) {
 	so := &obj.Object{Name: ro.Name, Datas: ro.Datas}
 	carried := carrySynthDatas(so, idx, cached)
 	freshFn := make(map[string]int, len(ro.Funcs))
@@ -381,7 +342,7 @@ func (e *Engine) spliceObject(frag *Fragment, idx *fragIndex, cached *obj.Object
 		} else if i, ok := cachedFn[fn]; ok && !need[fn] {
 			so.Funcs = append(so.Funcs, cached.Funcs[i])
 		} else if need[fn] {
-			return nil, fmt.Errorf("core: spliced compile lost @%s", fn)
+			return nil, "lost-func" // the reduced compile dropped a dirty function
 		}
 		// Absent from both: swept by the cached compile and still dead.
 	}
@@ -397,14 +358,14 @@ func (e *Engine) spliceObject(frag *Fragment, idx *fragIndex, cached *obj.Object
 	if level >= 2 {
 		sweepObject(so)
 	}
-	if err := orderSynthDatas(so, idx, cached, carried); err != nil {
-		return nil, err
+	if !orderSynthDatas(so, idx, cached, carried) {
+		return nil, "synth-data-order"
 	}
 	recomputeImports(so)
-	if err := so.Validate(); err != nil {
-		return nil, err
+	if so.Validate() != nil {
+		return nil, "validate"
 	}
-	return so, nil
+	return so, ""
 }
 
 // Synthesised data symbols are the ones the optimizer adds to a fragment
@@ -441,11 +402,11 @@ func carrySynthDatas(so *obj.Object, idx *fragIndex, cached *obj.Object) map[str
 // object — a cold compile, or a splice ordered by this function — holds its
 // share of them in that order. With nothing carried over, the reduced
 // compile's own order stands. With a survivor the cached object never held
-// next to a carried one, their relative order is unknown and the splice is
-// abandoned for the whole-fragment ladder.
-func orderSynthDatas(so *obj.Object, idx *fragIndex, cached *obj.Object, carried map[string]bool) error {
+// next to a carried one, their relative order is unknown: it reports false
+// and the splice is abandoned for the whole-fragment ladder.
+func orderSynthDatas(so *obj.Object, idx *fragIndex, cached *obj.Object, carried map[string]bool) bool {
 	if len(carried) == 0 {
-		return nil
+		return true
 	}
 	pos := make(map[string]int, len(cached.Datas))
 	for i := range cached.Datas {
@@ -453,29 +414,29 @@ func orderSynthDatas(so *obj.Object, idx *fragIndex, cached *obj.Object, carried
 	}
 	var slots []int
 	var synth []obj.DataSym
-	anyCarried, unknown := false, ""
+	anyCarried, allKnown := false, true
 	for i, d := range so.Datas {
 		if idx.defined[d.Name] {
 			continue
 		}
 		anyCarried = anyCarried || carried[d.Name]
 		if _, ok := pos[d.Name]; !ok {
-			unknown = d.Name
+			allKnown = false
 		}
 		slots = append(slots, i)
 		synth = append(synth, d)
 	}
 	if !anyCarried {
-		return nil // the sweep removed them all
+		return true // the sweep removed them all
 	}
-	if unknown != "" {
-		return fmt.Errorf("core: synthesised data %s is new beside carried ones: order unknown", unknown)
+	if !allKnown {
+		return false
 	}
 	sort.Slice(synth, func(a, b int) bool { return pos[synth[a].Name] < pos[synth[b].Name] })
 	for k, i := range slots {
 		so.Datas[i] = synth[k]
 	}
-	return nil
+	return true
 }
 
 // sweepObject is GlobalDCE at the object level: roots are externally linked

@@ -311,6 +311,35 @@ func TestSnapshotRestoresEngineState(t *testing.T) {
 	}
 }
 
+// TestSnapshotCarriesVerifiedClean: the verified-clean table's newest
+// generation rides the state snapshot, so a restarted engine strictly
+// re-verifies no function whose body is unchanged.
+func TestSnapshotCarriesVerifiedClean(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{CacheDir: dir, SnapshotPath: filepath.Join(dir, "engine.snap"), Verify: VerifyBoundaries}
+	e := persistEngine(t, 4, opts)
+	if _, _, err := e.BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := e.VerifyCacheStats(); misses == 0 {
+		t.Fatal("cold build verified nothing: the test cannot tell a carried table from an idle one")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := persistEngine(t, 4, opts)
+	if !e2.SnapshotRestored() {
+		t.Fatal("snapshot not restored")
+	}
+	if _, _, err := e2.BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := e2.VerifyCacheStats(); misses != 0 || hits == 0 {
+		t.Fatalf("restarted build: %d hits, %d misses, want every function carried clean", hits, misses)
+	}
+}
+
 // TestSupervisorStateSurvivesRestart: an open breaker must stay open across
 // an engine+supervisor restart via Drain's snapshot.
 func TestSupervisorStateSurvivesRestart(t *testing.T) {

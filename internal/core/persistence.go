@@ -41,12 +41,12 @@ func PersistBuildID() string { return persistBuildID() }
 // persistOptions assembles the persist-layer options from the engine's:
 // shared telemetry registry, shared (wrapped) fault hook so persist:* sites
 // are injectable and counted like every other pipeline site.
-func (e *Engine) persistOptions() persist.Options {
+func (o Options) persistOptions() persist.Options {
 	return persist.Options{
 		BuildID:   persistBuildID(),
-		Telemetry: e.opts.Telemetry,
-		FaultHook: e.opts.FaultHook,
-		ReadOnly:  e.opts.CacheReadOnly,
+		Telemetry: o.Telemetry,
+		FaultHook: o.FaultHook,
+		ReadOnly:  o.CacheReadOnly,
 	}
 }
 
@@ -104,12 +104,7 @@ func preloadSnapshot(m *ir.Module, opts Options) (moduleHash uint64, symHashes t
 	if opts.SnapshotPath == "" {
 		return moduleHash, symHashes, pm, nil
 	}
-	st, err := persist.LoadState(opts.SnapshotPath, persist.Options{
-		BuildID:   persistBuildID(),
-		Telemetry: opts.Telemetry,
-		FaultHook: opts.FaultHook,
-		ReadOnly:  opts.CacheReadOnly,
-	})
+	st, err := persist.LoadState(opts.SnapshotPath, opts.persistOptions())
 	if err != nil {
 		pm.Fallbacks.Inc()
 		return moduleHash, symHashes, pm, nil
@@ -181,7 +176,7 @@ func (e *Engine) openPersistence(moduleHash uint64, pm *persist.Metrics, st *per
 	e.moduleHash = moduleHash
 	e.persistMetrics = pm
 	if e.opts.CacheDir != "" {
-		s, err := persist.Open(e.opts.CacheDir, e.persistOptions())
+		s, err := persist.Open(e.opts.CacheDir, e.opts.persistOptions())
 		if err != nil {
 			// Unusable cache directory (hard I/O error or injected fault):
 			// run cold. The engine must come up regardless.
@@ -196,12 +191,12 @@ func (e *Engine) openPersistence(moduleHash uint64, pm *persist.Metrics, st *per
 }
 
 // applySnapshot restores engine state from a preloaded, identity-checked
-// snapshot: quarantined passes, deferred fragments, committed fingerprints
-// and function metadata (effective once their objects warm-load from the
-// store), verified-clean function hashes, and the supervisor state held for
-// the next Supervise call.
+// snapshot: per fragment the committed fingerprint and function metadata
+// (effective once the object warm-loads from the store), quarantined passes
+// and deferral; the verified-clean function hashes; and the supervisor state
+// held for the next Supervise call.
 func (e *Engine) applySnapshot(st *persist.EngineState) {
-	if st.Fragments != len(e.Plan.Fragments) {
+	if st.Fragments != len(e.frags) {
 		// The identity fields matched but the partition disagrees — only
 		// possible if the cached survey no longer reproduces the recorded
 		// partition (i.e. the snapshot is internally inconsistent). Apply
@@ -209,35 +204,26 @@ func (e *Engine) applySnapshot(st *persist.EngineState) {
 		e.persistMetrics.Fallbacks.Inc()
 		return
 	}
-	for id, h := range st.Hashes {
-		if id >= 0 && id < len(e.Plan.Fragments) {
-			e.hashes[id] = h
+	for id := range e.frags {
+		fs := &e.frags[id]
+		fs.hash, fs.hashKnown = st.Hashes[id]
+		if fm, ok := st.FuncMeta[id]; ok && fm.FuncHashes != nil {
+			fs.meta = &fragMeta{level: fm.Level, funcHashes: fm.FuncHashes}
 		}
-	}
-	for id, fm := range st.FuncMeta {
-		if id >= 0 && id < len(e.Plan.Fragments) && fm.FuncHashes != nil {
-			e.funcMeta[id] = &fragMeta{level: fm.Level, funcHashes: fm.FuncHashes}
-		}
-	}
-	for id, passes := range st.Quarantine {
-		for _, p := range passes {
-			if e.quarantine[id] == nil {
-				e.quarantine[id] = map[string]bool{}
+		if passes := st.Quarantine[id]; len(passes) > 0 {
+			fs.quarantine = make(map[string]bool, len(passes))
+			for _, p := range passes {
+				fs.quarantine[p] = true
 			}
-			e.quarantine[id][p] = true
 		}
 	}
 	for _, id := range st.Deferred {
-		if id >= 0 && id < len(e.Plan.Fragments) {
-			e.deferredFrags[id] = true
+		if id >= 0 && id < len(e.frags) {
+			e.frags[id].deferred = true
 		}
 	}
-	if len(st.VerifiedFuncs) > 0 {
-		vc := make(map[string]uint64, len(st.VerifiedFuncs))
-		for name, h := range st.VerifiedFuncs {
-			vc[name] = h
-		}
-		e.verifiedClean = vc
+	for name, h := range st.VerifiedFuncs {
+		e.verified.clean[name] = [2]uint64{h}
 	}
 	e.restoredSup = st.Supervisor
 	e.snapRestored = true
@@ -257,24 +243,16 @@ func (e *Engine) PersistStats() (persist.Stats, bool) {
 }
 
 // loadPersisted consults the disk tier for a fragment whose in-memory lookup
-// missed. It returns nil — compile cold — whenever the store is absent, the
-// entry is missing or was evicted as corrupt, or the fragment carries
-// quarantined passes (a cold compile would route around them, so a clean
-// persisted object would no longer be byte-identical to it).
-func (e *Engine) loadPersisted(id int, hash uint64) *persist.Entry {
+// missed. It returns nil — compile cold — whenever the store is absent or
+// the entry is missing or was evicted as corrupt.
+func (e *Engine) loadPersisted(hash uint64) *persist.Entry {
 	if e.store == nil {
 		return nil
 	}
-	if len(e.quarantinedPasses(id)) != 0 {
-		return nil
-	}
 	ent, _ := e.store.Get(e.persistKey(hash))
-	if ent == nil {
-		return nil
-	}
-	if ent.Level != e.opts.OptLevel {
-		// The key folds the level, so this cannot happen short of a hash
-		// collision; refuse rather than commit a wrong-level object.
+	if ent == nil || ent.Level != e.opts.OptLevel {
+		// The key folds the level, so a mismatch cannot happen short of a
+		// hash collision; refuse rather than commit a wrong-level object.
 		return nil
 	}
 	return ent
@@ -297,40 +275,35 @@ func (e *Engine) persistCommit(o *fragOut) {
 
 // buildState captures the engine's persistable state under the engine lock.
 func (e *Engine) buildState() *persist.EngineState {
+	st := &persist.EngineState{
+		ModuleHash:    e.moduleHash,
+		Variant:       e.opts.Variant.String(),
+		OptLevel:      e.opts.OptLevel,
+		VerifyTier:    int(e.opts.Verify),
+		Fragments:     len(e.frags),
+		Hashes:        make(map[int]uint64, len(e.frags)),
+		FuncMeta:      make(map[int]persist.FuncMeta, len(e.frags)),
+		Survey:        surveyFromClassification(e.Plan.Class),
+		VerifiedFuncs: e.verified.newest(),
+	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	st := &persist.EngineState{
-		ModuleHash: e.moduleHash,
-		Variant:    e.opts.Variant.String(),
-		OptLevel:   e.opts.OptLevel,
-		VerifyTier: int(e.opts.Verify),
-		Fragments:  len(e.Plan.Fragments),
-		Hashes:     make(map[int]uint64, len(e.hashes)),
-		FuncMeta:   make(map[int]persist.FuncMeta, len(e.funcMeta)),
-	}
-	for id, h := range e.hashes {
-		st.Hashes[id] = h
-	}
-	for id, fm := range e.funcMeta {
-		st.FuncMeta[id] = persist.FuncMeta{Level: fm.level, FuncHashes: fm.funcHashes}
-	}
-	for id, q := range e.quarantine {
-		if len(q) == 0 {
-			continue
+	for id := range e.frags {
+		fs := &e.frags[id]
+		if fs.hashKnown {
+			st.Hashes[id] = fs.hash
 		}
-		if st.Quarantine == nil {
-			st.Quarantine = map[int][]string{}
+		if fs.meta != nil {
+			st.FuncMeta[id] = persist.FuncMeta{Level: fs.meta.level, FuncHashes: fs.meta.funcHashes}
 		}
-		st.Quarantine[id] = sortedKeys(q)
-	}
-	for id := range e.deferredFrags {
-		st.Deferred = append(st.Deferred, id)
-	}
-	st.Survey = surveyFromClassification(e.Plan.Class)
-	if vc := e.verifiedClean; len(vc) > 0 {
-		st.VerifiedFuncs = make(map[string]uint64, len(vc))
-		for name, h := range vc {
-			st.VerifiedFuncs[name] = h
+		if len(fs.quarantine) > 0 {
+			if st.Quarantine == nil {
+				st.Quarantine = map[int][]string{}
+			}
+			st.Quarantine[id] = sortedKeys(fs.quarantine)
+		}
+		if fs.deferred {
+			st.Deferred = append(st.Deferred, id)
 		}
 	}
 	return st
@@ -358,7 +331,7 @@ func (e *Engine) SaveSnapshot() error {
 		// history survives engine-only restarts too.
 		st.Supervisor = e.restoredSup
 	}
-	if err := persist.SaveState(e.opts.SnapshotPath, st, e.persistOptions()); err != nil {
+	if err := persist.SaveState(e.opts.SnapshotPath, st, e.opts.persistOptions()); err != nil {
 		e.persistMetrics.Fallbacks.Inc()
 		return err
 	}

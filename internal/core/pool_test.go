@@ -168,14 +168,7 @@ func TestPoolErrorPropagation(t *testing.T) {
 	if _, _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
-	cacheBefore := make(map[int]interface{}, len(e.cache))
-	for id, o := range e.cache {
-		cacheBefore[id] = o
-	}
-	hashesBefore := make(map[int]uint64, len(e.hashes))
-	for id, h := range e.hashes {
-		hashesBefore[id] = h
-	}
+	before := snapEngine(e)
 
 	poisoned := map[int]bool{2: true, 5: true}
 	e.testFragHook = func(id int) error {
@@ -210,19 +203,7 @@ func TestPoolErrorPropagation(t *testing.T) {
 	}
 
 	// The cache must be untouched by the failed rebuild.
-	if len(e.cache) != len(cacheBefore) {
-		t.Fatalf("cache size changed: %d -> %d", len(cacheBefore), len(e.cache))
-	}
-	for id, o := range cacheBefore {
-		if e.cache[id] != o {
-			t.Fatalf("cache entry %d replaced despite failed rebuild", id)
-		}
-	}
-	for id, h := range hashesBefore {
-		if e.hashes[id] != h {
-			t.Fatalf("hash entry %d changed despite failed rebuild", id)
-		}
-	}
+	before.requireUnchanged(t, e, "after poisoned rebuild")
 
 	// Removing the poison lets the same engine rebuild cleanly.
 	e.testFragHook = nil
@@ -261,8 +242,8 @@ func TestPoolSerialErrorNamesAllRan(t *testing.T) {
 	if len(rerr.Failed) != 1 || rerr.Failed[0].FragID != 3 {
 		t.Fatalf("failed = %+v, want fragment 3", rerr.Failed)
 	}
-	if len(e.cache) != 0 {
-		t.Fatalf("cache committed on failed initial build: %d entries", len(e.cache))
+	if n := cachedObjects(e); n != 0 {
+		t.Fatalf("cache committed on failed initial build: %d entries", n)
 	}
 }
 
@@ -322,7 +303,8 @@ func TestPoolConcurrentCacheHitAccounting(t *testing.T) {
 }
 
 // TestAffectedFragmentsFastPath: with nothing dirty the affected set is the
-// never-built set (nil once everything is built), with no re-sorting.
+// never-built set in ascending order (nil once everything is built); a dirty
+// symbol and a deferred fragment each put their fragment back.
 func TestAffectedFragmentsFastPath(t *testing.T) {
 	m := irtext.MustParse("m", manyFuncSrc(4))
 	e, err := New(m, Options{Variant: VariantMax, Workers: 2})
@@ -338,14 +320,17 @@ func TestAffectedFragmentsFastPath(t *testing.T) {
 			t.Fatalf("affected set not sorted: %v", all)
 		}
 	}
-	if &all[0] != &e.affectedFragments(nil)[0] {
-		t.Fatal("empty-dirty fast path rebuilt the never-built slice instead of caching it")
-	}
 	if _, _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.affectedFragments(nil); got != nil {
 		t.Fatalf("affected after full build = %v, want nil", got)
+	}
+	last := len(e.frags) - 1
+	e.frags[last].deferred = true
+	sym := e.Plan.Fragments[0].Members[0]
+	if got := e.affectedFragments([]string{sym}); !reflect.DeepEqual(got, []int{0, last}) {
+		t.Fatalf("affected for dirty @%s + deferred fragment %d = %v", sym, last, got)
 	}
 }
 
@@ -424,4 +409,58 @@ func TestPoolSpliceDeterminism(t *testing.T) {
 			t.Fatalf("%s = %d, want %d", name, got[name], w)
 		}
 	}
+}
+
+// TestCommitIsOneGeneration: a reader polling the engine during
+// multi-fragment rebuilds sees whole generations only. Every fragment of the
+// first build appears together with its image and its rebuild count — never
+// some fragments committed and others not — and the image changes only
+// together with the count.
+func TestCommitIsOneGeneration(t *testing.T) {
+	m := irtext.MustParse("m", manyFuncSrc(24))
+	e, err := New(m, Options{Variant: VariantMax, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(e.Plan.Fragments)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		exeOf := map[int]*link.Executable{}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			before := e.Snapshot()
+			exe := e.Executable()
+			after := e.Snapshot()
+			if c := before.CachedObjects; c != 0 && c != n || (c == 0) != (before.Rebuilds == 0) {
+				t.Errorf("torn commit: %d of %d fragments cached at rebuild count %d", c, n, before.Rebuilds)
+				return
+			}
+			if before.Rebuilds != after.Rebuilds {
+				continue // a commit landed between the reads; exe may be either side's
+			}
+			if prev, seen := exeOf[before.Rebuilds]; seen && prev != exe {
+				t.Errorf("image changed within rebuild count %d", before.Rebuilds)
+				return
+			}
+			exeOf[before.Rebuilds] = exe
+			if (exe == nil) != (before.Rebuilds == 0) {
+				t.Errorf("rebuild count %d with image %p", before.Rebuilds, exe)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 8; i++ {
+		e.InvalidateCache()
+		if _, _, err := e.BuildAll(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	<-done
 }

@@ -250,7 +250,7 @@ func (s *Sched) finish() (*link.Executable, *RebuildStats, error) {
 
 	// Boundary-tier verification of the instrumented temporary IR: strict
 	// (dominance + full type checking) at the verifying tiers, with
-	// hash-clean functions skipped via the analysis cache; a no-op at
+	// hash-clean functions skipped via the verified-clean table; a no-op at
 	// VerifyOff.
 	vs := root.Child("verify")
 	if err := e.verifyTemp(s.Temp, th); err != nil {
@@ -301,55 +301,34 @@ func (s *Sched) finish() (*link.Executable, *RebuildStats, error) {
 	stats.LinkDur = time.Since(tl)
 
 	// Every fragment compiled (possibly degraded) and the image linked:
-	// commit the staged objects atomically with respect to failures.
+	// nothing can fail any more. Publish fresh clean objects to the
+	// persistent tier first (disk I/O stays outside the lock, and failures
+	// are the store's to count — the in-memory commit is the source of truth
+	// either way), then commit every staged fragment, the image and the
+	// rebuild tally in one critical section, so a concurrent reader sees the
+	// previous generation or this one, never a mix.
 	commit := root.Child("commit")
 	for i := range outs {
-		o := &outs[i]
-		e.commitFragment(o)
-		// Publish fresh clean objects to the persistent tier. Failures are
-		// the store's to count; the in-memory commit above is the source of
-		// truth either way.
-		e.persistCommit(o)
-		stats.Fragments = append(stats.Fragments, o.fc)
-		stats.CompileCPU += o.fc.Materialize + o.fc.Opt + o.fc.CodeGen
-		if o.fc.CacheHit {
-			stats.CacheHits++
-		}
-		if o.fc.WarmHit {
-			stats.WarmHits++
-		}
-		stats.FuncCacheHits += o.fc.FuncCacheHits
-		stats.FuncsCompiled += o.fc.FuncsCompiled
-		if o.fc.Spliced {
-			stats.Spliced++
-		}
-		if o.fc.SpliceFallback {
-			stats.SpliceFallbacks++
-		}
-		if o.fc.Deferred {
-			stats.Deferred++
-			stats.DeferredFrags = append(stats.DeferredFrags, o.fc.FragID)
-		} else if o.fc.Degraded {
-			stats.Degraded++
-		}
-		if o.fc.QuarantinedPass != "" {
-			stats.Quarantined++
-		}
+		e.persistCommit(&outs[i])
+		stats.Fragments = append(stats.Fragments, outs[i].fc)
+		stats.tally(&outs[i].fc)
 	}
-	commit.End()
 	stats.IncrementalLink = incremental
 	stats.Total = time.Since(t0)
 	e.allDirty = false
 	e.Manager.clearDirtyThrough(s.dirtyEpoch)
-	// exe and History are published under the engine lock so a concurrent
-	// introspection Snapshot never observes a torn update.
 	e.mu.Lock()
+	for i := range outs {
+		e.frags[outs[i].fc.FragID].commit(&outs[i])
+	}
 	e.exe = exe
 	// A committed rebuild after InvalidateCache recompiled everything for
 	// real; the persistent tier may serve warm loads again.
 	e.persistBypass = false
-	e.History = append(e.History, *stats)
+	e.rebuilds++
+	e.lastRebuild = *stats
 	e.mu.Unlock()
+	commit.End()
 	e.recordRebuild(root, stats)
 	root.End()
 	return exe, stats, nil

@@ -196,7 +196,7 @@ func TestSpliceSingleFunctionToggle(t *testing.T) {
 // TestSpliceRevert: removing the probe restores the fragment's original IR,
 // and the deep hashes stored by the SPLICED compile must make the revert a
 // splice too (only the previously-probed function recompiles). This guards
-// the meta lifecycle through commitFragment.
+// the meta lifecycle through fragState.commit.
 func TestSpliceRevert(t *testing.T) {
 	e := spliceEngine(t, spliceGroupSrc, Options{Variant: VariantOdin, Workers: 1})
 	if _, _, err := e.BuildAll(); err != nil {
@@ -340,7 +340,7 @@ func TestSpliceCarriesSynthesisedData(t *testing.T) {
 				t.Fatal(err)
 			}
 			var synth []string
-			for _, d := range e.cache[e.Plan.FragOf["w0"]].Datas {
+			for _, d := range e.frags[e.Plan.FragOf["w0"]].obj.Datas {
 				if strings.HasSuffix(d.Name, ".puts") {
 					synth = append(synth, d.Name)
 				}
@@ -388,8 +388,8 @@ func TestSpliceCodegenFuncFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := spliceFragStat(t, e, stats, "w2")
-	if fc.Spliced || !fc.SpliceFallback {
-		t.Fatalf("want splice fallback, got %+v", fc)
+	if fc.Spliced || !fc.SpliceFallback || fc.SpliceFallbackReason != "codegen" {
+		t.Fatalf("want splice fallback at codegen, got %+v", fc)
 	}
 	if fc.Degraded || fc.FuncsCompiled != fc.FuncsTotal {
 		t.Fatalf("fallback should be a clean whole-fragment compile: %+v", fc)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -260,30 +259,31 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	s := EngineSnapshot{
-		Variant:       e.opts.Variant.String(),
-		OptLevel:      e.opts.OptLevel,
-		Workers:       e.opts.workers(),
-		Fragments:     len(e.Plan.Fragments),
-		ActiveProbes:  e.Manager.NumActive(),
-		CachedObjects: len(e.cache),
-		NeverBuilt:    len(e.neverBuilt),
-		Rebuilds:      len(e.History),
+		Variant:      e.opts.Variant.String(),
+		OptLevel:     e.opts.OptLevel,
+		Workers:      e.opts.workers(),
+		Fragments:    len(e.frags),
+		ActiveProbes: e.Manager.NumActive(),
+		Rebuilds:     e.rebuilds,
 	}
-	for id := range e.deferredFrags {
-		s.Deferred = append(s.Deferred, id)
-	}
-	sort.Ints(s.Deferred)
-	for id, q := range e.quarantine {
-		if len(q) == 0 {
-			continue
+	for id := range e.frags {
+		st := &e.frags[id]
+		if st.obj != nil {
+			s.CachedObjects++
 		}
-		if s.Quarantined == nil {
-			s.Quarantined = map[int][]string{}
+		if st.deferred {
+			s.Deferred = append(s.Deferred, id)
 		}
-		s.Quarantined[id] = sortedKeys(q)
+		if len(st.quarantine) > 0 {
+			if s.Quarantined == nil {
+				s.Quarantined = map[int][]string{}
+			}
+			s.Quarantined[id] = sortedKeys(st.quarantine)
+		}
 	}
-	if n := len(e.History); n > 0 {
-		last := e.History[n-1]
+	s.NeverBuilt = len(e.frags) - s.CachedObjects
+	if e.rebuilds > 0 {
+		last := e.lastRebuild
 		s.LastRebuild = &last
 	}
 	if e.store != nil {
@@ -350,6 +350,7 @@ func observeFragSpan(fs *telemetry.Span, out *fragOut) {
 	}
 	if out.fc.SpliceFallback {
 		fs.SetAttr("splice_fallback", "true")
+		fs.SetAttr("splice_fallback_reason", out.fc.SpliceFallbackReason)
 	}
 	if out.fc.Degraded {
 		fs.SetAttr("degraded", "true")

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"odin/internal/faultinject"
 	"odin/internal/irtext"
 	"odin/internal/telemetry"
 )
@@ -139,6 +140,75 @@ func TestRebuildSpanTree(t *testing.T) {
 	}
 	if got := counterValue(t, reg, "odin_link_total"); got != 1 {
 		t.Fatalf("odin_link_total = %d, want 1", got)
+	}
+}
+
+// TestSplicedFragmentSpanTree: the splice's reduced compile goes through the
+// same compile primitive as a whole-fragment one, so a spliced fragment's
+// span carries the same stage children — opt with one child per pass — and a
+// splice that fell back names its reason on the fragment span.
+func TestSplicedFragmentSpanTree(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	box := &hookBox{}
+	e := spliceEngine(t, spliceGroupSrc, Options{Variant: VariantOdin, Workers: 1, Telemetry: reg, FaultHook: box.at})
+	if _, _, err := e.BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	fragSpan := func(sym string) *telemetry.Span {
+		t.Helper()
+		for _, fs := range reg.Tracer().Last().Root().Find("compile").Children() {
+			if fs.Attr("id") == fmt.Sprint(e.Plan.FragOf[sym]) {
+				return fs
+			}
+		}
+		t.Fatalf("no span for the fragment of @%s", sym)
+		return nil
+	}
+
+	probeOn(t, e, "w2", 1)
+	_, stats, err := rebuildOnce(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fc := spliceFragStat(t, e, stats, "w2"); !fc.Spliced || fc.SpliceFallbackReason != "" {
+		t.Fatalf("toggle did not splice: %+v", fc)
+	}
+	fs := fragSpan("w2")
+	if fs.Attr("spliced") != "true" {
+		t.Fatalf("fragment span not marked spliced:\n%s", reg.Tracer().Last().FlameSummary())
+	}
+	for _, stage := range []string{StageMaterialize, StageOpt, StageCodegen} {
+		if fs.Find(stage) == nil {
+			t.Fatalf("spliced fragment span missing %q stage", stage)
+		}
+	}
+	if passes := fs.Find(StageOpt).Children(); len(passes) == 0 {
+		t.Fatal("spliced fragment's opt stage has no per-pass spans")
+	}
+
+	// A fault in the reduced compile's optimizer: the fallback is attributed
+	// to the pass, on the stats and on the span alike.
+	probeOn(t, e, "w0", 2)
+	box.fn = faultinject.New(1).Arm(faultinject.Rule{Site: "opt:instcombine", Kind: faultinject.KindError, Rate: 1, Times: 1}).At
+	_, stats, err = rebuildOnce(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := spliceFragStat(t, e, stats, "w0")
+	if !fc.SpliceFallback || fc.SpliceFallbackReason != "opt:instcombine" {
+		t.Fatalf("fallback reason = %q (fallback %v), want opt:instcombine", fc.SpliceFallbackReason, fc.SpliceFallback)
+	}
+	if got := fragSpan("w0").Attr("splice_fallback_reason"); got != fc.SpliceFallbackReason {
+		t.Fatalf("span splice_fallback_reason = %q, want %q", got, fc.SpliceFallbackReason)
+	}
+
+	// A one-function fragment has nothing to reuse.
+	probeOn(t, e, "main", 3)
+	if _, stats, err = rebuildOnce(e); err != nil {
+		t.Fatal(err)
+	}
+	if fc := spliceFragStat(t, e, stats, "main"); fc.SpliceFallbackReason != "nothing-reusable" {
+		t.Fatalf("one-function fragment: fallback reason = %q, want nothing-reusable", fc.SpliceFallbackReason)
 	}
 }
 
@@ -280,13 +350,14 @@ func TestSerialEquivalent(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsEndpoint: Options.MetricsAddr makes the engine own a live
-// endpoint; after a rebuild /metrics must expose the rebuild, cache, and
-// degradation families in Prometheus text and /debug/odin the engine
-// snapshot.
+// TestEngineMetricsEndpoint: an engine's registry and Snapshot behind
+// telemetry.Serve — how the CLIs expose -metrics-addr — make a live endpoint;
+// after a rebuild /metrics must expose the rebuild, cache, and degradation
+// families in Prometheus text and /debug/odin the engine snapshot.
 func TestEngineMetricsEndpoint(t *testing.T) {
 	m := irtext.MustParse("m", manyFuncSrc(4))
-	e, err := New(m, Options{Variant: VariantMax, MetricsAddr: "127.0.0.1:0"})
+	reg := telemetry.NewRegistry()
+	e, err := New(m, Options{Variant: VariantMax, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +365,12 @@ func TestEngineMetricsEndpoint(t *testing.T) {
 	if _, _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
-	addr := e.TelemetryAddr()
-	if addr == "" {
-		t.Fatal("engine did not bind a telemetry address")
+	srv, err := telemetry.Serve("127.0.0.1:0", reg, func() any { return e.Snapshot() })
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer srv.Close()
+	addr := srv.Addr()
 
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {

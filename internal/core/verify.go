@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"odin/internal/ir"
-	"odin/internal/ir/analysis"
 )
 
 // VerifyMode selects how much IR verification the engine runs during
@@ -17,9 +17,9 @@ import (
 //   - VerifyBoundaries (the default): strict verification (ir.VerifyStrict —
 //     dominance-based SSA and full type checking) of the instrumented
 //     temporary IR and of every fragment module after its optimization
-//     pipeline. Per-function results are cached on ir.FingerprintSym content
-//     hashes, so the steady-state probe-toggle loop re-verifies only the
-//     functions that actually changed.
+//     pipeline. Per-function results are remembered by ir.FingerprintSym
+//     content hash (verifiedTable), so the steady-state probe-toggle loop
+//     re-verifies only the functions that actually changed.
 //   - VerifyAll: everything above plus strict verification after every
 //     optimizer pass; a violation becomes a *opt.PassError naming the
 //     offending pass (with a before/after IR diff) and flows through the
@@ -78,12 +78,67 @@ func (v VerifyMode) resolve() VerifyMode {
 	return VerifyBoundaries
 }
 
+// verifiedTable is the engine's memory of strict verification: for each
+// function name, the ir.FingerprintSym hashes of the two most recent bodies
+// VerifyFuncStrict accepted, newest first. Two, because a probe toggle
+// alternates a function between exactly two IR states (instrumented and
+// pristine): one slot would miss on every toggle, two make the steady-state
+// toggle loop a pure hit. The newest generation travels in the state
+// snapshot (EngineState.VerifiedFuncs), so a restarted engine skips
+// re-verifying unchanged functions too. A zero hash marks an empty slot and
+// is never recorded or matched — a body that hashes to zero is just verified
+// every time.
+type verifiedTable struct {
+	mu           sync.Mutex
+	clean        map[string][2]uint64
+	hits, misses uint64
+}
+
+// has reports whether the named function was verified clean at hash, moving
+// a match to the newest slot so the snapshot carries the current body.
+// Callers hold mu.
+func (v *verifiedTable) has(name string, hash uint64) bool {
+	g := v.clean[name]
+	switch {
+	case hash == 0:
+		return false
+	case g[0] == hash:
+		return true
+	case g[1] == hash:
+		v.clean[name] = [2]uint64{hash, g[0]}
+		return true
+	}
+	return false
+}
+
+// record notes that the named function verified clean at hash, evicting the
+// older of its two generations. Callers hold mu, and record only a hash that
+// has just missed.
+func (v *verifiedTable) record(name string, hash uint64) {
+	if hash != 0 {
+		v.clean[name] = [2]uint64{hash, v.clean[name][0]}
+	}
+}
+
+// newest returns the newest verified-clean hash per function — the
+// snapshot's VerifiedFuncs — or nil when nothing is recorded.
+func (v *verifiedTable) newest() map[string]uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if len(v.clean) == 0 {
+		return nil
+	}
+	out := make(map[string]uint64, len(v.clean))
+	for name, g := range v.clean {
+		out[name] = g[0]
+	}
+	return out
+}
+
 // verifyTemp strictly verifies the instrumented temporary IR at the
-// fragment-boundary tier, skipping functions whose FingerprintSym hash was
-// already verified clean in an earlier rebuild. A probe toggle alternates a
-// function between two IR states, and the analysis cache keeps both
-// generations, so the steady-state toggle loop verifies only module-level
-// invariants plus the toggled function itself.
+// fragment-boundary tier: module-level symbol invariants always, then every
+// function whose FingerprintSym hash the verified-clean table has not
+// already proven. In the steady-state toggle loop that is nothing at all.
 func (e *Engine) verifyTemp(temp *ir.Module, th tempHashes) error {
 	if e.opts.Verify == VerifyOff {
 		return nil
@@ -97,69 +152,41 @@ func (e *Engine) verifyTemp(temp *ir.Module, th tempHashes) error {
 	if err := ir.VerifySymbols(temp); err != nil {
 		return err
 	}
-	// Snapshot-carried clean hashes (copy-on-write map: grab once, read
-	// freely). Functions that match skip strict verification exactly like an
-	// in-memory cache hit — the hash is the same FingerprintSym content hash
-	// the ancache keys on, just proven in a previous process.
-	e.mu.RLock()
-	carried := e.verifiedClean
-	e.mu.RUnlock()
+	v := &e.verified
+	var todo []*ir.Func
+	hits := uint64(0)
+	v.mu.Lock()
 	for _, f := range temp.Funcs {
 		if f.IsDecl() {
 			continue
 		}
-		hash, hashed := th[f.Name]
-		if hashed {
-			if info := e.ancache.Get(f.Name, hash); info != nil && info.Verified {
-				e.metrics.verifyCacheHits.Inc()
-				continue
-			}
-			if h, ok := carried[f.Name]; ok && h == hash {
-				e.metrics.verifyCacheHits.Inc()
-				continue
-			}
+		if v.has(f.Name, th[f.Name]) {
+			hits++
+		} else {
+			todo = append(todo, f)
 		}
-		if err := ir.VerifyFuncStrict(temp, f); err != nil {
-			return err
+	}
+	v.hits += hits
+	v.misses += uint64(len(todo))
+	v.mu.Unlock()
+	e.metrics.verifyCacheHits.Add(hits)
+	var err error
+	for _, f := range todo {
+		if err = ir.VerifyFuncStrict(temp, f); err != nil {
+			break
 		}
 		checks++
-		if hashed {
-			// Verified clean: cache the analysis bundle under the content
-			// hash. Analyze only runs on IR the verifier just accepted, so
-			// it cannot trip on malformed structure. A later hit may hand
-			// back this Info for a different, content-identical clone of the
-			// function — fine for verified-clean skipping and other
-			// hash-keyed consumers.
-			info := analysis.Analyze(f)
-			info.Verified = true
-			e.ancache.Put(f.Name, hash, info)
+	}
+	if checks > 0 {
+		// Record what was proven, also ahead of a violation: those bodies
+		// need no second look when the rebuild is retried.
+		v.mu.Lock()
+		for _, f := range todo[:checks] {
+			v.record(f.Name, th[f.Name])
 		}
+		v.mu.Unlock()
 	}
-	// Everything hashed in temp is now verified clean (by cache, carryover,
-	// or the fresh check above). Fold the pass into the snapshot-bound map —
-	// copy-on-write, so concurrent readers never observe a mutating map.
-	// Losing a concurrent writer's entries is harmless: worst case is one
-	// extra re-verification after the next restart.
-	updated := false
-	next := make(map[string]uint64, len(carried)+checks)
-	for name, h := range carried {
-		next[name] = h
-	}
-	for _, f := range temp.Funcs {
-		if f.IsDecl() {
-			continue
-		}
-		if h, ok := th[f.Name]; ok && next[f.Name] != h {
-			next[f.Name] = h
-			updated = true
-		}
-	}
-	if updated {
-		e.mu.Lock()
-		e.verifiedClean = next
-		e.mu.Unlock()
-	}
-	return nil
+	return err
 }
 
 // verifyCompiled strictly verifies a fragment module after its optimization
@@ -180,12 +207,14 @@ func (e *Engine) verifyCompiled(fm *ir.Module) error {
 	return nil
 }
 
-// VerifyCacheStats returns the verification/analysis cache's cumulative hit
-// and miss counts — how often a rebuild skipped re-verifying a function whose
-// content hash was already proven clean. The bench harness reads it to report
-// the boundaries tier's steady-state cache behavior.
+// VerifyCacheStats returns the verified-clean table's cumulative hit and miss
+// counts — how often a rebuild skipped re-verifying a function whose content
+// hash was already proven clean. The bench harness reads it to report the
+// boundaries tier's steady-state cache behavior.
 func (e *Engine) VerifyCacheStats() (hits, misses uint64) {
-	return e.ancache.Stats()
+	e.verified.mu.Lock()
+	defer e.verified.mu.Unlock()
+	return e.verified.hits, e.verified.misses
 }
 
 // verifyEach reports whether fragment compiles should run the

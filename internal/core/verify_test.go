@@ -113,12 +113,12 @@ func TestVerifyBoundariesCachesCleanFunctions(t *testing.T) {
 	if _, _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
-	h0, _ := e.ancache.Stats()
+	h0, _ := e.VerifyCacheStats()
 	e.InvalidateCache()
 	if _, _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
-	h1, _ := e.ancache.Stats()
+	h1, _ := e.VerifyCacheStats()
 	if h1 <= h0 {
 		t.Fatalf("second rebuild of unchanged IR: %d -> %d cache hits, want growth", h0, h1)
 	}
@@ -134,7 +134,7 @@ func TestVerifyBoundariesCachesCleanFunctions(t *testing.T) {
 }
 
 // TestVerifyOffSkipsRebuildVerification pins the zero-overhead arm: at
-// VerifyOff the analysis cache stays untouched (no verification ran) and
+// VerifyOff the verified-clean table stays untouched (no verification ran) and
 // rebuilds still work.
 func TestVerifyOffSkipsRebuildVerification(t *testing.T) {
 	m := irtext.MustParse("m", manyFuncSrc(4))
@@ -145,7 +145,67 @@ func TestVerifyOffSkipsRebuildVerification(t *testing.T) {
 	if _, _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
-	if h, miss := e.ancache.Stats(); h != 0 || miss != 0 {
+	if h, miss := e.VerifyCacheStats(); h != 0 || miss != 0 || len(e.verified.clean) != 0 {
 		t.Fatalf("VerifyOff touched the verification cache: hits=%d misses=%d", h, miss)
+	}
+}
+
+// TestVerifiedTableTwoGenerations: both content states a probe toggle
+// alternates between stay resident, a third evicts the oldest, a hit on the
+// older one promotes it (so the snapshot carries the current body), and a
+// zero hash — the empty slot — never matches.
+func TestVerifiedTableTwoGenerations(t *testing.T) {
+	v := verifiedTable{clean: map[string][2]uint64{}}
+	if v.has("f", 0) || v.has("f", 111) {
+		t.Fatal("empty table reports a verified function")
+	}
+	v.record("f", 111)
+	v.record("f", 222)
+	if !v.has("f", 111) || !v.has("f", 222) {
+		t.Fatal("generation A evicted by generation B")
+	}
+	if got := v.newest()["f"]; got != 222 {
+		t.Fatalf("newest = %d after touching 222 last, want 222", got)
+	}
+	v.has("f", 111)
+	if got := v.newest()["f"]; got != 111 {
+		t.Fatalf("newest = %d after a hit on 111, want 111", got)
+	}
+	v.record("f", 333)
+	if v.has("f", 222) {
+		t.Fatal("oldest generation must be evicted on third insert")
+	}
+	if !v.has("f", 111) || !v.has("f", 333) {
+		t.Fatal("two newest generations must survive")
+	}
+	v.record("g", 0)
+	if _, recorded := v.clean["g"]; recorded || v.has("g", 0) {
+		t.Fatal("zero hash recorded or matched")
+	}
+}
+
+// TestVerifiedTableToggleSteadyState: toggling one probe on and off
+// alternates its function between two bodies. The first two rebuilds verify
+// one new body each; from the third on every function of every rebuild is a
+// hit, and nothing is verified again.
+func TestVerifiedTableToggleSteadyState(t *testing.T) {
+	e := spliceEngine(t, spliceGroupSrc, Options{Variant: VariantOdin, Workers: 1, Verify: VerifyBoundaries})
+	if _, _, err := e.BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	id := probeOn(t, e, "w1", 1)
+	var hits, misses uint64
+	for i := 0; i < 8; i++ {
+		if _, _, err := rebuildOnce(e); err != nil {
+			t.Fatal(err)
+		}
+		h, m := e.VerifyCacheStats()
+		if i >= 2 && (m != misses || h == hits) {
+			t.Fatalf("rebuild %d of the toggle loop: hits %d -> %d, misses %d -> %d, want a pure hit", i+1, hits, h, misses, m)
+		}
+		hits, misses = h, m
+		if err := e.Manager.SetActive(id, i%2 != 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

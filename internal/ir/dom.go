@@ -1,9 +1,8 @@
 package ir
 
 // CFG reachability and dominator trees. These are the primitives under the
-// strict verifier tier (dominance-based SSA checking, VerifyStrict) and the
-// reusable dataflow framework in ir/analysis; they live in package ir so the
-// verifier can use them without an import cycle.
+// strict verifier tier (dominance-based SSA checking, VerifyStrict); they
+// live in package ir so the verifier can use them without an import cycle.
 
 // DomTree holds reachability and immediate-dominator information for one
 // function's control-flow graph, computed with the Cooper-Harvey-Kennedy

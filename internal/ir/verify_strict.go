@@ -36,7 +36,7 @@ func VerifyStrict(m *Module) error {
 // VerifyFuncStrict runs the strict tier over one function: VerifyFunc's
 // structural checks, then terminator shapes, per-opcode type rules, and
 // dominance. It computes the function's dominator tree itself; callers that
-// already hold one (e.g. via ir/analysis caching) use VerifyFuncStrictDom.
+// already hold one use VerifyFuncStrictDom.
 func VerifyFuncStrict(m *Module, f *Func) error {
 	return VerifyFuncStrictDom(m, f, nil)
 }

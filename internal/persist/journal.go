@@ -2,7 +2,7 @@ package persist
 
 import (
 	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,23 +10,26 @@ import (
 )
 
 // The journal is the store's metadata of record: an append-only sequence of
-// fixed-size self-checksummed records, one per publish or eviction. Its only
-// jobs are a fast index at Open (no directory walk on the hot path) and
-// byte accounting; the entries themselves are the source of truth, so the
-// journal can ALWAYS be discarded and rebuilt from a directory scan.
+// fixed-size publish/evict records in the Log's [len][crc][payload] framing
+// (log.go). Its only jobs are a fast index at Open (no directory walk on the
+// hot path) and byte accounting; the entries themselves are the source of
+// truth, so the journal can ALWAYS be discarded and rebuilt from a directory
+// scan.
 //
-// Kill-9 tolerance: each record carries a CRC32 over its body, appended with
-// a single write. Replay stops at the first record that is short or fails
-// its checksum — a torn tail from a crash mid-append — and the writer
+// Kill-9 tolerance is the Log's: each record is checksummed and appended
+// with a single write, replay stops at the first record that is short or
+// fails its checksum — a torn tail from a crash mid-append — and the writer
 // truncates the tail away before appending again. Records after a torn one
 // are unreachable by construction (appends are sequential), so stopping is
 // lossless up to the crash point, and any entry the lost records described
-// is rediscovered by the fallback scan or simply re-published.
+// is rediscovered by the fallback scan or simply re-published. A journal in
+// the pre-Log framing ([op][key][size][crc], 21 bytes) reads as a torn tail
+// at offset 0 — its op byte lands in the length prefix, far past
+// logMaxRecord — and takes the same scan-and-reseed path.
 
-// Journal record: [op 1][key 8][size 8][crc 4] = 21 bytes. crc covers the
-// first 17 bytes.
+// Journal payload: [op 1][key 8][size 8].
 const (
-	journalRecSize = 21
+	journalPayloadSize = 17
 
 	journalOpPut = byte('p')
 	journalOpDel = byte('d')
@@ -38,37 +41,14 @@ type journalRec struct {
 	size int64
 }
 
-func encodeJournalRec(r journalRec) [journalRecSize]byte {
-	var b [journalRecSize]byte
-	b[0] = r.op
-	binary.BigEndian.PutUint64(b[1:9], r.key)
-	binary.BigEndian.PutUint64(b[9:17], uint64(r.size))
-	binary.BigEndian.PutUint32(b[17:21], crc32.ChecksumIEEE(b[:17]))
-	return b
-}
-
-func decodeJournalRec(b []byte) (journalRec, bool) {
-	if len(b) < journalRecSize {
-		return journalRec{}, false
-	}
-	if crc32.ChecksumIEEE(b[:17]) != binary.BigEndian.Uint32(b[17:21]) {
-		return journalRec{}, false
-	}
-	op := b[0]
-	if op != journalOpPut && op != journalOpDel {
-		return journalRec{}, false
-	}
-	return journalRec{
-		op:   op,
-		key:  binary.BigEndian.Uint64(b[1:9]),
-		size: int64(binary.BigEndian.Uint64(b[9:17])),
-	}, true
-}
+var errJournalForeign = errors.New("persist: journal holds a record that is not a put or del")
 
 // replayJournal reads the journal and folds its records into an index of
 // live keys (key → entry size). It returns the byte offset of the last good
 // record's end; anything past it is a torn tail the writer may truncate.
-// A missing journal returns an empty index at offset 0.
+// A missing journal returns an empty index at offset 0; a well-framed record
+// that is no journal record means the file is not ours to trust, and is an
+// error (the caller scans instead).
 func replayJournal(path string) (index map[uint64]int64, goodLen int64, err error) {
 	index = map[uint64]int64{}
 	data, err := os.ReadFile(path)
@@ -78,21 +58,22 @@ func replayJournal(path string) (index map[uint64]int64, goodLen int64, err erro
 		}
 		return nil, 0, err
 	}
-	off := 0
-	for off+journalRecSize <= len(data) {
-		rec, ok := decodeJournalRec(data[off : off+journalRecSize])
-		if !ok {
-			break // torn or corrupt tail: trust nothing past it
+	recs, goodLen := decodeLogStream(data)
+	for _, b := range recs {
+		if len(b) != journalPayloadSize {
+			return nil, 0, errJournalForeign
 		}
-		switch rec.op {
+		key := binary.BigEndian.Uint64(b[1:9])
+		switch b[0] {
 		case journalOpPut:
-			index[rec.key] = rec.size
+			index[key] = int64(binary.BigEndian.Uint64(b[9:17]))
 		case journalOpDel:
-			delete(index, rec.key)
+			delete(index, key)
+		default:
+			return nil, 0, errJournalForeign
 		}
-		off += journalRecSize
 	}
-	return index, int64(off), nil
+	return index, goodLen, nil
 }
 
 // openJournalForAppend opens the journal truncated to its last good record,
@@ -124,50 +105,17 @@ func appendJournal(f *os.File, r journalRec) error {
 	if f == nil {
 		return nil
 	}
-	b := encodeJournalRec(r)
-	_, err := f.Write(b[:])
+	var b [journalPayloadSize]byte
+	b[0] = r.op
+	binary.BigEndian.PutUint64(b[1:9], r.key)
+	binary.BigEndian.PutUint64(b[9:17], uint64(r.size))
+	_, err := f.Write(frameLogRecord(b[:]))
 	return err
 }
 
-// scanObjects rebuilds the index from the sharded entry layout — the
-// recovery path when the journal is unreadable or out of sync with reality.
-// Sizes come from file metadata; entry integrity is still verified per-load.
-func scanObjects(dir string) map[uint64]int64 {
-	index := map[uint64]int64{}
-	shards, err := os.ReadDir(dir)
-	if err != nil {
-		return index
-	}
-	for _, sh := range shards {
-		if !sh.IsDir() {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(dir, sh.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			name := f.Name()
-			if !strings.HasSuffix(name, entrySuffix) || strings.HasPrefix(name, tempPattern) {
-				continue
-			}
-			key, ok := parseEntryName(name)
-			if !ok {
-				continue
-			}
-			size := int64(0)
-			if fi, err := f.Info(); err == nil {
-				size = fi.Size()
-			}
-			index[key] = size
-		}
-	}
-	return index
-}
-
-// sweepTemps removes abandoned temp files (kill -9 between temp write and
-// rename) under the objects tree. Only the writer calls it.
-func sweepTemps(dir string) {
+// walkObjects calls fn for every file under the sharded objects tree,
+// skipping whatever it cannot read.
+func walkObjects(dir string, fn func(shardDir string, f os.DirEntry)) {
 	shards, err := os.ReadDir(dir)
 	if err != nil {
 		return
@@ -182,9 +130,40 @@ func sweepTemps(dir string) {
 			continue
 		}
 		for _, f := range files {
-			if strings.HasPrefix(f.Name(), tempPattern) {
-				os.Remove(filepath.Join(shDir, f.Name()))
-			}
+			fn(shDir, f)
 		}
 	}
+}
+
+// scanObjects rebuilds the index from the sharded entry layout — the
+// recovery path when the journal is unreadable or out of sync with reality.
+// Sizes come from file metadata; entry integrity is still verified per-load.
+func scanObjects(dir string) map[uint64]int64 {
+	index := map[uint64]int64{}
+	walkObjects(dir, func(_ string, f os.DirEntry) {
+		name := f.Name()
+		if !strings.HasSuffix(name, entrySuffix) || strings.HasPrefix(name, tempPattern) {
+			return
+		}
+		key, ok := parseEntryName(name)
+		if !ok {
+			return
+		}
+		size := int64(0)
+		if fi, err := f.Info(); err == nil {
+			size = fi.Size()
+		}
+		index[key] = size
+	})
+	return index
+}
+
+// sweepTemps removes abandoned temp files (kill -9 between temp write and
+// rename) under the objects tree. Only the writer calls it.
+func sweepTemps(dir string) {
+	walkObjects(dir, func(shDir string, f os.DirEntry) {
+		if strings.HasPrefix(f.Name(), tempPattern) {
+			os.Remove(filepath.Join(shDir, f.Name()))
+		}
+	})
 }

@@ -8,15 +8,15 @@ import (
 	"sync"
 )
 
-// Log is a generic append-only record log with the store journal's
-// crash-tolerance discipline, for callers that need a replayable sequence of
-// opaque payloads (the serve layer's tenant-probe journal rides on it). Each
-// record is length-prefixed and self-checksummed and is appended with a
-// single write; replay stops at the first short or checksum-failing record —
-// a torn tail from a crash mid-append — and the writer truncates the tail
-// away before appending again. Like the store journal, appends are not
-// fsynced per record: losing the final records of a crash costs replaying a
-// slightly older state, never reading a corrupt one.
+// Log is the tree's one torn-tail-tolerant append-only record log, for
+// callers that need a replayable sequence of opaque payloads: the serve
+// layer's tenant-probe journal rides on the Log type, the store journal
+// (journal.go) on its framing. Each record is length-prefixed and
+// self-checksummed and is appended with a single write; replay stops at the
+// first short or checksum-failing record — a torn tail from a crash
+// mid-append — and the writer truncates the tail away before appending
+// again. Appends are not fsynced per record: losing the final records of a
+// crash costs replaying a slightly older state, never reading a corrupt one.
 //
 // Record framing: [len 4][crc 4][payload len] with crc over the payload.
 
@@ -44,6 +44,15 @@ const (
 	SiteLogOpen   = "persist:log-open"
 	SiteLogAppend = "persist:log-append"
 )
+
+// frameLogRecord returns payload in the on-disk framing.
+func frameLogRecord(payload []byte) []byte {
+	buf := make([]byte, logHeaderSize+len(payload))
+	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	copy(buf[logHeaderSize:], payload)
+	return buf
+}
 
 // decodeLogStream walks records from data, returning the payloads and the
 // offset of the last good record's end.
@@ -115,11 +124,7 @@ func (l *Log) Append(payload []byte) error {
 	if err := fault(l.hook, SiteLogAppend); err != nil {
 		return err
 	}
-	buf := make([]byte, logHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[logHeaderSize:], payload)
-	if _, err := l.f.Write(buf); err != nil {
+	if _, err := l.f.Write(frameLogRecord(payload)); err != nil {
 		return fmt.Errorf("persist: log append: %w", err)
 	}
 	l.recs++

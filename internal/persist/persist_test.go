@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +16,9 @@ import (
 )
 
 const testBuildID = "test-build-1"
+
+// journalRecSize is one framed journal record on disk.
+const journalRecSize = logHeaderSize + journalPayloadSize
 
 func testOptions() Options {
 	return Options{BuildID: testBuildID, Telemetry: telemetry.NewRegistry()}
@@ -255,6 +260,51 @@ func TestJournalGarbageRebuildsFromScan(t *testing.T) {
 	s2 := mustOpen(t, dir, testOptions())
 	if s2.Len() != 3 {
 		t.Fatalf("scan recovery found %d entries, want 3", s2.Len())
+	}
+}
+
+// TestJournalOldFramingReseeds: a journal written before the store journal
+// moved onto the Log framing — bare 21-byte [op][key][size][crc] records —
+// must read as a torn tail at offset 0, fall back to the directory scan, and
+// come back re-seeded in the current framing.
+func TestJournalOldFramingReseeds(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testOptions())
+	var old []byte
+	for k := uint64(1); k <= 3; k++ {
+		if err := s.Put(k<<56|k, testEntry(k<<56|k)); err != nil {
+			t.Fatal(err)
+		}
+		var rec [21]byte
+		rec[0] = journalOpPut
+		binary.BigEndian.PutUint64(rec[1:9], k<<56|k)
+		binary.BigEndian.PutUint64(rec[9:17], 100)
+		binary.BigEndian.PutUint32(rec[17:21], crc32.ChecksumIEEE(rec[:17]))
+		old = append(old, rec[:]...)
+	}
+	s.Close()
+	jpath := filepath.Join(dir, "journal")
+	if err := os.WriteFile(jpath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if index, goodLen, err := replayJournal(jpath); err != nil || len(index) != 0 || goodLen != 0 {
+		t.Fatalf("old-framing replay = %d entries, good length %d, %v; want a torn tail at 0", len(index), goodLen, err)
+	}
+
+	s2 := mustOpen(t, dir, testOptions())
+	if s2.Len() != 3 {
+		t.Fatalf("scan recovery found %d entries, want 3", s2.Len())
+	}
+	if e, err := s2.Get(1<<56 | 1); err != nil || e == nil {
+		t.Fatalf("Get after recovery: (%v, %v)", e, err)
+	}
+	s2.Close()
+	index, goodLen, err := replayJournal(jpath)
+	if err != nil || len(index) != 3 || goodLen != 3*journalRecSize {
+		t.Fatalf("re-seeded journal = %d entries, good length %d, %v; want 3 in %d bytes", len(index), goodLen, err, 3*journalRecSize)
+	}
+	if fi, err := os.Stat(jpath); err != nil || fi.Size() != goodLen {
+		t.Fatalf("re-seeded journal keeps old bytes: size %d, good length %d", fi.Size(), goodLen)
 	}
 }
 

@@ -297,4 +297,7 @@ if [ -n "$out" ]; then
 	exit 1
 fi
 
+echo "== non-test lines per package (report only) =="
+scripts/loc.sh
+
 echo "ci: all checks passed"
