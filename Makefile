@@ -53,30 +53,28 @@ bench-parallel:
 	$(GO) test ./internal/bench/ -run XXX -bench BenchmarkParallelRebuild -benchtime 5x
 
 # Recorded performance trajectory: regenerate the committed benchmark
-# artifact from the probe-toggle, verify-overhead, cold-warm, serve-storm,
-# and serve-chaos experiments (function-granular splice latency, cache-hit
-# rates, allocs per toggle, boundaries-tier verification overhead,
-# warm-start restart speedup, multi-tenant isolation under hostile load,
-# shard-failover window and drop count under injected wedges). Bump BENCH
-# when recording a new trajectory point rather than overwriting history's
-# meaning.
-BENCH ?= BENCH_10.json
+# artifact from the verify-overhead, cold-warm, serve-storm and serve-chaos
+# experiments (boundaries-tier verification overhead, warm-start restart
+# speedup, multi-tenant isolation under hostile load, shard-failover window
+# and drop count under injected wedges). Bump BENCH when recording a new
+# trajectory point rather than overwriting history's meaning.
+BENCH ?= BENCH_28.json
+BENCH_RUN = $(GO) run ./cmd/odin-bench -experiment verify-overhead,cold-warm,serve-storm,serve-chaos \
+	-toggle-rounds 60 -coldwarm-rounds 5
 bench-record:
-	$(GO) run ./cmd/odin-bench -experiment probe-toggle,verify-overhead,cold-warm,serve-storm,serve-chaos \
-		-toggle-rounds 60 -coldwarm-rounds 5 -bench-out $(BENCH)
+	$(BENCH_RUN) -bench-out $(BENCH)
 
 # Compare the current tree against the committed trajectory artifact
-# (skipped with a note when the artifact is absent). Fails on >15% p99
-# regression beyond a 2ms floor, on structural splice breakage, on
-# verification overhead above its 5% budget, on a warm start below its
-# absolute speedup floor / losing image byte-identity, on the serve
-# control plane dropping healthy tenants' work or exceeding the isolation
-# bound under hostile load, or on a shard failover dropping a healthy
-# commit / overrunning bench.ChaosFailoverBudgetMS.
+# (skipped with a note when the artifact is absent). Fails on >15% p50/p99
+# regression beyond a 2ms floor, on verification overhead above its 5%
+# budget, on a warm start below its absolute speedup floor / losing image
+# byte-identity, on the serve control plane dropping healthy tenants' work
+# or exceeding the isolation bound under hostile load, or on a shard
+# failover dropping a healthy commit / overrunning
+# bench.ChaosFailoverBudgetMS.
 bench-check:
 	@if [ -f $(BENCH) ]; then \
-		$(GO) run ./cmd/odin-bench -experiment probe-toggle,verify-overhead,cold-warm,serve-storm,serve-chaos \
-			-toggle-rounds 60 -coldwarm-rounds 5 -bench-compare $(BENCH); \
+		$(BENCH_RUN) -bench-compare $(BENCH); \
 	else \
 		echo "bench-check: $(BENCH) not present; skipping regression gate"; \
 	fi
@@ -107,12 +105,12 @@ serve-storm:
 serve-chaos:
 	$(GO) run ./cmd/odin-bench -experiment serve-chaos
 
-# Allocation budgets: the probe-toggle hot loop must stay within its pinned
-# allocs/op envelope (arena-backed cloning + lazy materialization), and a
+# Allocation budgets: a single-probe toggle, which recompiles its one
+# fragment whole, must stay within its pinned allocs/op envelope, and a
 # steady-state execution with every probe active within its own (a machine
 # that keeps its call stack, builtin table and argument buffer).
 alloc-budget:
-	$(GO) test ./internal/core/ -run TestSpliceAllocBudget -v
+	$(GO) test ./internal/core/ -run TestToggleAllocBudget -v
 	$(GO) test ./internal/cov/ -run TestRunInputAllocBudget -v
 
 # Verification budget: the default boundaries tier may cost at most 5% of

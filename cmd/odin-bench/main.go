@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	odin-bench [-experiment all|fig3|fig8|fig9|fig10|fig11|fig12|headline|parallel|faults|storm|probe-toggle|verify-overhead|cold-warm|serve-storm|serve-chaos]
+//	odin-bench [-experiment all|fig3|fig8|fig9|fig10|fig11|fig12|headline|parallel|faults|storm|verify-overhead|cold-warm|serve-storm|serve-chaos]
 //	           [-campaign N] [-programs a,b,c] [-parallel] [-workers N]
 //	           [-fault-rounds N] [-fault-seed N] [-json] [-metrics-addr HOST:PORT]
 //	           [-storm-goroutines N] [-storm-requests N] [-toggle-rounds N]
@@ -12,11 +12,10 @@
 //	           [-bench-out FILE] [-bench-compare FILE]
 //
 // -experiment also accepts a comma-separated list of the self-contained
-// experiments (probe-toggle, verify-overhead, cold-warm, fig3,
-// serve-storm, serve-chaos), so one invocation can record a
-// multi-experiment benchmark artifact:
+// experiments (verify-overhead, cold-warm, fig3, serve-storm, serve-chaos),
+// so one invocation can record a multi-experiment benchmark artifact:
 //
-//	odin-bench -experiment probe-toggle,verify-overhead -bench-out BENCH_7.json
+//	odin-bench -experiment verify-overhead,cold-warm -bench-out BENCH_<n>.json
 //
 // -verify forces the engine verification tier (ODIN_VERIFY) for every engine
 // the harness creates; the verify-overhead experiment ignores it and pins its
@@ -30,11 +29,11 @@
 // run.
 //
 // -bench-out writes a benchmark artifact (BENCH_<n>.json schema: latency
-// percentiles, cache-hit rates, allocs/op) summarizing whichever of the
-// probe-toggle, parallel, and storm experiments ran. -bench-compare loads a
-// committed artifact and fails the run (exit 1) when the current results
-// regress p99 latency by more than 15% beyond a 2ms floor, or break the
-// structural splice invariants. See EXPERIMENTS.md.
+// percentiles, cache-hit rates, budgets) summarizing whichever
+// artifact-bearing experiments ran. -bench-compare loads a committed
+// artifact and fails the run (exit 1) when the current results regress p99
+// latency by more than 15% beyond a 2ms floor, or break an absolute budget.
+// See EXPERIMENTS.md.
 package main
 
 import (
@@ -52,7 +51,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: all, fig3, fig8, fig9, fig10, fig11, fig12, headline, ablation, codegen, parallel, faults, storm, probe-toggle, verify-overhead, cold-warm, serve-storm, serve-chaos")
+	experiment := flag.String("experiment", "all", "which experiment to run: all, fig3, fig8, fig9, fig10, fig11, fig12, headline, ablation, codegen, parallel, faults, storm, verify-overhead, cold-warm, serve-storm, serve-chaos")
 	campaign := flag.Int("campaign", 400, "fuzzing iterations used to generate each replay corpus")
 	programs := flag.String("programs", "", "comma-separated subset of programs (default: all 13)")
 	parallel := flag.Bool("parallel", false, "with fig11: also report wall-clock speedup of the concurrent recompile pipeline")
@@ -63,7 +62,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry for the run on this host:port (port 0 = pick a free port)")
 	stormG := flag.Int("storm-goroutines", 8, "concurrent submitter goroutines in the storm experiment")
 	stormN := flag.Int("storm-requests", 64, "probe requests per goroutine in the storm experiment")
-	toggleRounds := flag.Int("toggle-rounds", 40, "probe toggles per workload in the probe-toggle and verify-overhead experiments")
+	toggleRounds := flag.Int("toggle-rounds", 40, "probe toggles per workload in the verify-overhead experiment")
 	coldWarmRounds := flag.Int("coldwarm-rounds", 5, "engine restarts per arm and workload in the cold-warm experiment")
 	cacheDir := flag.String("cache-dir", "", "with -experiment cold-warm: pin each workload's persistent cache to a subdirectory of this path and leave it on disk for inspection (default: fresh temp dirs, removed)")
 	snapshot := flag.String("snapshot", "", "with -experiment cold-warm and -cache-dir: base path for the per-workload engine state snapshots (default: state.snap inside each workload's cache)")
@@ -317,11 +316,11 @@ func run(experiment string, campaign int, programs string, parallel bool, worker
 // quickExperiments are the self-contained experiments runQuick handles: they
 // synthesize their own workloads, so they skip suite preparation and may be
 // combined in a comma-separated -experiment list.
-const quickExperiments = "probe-toggle, verify-overhead, cold-warm, fig3, serve-storm, serve-chaos"
+const quickExperiments = "verify-overhead, cold-warm, fig3, serve-storm, serve-chaos"
 
 func isQuick(name string) bool {
 	switch strings.TrimSpace(name) {
-	case "probe-toggle", "verify-overhead", "cold-warm", "fig3", "serve-storm", "serve-chaos":
+	case "verify-overhead", "cold-warm", "fig3", "serve-storm", "serve-chaos":
 		return true
 	}
 	return false
@@ -331,19 +330,6 @@ func isQuick(name string) bool {
 // JSON report and the benchmark artifact.
 func runQuick(name string, w io.Writer, report map[string]any, art *bench.Artifact, toggleRounds, coldWarmRounds int, cacheDir, snapshot string, serveCfg serveStormCfg) error {
 	switch name {
-	case "probe-toggle":
-		rows, err := bench.RunToggle(toggleRounds)
-		if err != nil {
-			return err
-		}
-		report["probe_toggle"] = rows
-		bench.PrintToggle(w, rows)
-		art.AddToggle(rows)
-		for _, r := range rows {
-			if !r.RefMatch {
-				return fmt.Errorf("probe-toggle: %s diverged from its cold reference", r.Program)
-			}
-		}
 	case "verify-overhead":
 		rows, err := bench.RunVerifyOverhead(toggleRounds)
 		if err != nil {
@@ -420,7 +406,7 @@ func runQuick(name string, w io.Writer, report map[string]any, art *bench.Artifa
 
 // Regression thresholds for -bench-compare: p50/p99 may drift up to 15%
 // beyond a 2ms absolute floor (sub-floor jitter on fast machines never
-// trips the gate); structural invariants are exact.
+// trips the gate); budgets are absolute.
 const (
 	regressTolPct  = 15.0
 	regressFloorMS = 2.0
@@ -430,7 +416,7 @@ const (
 func finishArtifact(w io.Writer, art *bench.Artifact, benchOut, benchCompare string) error {
 	if len(art.Experiments) == 0 {
 		if benchOut != "" || benchCompare != "" {
-			fmt.Fprintf(w, "bench artifact: no artifact-bearing experiment ran (probe-toggle, parallel, storm); nothing to record\n")
+			fmt.Fprintf(w, "bench artifact: no artifact-bearing experiment ran (verify-overhead, cold-warm, parallel, storm, serve-storm, serve-chaos); nothing to record\n")
 		}
 		return nil
 	}

@@ -3,8 +3,8 @@
 // The artifact intentionally stores only scale-free or slowly-drifting
 // aggregates — percentiles, hit rates, allocation counts — not raw samples,
 // so a 15%-band comparison stays meaningful across machines of similar
-// class while structural invariants (a single-function toggle compiles
-// exactly one function) are checked exactly.
+// class, while budgets and invariants (verification overhead, warm-start
+// speedup, dropped tickets) are checked absolutely.
 package bench
 
 import (
@@ -18,23 +18,15 @@ import (
 // ArtifactMetrics is one experiment's summary in a benchmark artifact.
 type ArtifactMetrics struct {
 	// P50MS/P99MS are the experiment's headline latency percentiles
-	// (per-toggle rebuild latency for probe-toggle, compile wall-clock per
+	// (per-toggle rebuild latency for verify-overhead, compile wall-clock per
 	// program for parallel, ticket latency for storm).
 	P50MS float64 `json:"p50_ms"`
 	P99MS float64 `json:"p99_ms"`
-	// FragCacheHitPct and FuncCacheHitPct are fragment- and function-level
-	// cache-hit rates where the experiment measures them (0 otherwise).
+	// FragCacheHitPct is the fragment-level cache-hit rate where the
+	// experiment measures it (0 otherwise).
 	FragCacheHitPct float64 `json:"frag_cache_hit_pct"`
-	FuncCacheHitPct float64 `json:"func_cache_hit_pct"`
-	// AllocsPerOp is heap allocations per operation (per probe toggle).
+	// AllocsPerOp is heap allocations per operation.
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// FuncsCompiledPerToggle is probe-toggle's structural invariant: the
-	// mean member functions recompiled per single-probe toggle. CI checks
-	// it exactly (must stay 1.0), not within the latency band.
-	FuncsCompiledPerToggle float64 `json:"funcs_compiled_per_toggle,omitempty"`
-	// BaselineP99MS is the NoFuncCache arm's p99 where measured; the ratio
-	// to P99MS is the recorded splice win.
-	BaselineP99MS float64 `json:"baseline_p99_ms,omitempty"`
 	// OverheadPct is the verify-overhead experiment's headline: the
 	// boundaries verification tier's worst-case p50 rebuild-latency overhead
 	// across workload scales. CI gates it against an absolute budget
@@ -74,28 +66,8 @@ func NewArtifact() *Artifact {
 	return &Artifact{Schema: ArtifactSchema, Experiments: map[string]ArtifactMetrics{}}
 }
 
-// AddToggle folds the probe-toggle rows into the artifact: worst-case (max)
-// percentiles across workload scales, mean hit rates and allocation counts.
-func (a *Artifact) AddToggle(rows []ToggleResult) {
-	if len(rows) == 0 {
-		return
-	}
-	var m ArtifactMetrics
-	for _, r := range rows {
-		m.P50MS = maxf(m.P50MS, r.P50MS)
-		m.P99MS = maxf(m.P99MS, r.P99MS)
-		m.BaselineP99MS = maxf(m.BaselineP99MS, r.BaseP99MS)
-		m.FragCacheHitPct += r.FragCacheHitPct / float64(len(rows))
-		m.FuncCacheHitPct += r.FuncCacheHitPct / float64(len(rows))
-		m.AllocsPerOp = maxf(m.AllocsPerOp, r.AllocsPerToggle)
-		m.FuncsCompiledPerToggle = maxf(m.FuncsCompiledPerToggle, r.FuncsCompiledPerToggle)
-	}
-	a.Experiments["probe-toggle"] = m
-}
-
 // AddVerifyOverhead folds the verify-overhead rows into the artifact: the
-// boundaries arm's worst-case percentiles, the worst overhead percentage,
-// and the mean verification-cache hit rate.
+// boundaries arm's worst-case percentiles and the worst overhead percentage.
 func (a *Artifact) AddVerifyOverhead(rows []VerifyOverheadResult) {
 	if len(rows) == 0 {
 		return
@@ -105,7 +77,6 @@ func (a *Artifact) AddVerifyOverhead(rows []VerifyOverheadResult) {
 		m.P50MS = maxf(m.P50MS, r.BoundaryP50MS)
 		m.P99MS = maxf(m.P99MS, r.BoundaryP99MS)
 		m.OverheadPct = maxf(m.OverheadPct, r.OverheadPct)
-		m.FuncCacheHitPct += r.CacheHitPct / float64(len(rows))
 	}
 	a.Experiments["verify-overhead"] = m
 }
@@ -223,11 +194,9 @@ func LoadArtifact(path string) (*Artifact, error) {
 // Latency and allocation metrics regress when they exceed the reference by
 // more than tolPct percent AND by more than floorMS milliseconds (floor
 // applies to latencies only; allocations use tolPct alone with a 64-object
-// absolute floor). The probe-toggle structural invariant — one compiled
-// function per single-probe toggle — is checked exactly: growing it means
-// the splice stopped working, regardless of how fast the machine is.
-// Experiments present in ref but missing from cur are regressions (the
-// trajectory must not silently lose coverage); new experiments in cur pass.
+// absolute floor). Experiments present in ref but missing from cur are
+// regressions (the trajectory must not silently lose coverage); new
+// experiments in cur pass.
 // The verify-overhead experiment's OverheadPct is gated against the absolute
 // VerifyOverheadBudgetPct budget rather than drift from the reference: the
 // acceptance criterion is "verification costs at most 5% of p50", not
@@ -264,14 +233,6 @@ func CompareArtifacts(ref, cur *Artifact, tolPct, floorMS float64) []string {
 		if r.AllocsPerOp > 0 && worse(c.AllocsPerOp, r.AllocsPerOp, 64) {
 			bad = append(bad, fmt.Sprintf("%s: allocs/op %.0f exceeds recorded %.0f by >%g%%",
 				name, c.AllocsPerOp, r.AllocsPerOp, tolPct))
-		}
-		if r.FuncsCompiledPerToggle > 0 && c.FuncsCompiledPerToggle > r.FuncsCompiledPerToggle+0.01 {
-			bad = append(bad, fmt.Sprintf("%s: funcs compiled per toggle %.2f > recorded %.2f (splice broke)",
-				name, c.FuncsCompiledPerToggle, r.FuncsCompiledPerToggle))
-		}
-		if r.FuncCacheHitPct > 0 && c.FuncCacheHitPct < r.FuncCacheHitPct-1 {
-			bad = append(bad, fmt.Sprintf("%s: function cache hit rate %.1f%% below recorded %.1f%%",
-				name, c.FuncCacheHitPct, r.FuncCacheHitPct))
 		}
 	}
 	for name, c := range cur.Experiments {

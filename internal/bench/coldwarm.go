@@ -61,8 +61,8 @@ var coldWarmWorkloads = []struct {
 	{16, 12},
 }
 
-// coldWarmSrc generates the restart workload. Unlike the probe-toggle
-// stubs (3 instructions each — right for isolating toggle latency), these
+// coldWarmSrc generates the restart workload. Unlike the toggleSrc stubs
+// (3 instructions each — right for isolating toggle latency), these
 // functions carry a small reduction loop plus a straight-line arithmetic
 // chain, so the cold side pays representative optimization and codegen work
 // per function and the measurement is not dominated by fixed per-engine

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"odin/internal/core"
 )
@@ -167,3 +168,16 @@ func PrintHeadline(w io.Writer, h *HeadlineResult) {
 }
 
 func ms(us int64) float64 { return float64(us) / 1000.0 }
+
+func percentile(lats []time.Duration, p int) time.Duration {
+	if len(lats) == 0 {
+		return 0
+	}
+	s := append([]time.Duration(nil), lats...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	i := len(s) * p / 100
+	if i >= len(s) {
+		i = len(s) - 1
+	}
+	return s[i]
+}

@@ -3,14 +3,17 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"strings"
 	"time"
 
 	"odin/internal/core"
+	"odin/internal/ir"
 	"odin/internal/irtext"
 )
 
 // VerifyOverheadResult is one workload's row of the verify-overhead
-// experiment: the probe-toggle loop is run twice on identical engines, once
+// experiment: a probe toggle loop is run twice on identical engines, once
 // with rebuild-path verification off and once at the default boundaries tier
 // (strict verification of the instrumented temporary IR and of every
 // optimized fragment module, hash-cached per function), and the p50 latency
@@ -43,8 +46,122 @@ const VerifyOverheadBudgetPct = 5.0
 // millisecond-scale rebuild are scheduler jitter, not verification cost.
 const verifyNoiseFloorMS = 0.25
 
+// toggleSrc synthesizes the experiment workload: groups COMDAT groups of
+// funcsPerGroup noinline functions each (bonded into one fragment per group
+// by the partitioner's innate pairs), plus a main that threads a value
+// through every group. Function 0 of each group calls an internal sibling;
+// the remaining members are independent.
+func toggleSrc(groups, funcsPerGroup int) string {
+	if funcsPerGroup < 2 {
+		funcsPerGroup = 2
+	}
+	var sb strings.Builder
+	for g := 0; g < groups; g++ {
+		fmt.Fprintf(&sb, `
+func @t%d_0(%%x: i64) -> i64 noinline comdat(tg%d) {
+entry:
+  %%h = call i64 @t%d_1(i64 %%x)
+  %%r = add i64 %%h, %d
+  ret i64 %%r
+}
+func @t%d_1(%%x: i64) -> i64 internal noinline comdat(tg%d) {
+entry:
+  %%r = mul i64 %%x, %d
+  ret i64 %%r
+}
+`, g, g, g, g+1, g, g, g+2)
+		for f := 2; f < funcsPerGroup; f++ {
+			fmt.Fprintf(&sb, `
+func @t%d_%d(%%x: i64) -> i64 noinline comdat(tg%d) {
+entry:
+  %%a = mul i64 %%x, %d
+  %%b = add i64 %%a, %d
+  %%r = xor i64 %%b, %%x
+  ret i64 %%r
+}
+`, g, f, g, f+3, g*7+f)
+		}
+	}
+	sb.WriteString("func @main(%x: i64) -> i64 {\nentry:\n  %s0 = add i64 %x, 0\n")
+	n := 0
+	for g := 0; g < groups; g++ {
+		for f := 0; f < funcsPerGroup; f++ {
+			if f == 1 {
+				continue // internal sibling, called via t<g>_0
+			}
+			fmt.Fprintf(&sb, "  %%r%d = call i64 @t%d_%d(i64 %%s%d)\n", n, g, f, n)
+			fmt.Fprintf(&sb, "  %%s%d = add i64 %%s%d, %%r%d\n", n+1, n, n)
+			n++
+		}
+	}
+	fmt.Fprintf(&sb, "  ret i64 %%s%d\n}\n", n)
+	return sb.String()
+}
+
+// toggleProbe instruments its target's entry block, like the fuzzing tools'
+// coverage probes. It resolves the target by name so one value works across
+// engines.
+type toggleProbe struct {
+	fnName string
+	id     int64
+}
+
+func (p *toggleProbe) PatchTarget() string { return p.fnName }
+
+func (p *toggleProbe) Instrument(s *core.Sched) error {
+	f := s.MapFunc(p.fnName)
+	if f == nil {
+		return fmt.Errorf("bench: %s not in recompilation", p.fnName)
+	}
+	nb := f.Blocks[0]
+	hook := s.LookupFunction("__toggle_hit", &ir.FuncType{Params: []ir.Type{ir.I64}, Ret: ir.Void})
+	b := ir.NewBuilder()
+	b.SetInsertBefore(nb, len(nb.Phis()))
+	b.Call(ir.Void, hook.Name, ir.Const(ir.I64, p.id))
+	return nil
+}
+
+// toggleWorkloads are the experiment's three scales.
+var toggleWorkloads = []struct {
+	groups, funcs int
+}{
+	{4, 4},
+	{8, 8},
+	{16, 12},
+}
+
+// toggleArm toggles a probe on target for rounds rebuilds, starting from a
+// collected heap, and returns the per-toggle latencies.
+func toggleArm(e *core.Engine, target string, rounds int) ([]time.Duration, error) {
+	probe := &toggleProbe{fnName: target, id: 1}
+	var pid int
+	on := false
+	runtime.GC()
+	lats := make([]time.Duration, 0, rounds)
+	for i := 0; i < rounds; i++ {
+		if on {
+			if err := e.Manager.Remove(pid); err != nil {
+				return nil, err
+			}
+		} else {
+			pid = e.Manager.Add(probe)
+		}
+		on = !on
+		t0 := time.Now()
+		sched, err := e.Schedule()
+		if err != nil {
+			return nil, err
+		}
+		if _, _, err := sched.Rebuild(); err != nil {
+			return nil, err
+		}
+		lats = append(lats, time.Since(t0))
+	}
+	return lats, nil
+}
+
 // RunVerifyOverhead measures the boundaries-tier verification overhead on the
-// probe-toggle workloads.
+// toggle workloads.
 func RunVerifyOverhead(rounds int) ([]VerifyOverheadResult, error) {
 	if rounds < 4 {
 		rounds = 4
@@ -85,26 +202,25 @@ func runVerifyOverheadOne(groups, funcsPerGroup, rounds int) (*VerifyOverheadRes
 		return e, nil
 	}
 
-	// Same pairing discipline as the probe-toggle experiment: a discarded
-	// warm-up pass, then two measured passes keeping the one with the lower
-	// p99, so a single GC pause cannot masquerade as verification overhead.
-	measure := func(e *core.Engine) (lats []time.Duration, err error) {
-		if _, _, _, err = toggleArm(e, target, rounds); err != nil {
-			return
+	// A discarded warm-up pass (first-touch costs: lazy pools, linker
+	// state), then two measured passes keeping the one with the lower p99,
+	// so a single GC pause cannot masquerade as verification overhead.
+	measure := func(e *core.Engine) ([]time.Duration, error) {
+		if _, err := toggleArm(e, target, rounds); err != nil {
+			return nil, err
 		}
-		l1, _, _, err1 := toggleArm(e, target, rounds)
-		if err1 != nil {
-			return nil, err1
+		l1, err := toggleArm(e, target, rounds)
+		if err != nil {
+			return nil, err
 		}
-		l2, _, _, err2 := toggleArm(e, target, rounds)
-		if err2 != nil {
-			return nil, err2
+		l2, err := toggleArm(e, target, rounds)
+		if err != nil {
+			return nil, err
 		}
-		lats = l1
 		if percentile(l2, 99) < percentile(l1, 99) {
-			lats = l2
+			return l2, nil
 		}
-		return lats, nil
+		return l1, nil
 	}
 
 	off, err := mk(core.VerifyOff)
@@ -143,7 +259,7 @@ func runVerifyOverheadOne(groups, funcsPerGroup, rounds int) (*VerifyOverheadRes
 
 // PrintVerifyOverhead renders the verify-overhead table.
 func PrintVerifyOverhead(w io.Writer, rows []VerifyOverheadResult) {
-	fmt.Fprintf(w, "Verify overhead — boundaries-tier strict verification cost per probe-toggle rebuild (budget <=%.0f%% of p50)\n",
+	fmt.Fprintf(w, "Verify overhead — boundaries-tier strict verification cost per probe toggle rebuild (budget <=%.0f%% of p50)\n",
 		VerifyOverheadBudgetPct)
 	fmt.Fprintf(w, "%-15s %7s %9s %9s %9s %9s %9s %7s\n",
 		"program", "rounds", "off-p50", "off-p99", "bnd-p50", "bnd-p99", "overhead", "hit%")

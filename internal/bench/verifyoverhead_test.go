@@ -40,14 +40,14 @@ func TestVerifyOverheadArtifact(t *testing.T) {
 	a := NewArtifact()
 	a.AddVerifyOverhead(rows)
 	m := a.Experiments["verify-overhead"]
-	if m.P50MS != 3 || m.P99MS != 4 || m.OverheadPct != 3.0 || m.FuncCacheHitPct != 85 {
+	if m.P50MS != 3 || m.P99MS != 4 || m.OverheadPct != 3.0 {
 		t.Fatalf("aggregation wrong: %+v", m)
 	}
 
 	ref := NewArtifact()
 	ref.Experiments["verify-overhead"] = m
 	within := NewArtifact()
-	within.Experiments["verify-overhead"] = ArtifactMetrics{P50MS: 3, P99MS: 4, OverheadPct: 4.9, FuncCacheHitPct: 85}
+	within.Experiments["verify-overhead"] = ArtifactMetrics{P50MS: 3, P99MS: 4, OverheadPct: 4.9}
 	if bad := CompareArtifacts(ref, within, 15, 2); len(bad) != 0 {
 		t.Fatalf("overhead within budget flagged: %v", bad)
 	}

@@ -31,17 +31,8 @@ type Options struct {
 	// lowering and at "codegen:<func>" before each function is compiled; a
 	// returned error fails the compile. The faultinject package provides
 	// deterministic implementations for robustness testing of the rebuild
-	// supervisor — the per-function site exercises the splice path's
-	// fallback to a whole-fragment rebuild.
+	// supervisor.
 	FaultHook func(site string) error
-	// OmitFuncs names defined functions to lower as imports instead of
-	// compiling them. The engine's function-granular splice path compiles a
-	// reduced fragment module in which hash-clean functions must stay
-	// visible to interprocedural optimization but need no fresh machine
-	// code — their cached FuncSyms are spliced in afterwards. Aliases whose
-	// target is omitted are imported as well (an AliasSym must target a
-	// symbol defined in the same object).
-	OmitFuncs map[string]bool
 }
 
 // CompileModule lowers every defined symbol of m into an object file using
@@ -72,7 +63,7 @@ func CompileModuleOpts(m *ir.Module, opts Options) (*obj.Object, error) {
 		})
 	}
 	for _, f := range m.Funcs {
-		if f.IsDecl() || opts.OmitFuncs[f.Name] {
+		if f.IsDecl() {
 			o.Imports = append(o.Imports, f.Name)
 			continue
 		}
@@ -88,10 +79,6 @@ func CompileModuleOpts(m *ir.Module, opts Options) (*obj.Object, error) {
 		o.Funcs = append(o.Funcs, *fs)
 	}
 	for _, a := range m.Aliases {
-		if opts.OmitFuncs[a.Target] {
-			o.Imports = append(o.Imports, a.Name)
-			continue
-		}
 		o.Aliases = append(o.Aliases, obj.AliasSym{
 			Name:    a.Name,
 			Target:  a.Target,

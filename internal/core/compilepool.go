@@ -174,11 +174,6 @@ type fragOut struct {
 	fc   FragCompile
 	obj  *obj.Object
 	hash uint64
-	// meta is the function-cache metadata to store with the object: set by
-	// clean compiles (including splices) with fresh deep hashes, nil for
-	// degraded compiles (whose objects are not splice donors). Fragment
-	// cache hits leave the stored metadata untouched.
-	meta *fragMeta
 	// deferred marks the degradation ladder's last rung: obj is the
 	// fragment's last-good cached object, the probe change was not
 	// applied, and the stored fingerprint must not be advanced.
@@ -352,21 +347,49 @@ func ladderLevels(level int) []int {
 	}
 }
 
+// fragmentHash folds the part hashes of a fragment's members and clones (in
+// plan order) into the fragment-level cache key. It replaces hashing the
+// materialized module's full text: the fold covers exactly the definitions
+// materialize would clone, so it changes when and only when the fragment
+// module would, and a fragment-level cache hit no longer pays materialize.
+func fragmentHash(frag *Fragment, th tempHashes) uint64 {
+	h := ir.HashSeed
+	for _, s := range frag.Members {
+		if v, ok := th[s]; ok {
+			h = ir.HashFold(h, v)
+		}
+	}
+	for _, s := range frag.Clones {
+		if v, ok := th[s]; ok {
+			h = ir.HashFold(h, v)
+		}
+	}
+	return h
+}
+
+// countMemberFuncs counts the fragment's defined member functions
+// (FragCompile.FuncsTotal).
+func countMemberFuncs(frag *Fragment, temp *ir.Module) int {
+	n := 0
+	for _, s := range frag.Members {
+		if f := temp.LookupFunc(s); f != nil && !f.IsDecl() {
+			n++
+		}
+	}
+	return n
+}
+
 // compileOne runs the per-fragment pipeline of Figure 7 under the fault
 // supervisor. The fragment's cache key is folded from per-symbol
 // fingerprints of the instrumented temporary IR (th), so a fragment-level
-// hit skips even materialize. On a miss, a fragment whose cached object came
-// from a clean compile at the configured level first attempts the
-// function-granular splice path (trySplice): only hash-dirty functions are
-// materialized and recompiled, and clean functions' cached machine code is
-// spliced in. Any splice failure — or ineligibility — falls back to the
-// whole-fragment path: materialize, then optimize and generate code, with
-// every stage under panic isolation and failures walking the degradation
-// ladder (lower opt level, then -O0 with the failing pass quarantined, then
-// the last-good cached object) before the rebuild is allowed to fail. When
+// hit skips even materialize. On a miss in both cache tiers the fragment
+// compiles whole: materialize, then optimize and generate code, with every
+// stage under panic isolation and failures walking the degradation ladder
+// (lower opt level, then -O0 with the failing pass quarantined, then the
+// last-good cached object) before the rebuild is allowed to fail. When
 // tracing is on the fragment records a span under parent with one child per
-// stage, the cache-hit / splice / degradation / deferral outcome as
-// attributes, and any failure attached.
+// stage, the cache-hit / degradation / deferral outcome as attributes, and
+// any failure attached.
 func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *telemetry.Span) fragOut {
 	out := fragOut{ran: true}
 	fs := parent.Child("fragment")
@@ -400,15 +423,14 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 	// Second tier: the persistent artifact store. A verified disk entry for
 	// this content hash (and compile configuration) is byte-identical to
 	// what the cold pipeline below would produce, so it skips the pipeline
-	// exactly like a memory hit; the commit installs it — with its function
-	// metadata — into the in-memory tier. Bypassed between InvalidateCache
-	// and the next committed rebuild, and for fragments with quarantined
-	// passes (a cold compile would route around them, so a clean persisted
-	// object would no longer be byte-identical to it).
+	// exactly like a memory hit; the commit installs it into the in-memory
+	// tier. Bypassed between InvalidateCache and the next committed rebuild,
+	// and for fragments with quarantined passes (a cold compile would route
+	// around them, so a clean persisted object would no longer be
+	// byte-identical to it).
 	if !bypass && len(st.quarantine) == 0 {
 		if ent := e.loadPersisted(out.hash); ent != nil {
 			out.obj = ent.Object
-			out.meta = &fragMeta{level: ent.Level, funcHashes: ent.FuncHashes}
 			out.fc.WarmHit = true
 			out.fc.Level = ent.Level
 			out.fc.FuncCacheHits = out.fc.FuncsTotal
@@ -417,30 +439,18 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 		}
 	}
 
-	// All fragment-module cloning below draws from a pooled arena; the
-	// fragment module (and everything the splice/ladder paths clone) is dead
-	// when this compile returns, so the slabs recycle per fragment.
+	// All fragment-module cloning below draws from a pooled arena; every
+	// module the ladder clones is dead when this compile returns, so the
+	// slabs recycle per fragment.
 	arena := ir.GetCloneArena()
 	defer ir.PutCloneArena(arena)
-
-	if st.meta != nil && st.obj != nil && !e.opts.NoFuncCache &&
-		st.meta.level == e.opts.OptLevel && len(st.quarantine) == 0 {
-		reason := e.trySplice(&out, frag, temp, th, st.meta, st.obj, arena, fs)
-		if reason == "" {
-			return out
-		}
-		// Fall through to the whole-fragment path; the splice attempt's
-		// stage timings stay accumulated on fc (they are real compile cost).
-		out.fc.SpliceFallback = true
-		out.fc.SpliceFallbackReason = reason
-	}
 
 	quarantined := st.quarantine
 	var lastErr FragError
 	for attempt, lv := range ladderLevels(e.opts.OptLevel) {
 		// Every rung starts from a pristine fragment module: a failed
 		// attempt may have left the previous one half-transformed.
-		fm, merr := e.materializeIsolated(frag, temp, nil, arena, &out.fc, fs)
+		fm, merr := e.materializeIsolated(frag, temp, arena, &out.fc, fs)
 		if merr != nil {
 			return degradeToCache(st.obj, out, stageError(id, StageMaterialize, "", merr))
 		}
@@ -458,12 +468,6 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 			out.fc.Instrs = o.CodeSize()
 			out.fc.FuncsCompiled = out.fc.FuncsTotal
 			out.obj = o
-			if !out.fc.Degraded {
-				// Clean compile at the configured level: record per-function
-				// deep hashes so the next rebuild can splice against this
-				// object. Degraded objects are not splice donors.
-				out.meta = &fragMeta{level: lv, funcHashes: deepFuncHashes(buildFragIndex(frag, temp), th)}
-			}
 			return out
 		}
 		lastErr = *ferr
@@ -471,15 +475,15 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 	return degradeToCache(st.obj, out, lastErr)
 }
 
-// materializeIsolated is materializeSubset under panic isolation, timed onto
-// fc and recorded as a stage span under fs. The span reuses the engine's own
+// materializeIsolated is materialize under panic isolation, timed onto fc
+// and recorded as a stage span under fs. The span reuses the engine's own
 // timer, so tracing adds no clock reads on this path.
-func (e *Engine) materializeIsolated(frag *Fragment, temp *ir.Module, only map[string]bool, arena *ir.CloneArena, fc *FragCompile, fs *telemetry.Span) (*ir.Module, error) {
+func (e *Engine) materializeIsolated(frag *Fragment, temp *ir.Module, arena *ir.CloneArena, fc *FragCompile, fs *telemetry.Span) (*ir.Module, error) {
 	var fm *ir.Module
 	t0 := time.Now()
 	err := capture(func() error {
 		var merr error
-		fm, merr = e.materializeSubset(frag, temp, only, arena)
+		fm, merr = e.materialize(frag, temp, arena)
 		return merr
 	})
 	d := time.Since(t0)
@@ -489,17 +493,10 @@ func (e *Engine) materializeIsolated(frag *Fragment, temp *ir.Module, only map[s
 }
 
 // attemptSpec is what varies between compile attempts of one fragment: the
-// ladder's rung (level, quarantined passes) and, for the splice path's
-// reduced module, the three adjustments that keep its output identical to a
-// whole-fragment compile's (funccache.go): GlobalDCE left to the object-level
-// sweep, DAE's module-wide gating set passed in, and clean closure functions
-// optimized against but not lowered.
+// ladder's rung (level, quarantined passes).
 type attemptSpec struct {
-	level         int
-	quarantined   map[string]bool
-	skipGlobalDCE bool
-	keepArgs      map[string]bool
-	omitFuncs     map[string]bool
+	level       int
+	quarantined map[string]bool
 }
 
 // compileAttempt is the one place a fragment module is optimized, verified
@@ -542,15 +539,13 @@ func (e *Engine) compileAttempt(id int, fm *ir.Module, spec attemptSpec, fc *Fra
 	to := time.Now()
 	err := capture(func() error {
 		if err := opt.OptimizeChecked(fm, &opt.Options{
-			Level:         spec.level,
-			Quarantine:    spec.quarantined,
-			SkipGlobalDCE: spec.skipGlobalDCE,
-			KeepArgs:      spec.keepArgs,
-			Trace:         trace,
-			FaultHook:     e.opts.FaultHook,
-			OnPass:        onPass,
-			VerifyEach:    e.verifyEach(),
-			OnVerify:      e.onPassVerify,
+			Level:      spec.level,
+			Quarantine: spec.quarantined,
+			Trace:      trace,
+			FaultHook:  e.opts.FaultHook,
+			OnPass:     onPass,
+			VerifyEach: e.verifyEach(),
+			OnVerify:   e.onPassVerify,
 		}); err != nil {
 			return err
 		}
@@ -579,14 +574,10 @@ func (e *Engine) compileAttempt(id int, fm *ir.Module, spec attemptSpec, fc *Fra
 	}
 
 	tc := time.Now()
-	cgopts := e.opts.Codegen
-	if spec.omitFuncs != nil {
-		cgopts.OmitFuncs = spec.omitFuncs
-	}
 	var o *obj.Object
 	err = capture(func() error {
 		var cerr error
-		o, cerr = codegen.CompileModuleOpts(fm, cgopts)
+		o, cerr = codegen.CompileModuleOpts(fm, e.opts.Codegen)
 		return cerr
 	})
 	dCG := time.Since(tc)

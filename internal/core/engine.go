@@ -32,11 +32,6 @@ type Options struct {
 	// the serial pipeline whose per-fragment times the paper's Figures
 	// 11/12 measure.
 	Workers int
-	// NoFuncCache disables the function-granular splice path: fragments
-	// whose fingerprint misses always recompile whole. The fragment-level
-	// content-hash cache is unaffected. Benchmarks use it as the baseline
-	// arm when measuring what splicing saves.
-	NoFuncCache bool
 	// RebuildTimeout bounds one Sched.Rebuild end to end via context
 	// cancellation through the worker pool, so a pathological fragment
 	// cannot hang a fuzzing campaign. When it expires the rebuild returns
@@ -74,10 +69,10 @@ type Options struct {
 	// telemetry counting the fallback.
 	CacheDir string
 	// SnapshotPath, when non-empty, names the engine state snapshot file:
-	// New restores matching state from it (fingerprints, function metadata,
-	// quarantined passes, deferred fragments, supervisor breaker state) and
-	// Close — plus Supervisor.Drain — atomically rewrites it. A corrupt or
-	// mismatched snapshot degrades to a cold start.
+	// New restores matching state from it (fingerprints, quarantined passes,
+	// deferred fragments, supervisor breaker state) and Close — plus
+	// Supervisor.Drain — atomically rewrites it. A corrupt or mismatched
+	// snapshot degrades to a cold start.
 	SnapshotPath string
 	// CacheReadOnly opens the persistent tier in read-only mode: the store
 	// never attempts the writer flock (so it cannot steal it from a live
@@ -123,28 +118,16 @@ type FragCompile struct {
 	// WarmHit records that the in-memory cache missed but the persistent
 	// store served a verified object for the same content hash and compile
 	// configuration — the warm-start path. Like a cache hit, Opt and
-	// CodeGen were skipped; unlike one, the object (and its function
-	// metadata) was installed fresh from disk.
+	// CodeGen were skipped; unlike one, the object was installed fresh from
+	// disk.
 	WarmHit bool `json:"warm_hit,omitempty"`
 	// FuncsTotal counts the fragment's defined member functions this
-	// rebuild; FuncsCompiled is how many actually ran the middle and back
-	// end, and FuncCacheHits is how many were served from cached machine
-	// code (FuncsTotal on a fragment-level cache hit). FuncsCompiled +
-	// FuncCacheHits can fall short of FuncsTotal only when dead functions
-	// were swept from the object.
+	// rebuild. The fragment is the unit of recompilation, so either all of
+	// them ran the middle and back end (FuncsCompiled) or all were served
+	// from a cached object (FuncCacheHits); a deferral counts neither.
 	FuncsTotal    int `json:"funcs_total,omitempty"`
 	FuncsCompiled int `json:"funcs_compiled,omitempty"`
 	FuncCacheHits int `json:"func_cache_hits,omitempty"`
-	// Spliced records that the object was assembled by the function-granular
-	// path: dirty functions freshly compiled, clean functions' machine code
-	// reused from the cached object. SpliceFallback records that a splice
-	// was attempted but failed, and the whole-fragment path ran instead;
-	// SpliceFallbackReason says where: "nothing-reusable" (every function
-	// was dirty), "materialize", "opt:<pass>", "codegen", or
-	// "splice:<class>" when the assembled object was refused.
-	Spliced              bool   `json:"spliced,omitempty"`
-	SpliceFallback       bool   `json:"splice_fallback,omitempty"`
-	SpliceFallbackReason string `json:"splice_fallback_reason,omitempty"`
 	// Level is the optimization level the committed object was compiled
 	// at; below Options.OptLevel it reflects the degradation ladder.
 	Level int `json:"level"`
@@ -192,13 +175,13 @@ type RebuildStats struct {
 	// scheduled and are retried on the next rebuild.
 	Deferred      int   `json:"deferred"`
 	DeferredFrags []int `json:"deferred_frags,omitempty"`
-	// FuncCacheHits and FuncsCompiled aggregate the per-fragment
-	// function-granular counters: member functions served from cached
-	// machine code vs. actually recompiled. Spliced counts fragments
-	// assembled by the splice path; SpliceFallbacks counts splice attempts
-	// that failed and fell back to a whole-fragment compile.
-	FuncCacheHits   int `json:"func_cache_hits"`
-	FuncsCompiled   int `json:"funcs_compiled"`
+	// FuncCacheHits and FuncsCompiled aggregate the per-fragment counters:
+	// member functions served from cached objects vs. actually recompiled.
+	FuncCacheHits int `json:"func_cache_hits"`
+	FuncsCompiled int `json:"funcs_compiled"`
+	// Spliced and SpliceFallbacks are always zero. They counted a
+	// function-granular splice path that no longer exists; the fields stay
+	// so that readers built against them keep compiling and report zero.
 	Spliced         int `json:"spliced"`
 	SpliceFallbacks int `json:"splice_fallbacks,omitempty"`
 	// Workers is the compile-pool size used for this rebuild.
@@ -227,12 +210,6 @@ func (st *RebuildStats) tally(fc *FragCompile) {
 	}
 	st.FuncCacheHits += fc.FuncCacheHits
 	st.FuncsCompiled += fc.FuncsCompiled
-	if fc.Spliced {
-		st.Spliced++
-	}
-	if fc.SpliceFallback {
-		st.SpliceFallbacks++
-	}
 	if fc.Deferred {
 		st.Deferred++
 		st.DeferredFrags = append(st.DeferredFrags, fc.FragID)
@@ -256,10 +233,10 @@ func (st *RebuildStats) SerialEquivalent() time.Duration {
 }
 
 // fragState is everything the engine keeps per fragment: the machine-code
-// cache entry of Figure 5 and, beside it, what the splice and the degradation
-// ladder need to know about it. A compile copies its fragment's record once;
-// finish commits every staged result in one critical section; the state
-// snapshot saves and restores the same fields.
+// cache entry of Figure 5 and, beside it, what the degradation ladder needs
+// to know about it. A compile copies its fragment's record once; finish
+// commits every staged result in one critical section; the state snapshot
+// saves and restores the same fields.
 type fragState struct {
 	// obj is the cached object; nil until the fragment's first build.
 	obj *obj.Object
@@ -267,10 +244,6 @@ type fragState struct {
 	// hashKnown is false before the first build and after InvalidateCache.
 	hash      uint64
 	hashKnown bool
-	// meta is obj's function-granular metadata (per-function deep hashes +
-	// compile level), present only when a clean compile at the configured
-	// level produced obj — the splice path's eligibility bar.
-	meta *fragMeta
 	// quarantine holds the optimizer passes that made this fragment's
 	// compile fail; later rebuilds skip them (degradation ladder, step 3).
 	// The map is replaced, never mutated, so a copied record reads it
@@ -291,12 +264,6 @@ func (st *fragState) commit(o *fragOut) {
 		return
 	}
 	st.obj, st.hash, st.hashKnown, st.deferred = o.obj, o.hash, true, false
-	// A clean compile, splice or warm load brings fresh metadata; a degraded
-	// object is no splice donor (nil); a cache hit left the object, and so
-	// its metadata, as they were.
-	if !o.fc.CacheHit {
-		st.meta = o.meta
-	}
 }
 
 // Engine is the Odin instrumentation framework instance for one program.
@@ -502,11 +469,7 @@ func (e *Engine) InvalidateCache() {
 	e.allDirty = true
 	e.mu.Lock()
 	for i := range e.frags {
-		// Function-granular metadata keys off the same fingerprints;
-		// dropping it forces whole-fragment recompiles (no splicing against
-		// stale hashes).
 		e.frags[i].hashKnown = false
-		e.frags[i].meta = nil
 	}
 	// The persistent tier would defeat the invalidation — the evicted
 	// objects are still on disk under unchanged keys — so warm loads are

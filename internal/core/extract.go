@@ -6,21 +6,13 @@ import (
 	"odin/internal/ir"
 )
 
-// materializeSubset builds the compilable module for one fragment (the
-// "Split" stage of Figure 7): member definitions are cloned from the
-// instrumented temporary IR, copy-on-use symbols are cloned locally as
-// internal symbols, and everything else referenced becomes an import
-// declaration. Symbol visibility follows the plan's internalization decision
-// (§3.2 step 4).
-//
-// only, when non-nil, is the function-granular splice path's lazy
-// materialization: member functions outside the set are not cloned at all —
-// addMissingDecls imports them by name wherever referenced — and member
-// aliases are omitted (the splice rebuilds AliasSyms from the plan, and DAE's
-// alias gating travels via opt.Options.KeepArgs instead). Globals are always
-// cloned: they are cheap byte copies and local passes read their
-// initializers. All cloning draws from arena (nil falls back to the heap).
-func (e *Engine) materializeSubset(frag *Fragment, temp *ir.Module, only map[string]bool, arena *ir.CloneArena) (*ir.Module, error) {
+// materialize builds the compilable module for one fragment (the "Split"
+// stage of Figure 7): member definitions are cloned from the instrumented
+// temporary IR, copy-on-use symbols are cloned locally as internal symbols,
+// and everything else referenced becomes an import declaration. Symbol
+// visibility follows the plan's internalization decision (§3.2 step 4). All
+// cloning draws from arena (nil falls back to the heap).
+func (e *Engine) materialize(frag *Fragment, temp *ir.Module, arena *ir.CloneArena) (*ir.Module, error) {
 	fm := ir.NewModule(fmt.Sprintf("%s.frag%d", e.Pristine.Name, frag.ID))
 	vmap := arena.ValueMap()
 	linkFor := func(name string) ir.Linkage {
@@ -55,7 +47,7 @@ func (e *Engine) materializeSubset(frag *Fragment, temp *ir.Module, only map[str
 	var fns []*ir.Func
 	for _, s := range frag.Members {
 		f := temp.LookupFunc(s)
-		if f == nil || f.IsDecl() || (only != nil && !only[s]) {
+		if f == nil || f.IsDecl() {
 			continue
 		}
 		nf := ir.CloneFuncInto(nil, f, s, vmap)
@@ -80,11 +72,9 @@ func (e *Engine) materializeSubset(frag *Fragment, temp *ir.Module, only map[str
 	// Member aliases, via the engine's prebuilt name→alias index. The
 	// aliasee is a member of the same fragment by the innate clustering, so
 	// the alias remains definable.
-	if only == nil {
-		for _, s := range frag.Members {
-			if a := e.aliasByName[s]; a != nil {
-				fm.AddAlias(&ir.Alias{Name: s, Target: a.Target, Linkage: linkFor(s)})
-			}
+	for _, s := range frag.Members {
+		if a := e.aliasByName[s]; a != nil {
+			fm.AddAlias(&ir.Alias{Name: s, Target: a.Target, Linkage: linkFor(s)})
 		}
 	}
 

@@ -45,9 +45,9 @@ func faultEngine(t *testing.T, n, workers int) (*Engine, *hookBox, int64) {
 	return e, box, ref
 }
 
-// engineSnap captures the engine's committed state by identity: objects,
-// function metadata and executables are immutable after construction, so
-// pointer equality is byte-identity.
+// engineSnap captures the engine's committed state by identity: objects and
+// executables are immutable after construction, so pointer equality is
+// byte-identity.
 type engineSnap struct {
 	frags []fragState
 	exe   *link.Executable
@@ -61,8 +61,7 @@ func snapEngine(e *Engine) engineSnap {
 func cachedObjects(e *Engine) int { return e.Snapshot().CachedObjects }
 
 // requireUnchanged asserts a failed rebuild left the image and every
-// fragment's record — object, fingerprint, function metadata, deferral —
-// exactly as they were.
+// fragment's record — object, fingerprint, deferral — exactly as they were.
 func (s engineSnap) requireUnchanged(t *testing.T, e *Engine, when string) {
 	t.Helper()
 	if e.exe != s.exe {
@@ -71,7 +70,7 @@ func (s engineSnap) requireUnchanged(t *testing.T, e *Engine, when string) {
 	for id, was := range s.frags {
 		now := e.frags[id]
 		if now.obj != was.obj || now.hash != was.hash || now.hashKnown != was.hashKnown ||
-			now.meta != was.meta || now.deferred != was.deferred {
+			now.deferred != was.deferred {
 			t.Fatalf("%s: fragment %d record changed: %+v -> %+v", when, id, was, now)
 		}
 	}
@@ -159,6 +158,22 @@ func TestFaultEverySiteNoCorruption(t *testing.T) {
 			}
 			if r, rerr := vmRun(e.Executable(), "main", 7); rerr != nil || r != ref {
 				t.Fatalf("recovered image wrong: main(7) = %d, %v, want %d", r, rerr, ref)
+			}
+		})
+
+		t.Run("codegen:<func>/"+string(kind), func(t *testing.T) {
+			e, box, ref := faultEngine(t, 8, 4)
+			box.fn = faultinject.New(42).Arm(faultinject.Rule{Site: "codegen:f3", Kind: kind, Rate: 1}).At
+			e.InvalidateCache()
+			_, st, err := e.BuildAll()
+			if err != nil {
+				t.Fatalf("per-function codegen fault must defer its fragment, not fail: %v", err)
+			}
+			if want := e.Plan.FragOf["f3"]; len(st.DeferredFrags) != 1 || st.DeferredFrags[0] != want {
+				t.Fatalf("deferred %v, want only @f3's fragment %d", st.DeferredFrags, want)
+			}
+			if r, rerr := vmRun(e.Executable(), "main", 7); rerr != nil || r != ref {
+				t.Fatalf("deferred image wrong: main(7) = %d, %v, want %d", r, rerr, ref)
 			}
 		})
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"odin/internal/faultinject"
+	"odin/internal/ir"
 	"odin/internal/irtext"
 	"odin/internal/persist"
 	"odin/internal/telemetry"
@@ -83,6 +84,73 @@ func TestWarmStartByteIdentity(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("warm main(3) = %d, cold = %d", got, want)
+	}
+}
+
+// TestWarmStartIgnoresFuncHashes: store entries and snapshots written by
+// earlier versions carry per-function hashes (Entry.FuncHashes,
+// EngineState.FuncMeta). Written that way, they still warm-start every
+// fragment from disk to the cold image, and the snapshot the engine writes
+// back carries none.
+func TestWarmStartIgnoresFuncHashes(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "engine.snap")
+	cold := persistEngine(t, 6, Options{})
+	exeCold, _, err := cold.BuildAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := cold.opts.persistOptions()
+	store, err := persist.Open(dir, po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cold.buildState()
+	st.ModuleHash, _ = moduleFingerprint(cold.Pristine)
+	st.FuncMeta = map[int]persist.FuncMeta{}
+	for id, fs := range cold.frags {
+		hashes := map[string]uint64{}
+		for _, s := range cold.Plan.Fragments[id].Members {
+			if f := cold.Pristine.LookupFunc(s); f != nil && !f.IsDecl() {
+				hashes[s] = ir.FingerprintSym(f)
+			}
+		}
+		level := cold.opts.OptLevel
+		if err := store.Put(cold.persistKey(fs.hash), &persist.Entry{Object: fs.obj, Level: level, FuncHashes: hashes}); err != nil {
+			t.Fatal(err)
+		}
+		st.FuncMeta[id] = persist.FuncMeta{Level: level, FuncHashes: hashes}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.SaveState(snap, st, po); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := persistEngine(t, 6, Options{CacheDir: dir, SnapshotPath: snap})
+	if !warm.SnapshotRestored() {
+		t.Fatal("snapshot with function metadata not restored")
+	}
+	exeWarm, stWarm, err := warm.BuildAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stWarm.WarmHits != len(warm.Plan.Fragments) {
+		t.Fatalf("warm build: %d warm hits, want all %d fragments", stWarm.WarmHits, len(warm.Plan.Fragments))
+	}
+	if !reflect.DeepEqual(exeWarm.Funcs, exeCold.Funcs) || !reflect.DeepEqual(exeWarm.Data, exeCold.Data) {
+		t.Fatal("warm image not byte-identical to cold image")
+	}
+	if err := warm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := persist.LoadState(snap, po)
+	if err != nil || back == nil {
+		t.Fatalf("reload snapshot: %v", err)
+	}
+	if len(back.FuncMeta) != 0 {
+		t.Fatalf("engine wrote function metadata for %d fragments", len(back.FuncMeta))
 	}
 }
 

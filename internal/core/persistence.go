@@ -8,9 +8,11 @@ package core
 // persistent store (a warm hit skips materialize+opt+codegen but still links
 // and commits normally), then compiles cold. Only artifacts a clean compile
 // produced at the configured level are ever persisted — degraded, deferred,
-// and quarantined objects never reach disk, the persistent mirror of
-// "degraded objects never donate" — so a warm-served object is always
-// byte-identical to what the cold pipeline would produce. Every persistence
+// and quarantined objects never reach disk — so a warm-served object is
+// always byte-identical to what the cold pipeline would produce. Entries and
+// snapshots written by earlier versions may carry per-function hashes
+// (persist.Entry.FuncHashes, EngineState.FuncMeta); the engine ignores them
+// and writes them empty. Every persistence
 // failure, from a missing directory to a bit-flipped entry to an injected
 // persist:* fault, degrades to a counted cold compile; the rebuild pipeline
 // never sees an error from this layer.
@@ -191,10 +193,10 @@ func (e *Engine) openPersistence(moduleHash uint64, pm *persist.Metrics, st *per
 }
 
 // applySnapshot restores engine state from a preloaded, identity-checked
-// snapshot: per fragment the committed fingerprint and function metadata
-// (effective once the object warm-loads from the store), quarantined passes
-// and deferral; the verified-clean function hashes; and the supervisor state
-// held for the next Supervise call.
+// snapshot: per fragment the committed fingerprint (effective once the
+// object warm-loads from the store), quarantined passes and deferral; the
+// verified-clean function hashes; and the supervisor state held for the next
+// Supervise call.
 func (e *Engine) applySnapshot(st *persist.EngineState) {
 	if st.Fragments != len(e.frags) {
 		// The identity fields matched but the partition disagrees — only
@@ -207,9 +209,6 @@ func (e *Engine) applySnapshot(st *persist.EngineState) {
 	for id := range e.frags {
 		fs := &e.frags[id]
 		fs.hash, fs.hashKnown = st.Hashes[id]
-		if fm, ok := st.FuncMeta[id]; ok && fm.FuncHashes != nil {
-			fs.meta = &fragMeta{level: fm.Level, funcHashes: fm.FuncHashes}
-		}
 		if passes := st.Quarantine[id]; len(passes) > 0 {
 			fs.quarantine = make(map[string]bool, len(passes))
 			for _, p := range passes {
@@ -258,19 +257,15 @@ func (e *Engine) loadPersisted(hash uint64) *persist.Entry {
 	return ent
 }
 
-// persistCommit publishes one committed fragment result to the disk tier.
-// Only fresh clean compiles carry meta; warm hits are already on disk, and
-// degraded, deferred, and cache-hit results are never persisted. Failures
-// are the store's to count — commit never fails on persistence.
+// persistCommit publishes one committed fragment result to the disk tier:
+// fresh, clean, not deferred. Cache and warm hits are already stored, and
+// degraded or deferred results are never persisted. Failures are the store's
+// to count — commit never fails on persistence.
 func (e *Engine) persistCommit(o *fragOut) {
-	if e.store == nil || o.deferred || o.meta == nil || o.fc.WarmHit {
+	if e.store == nil || o.deferred || o.fc.CacheHit || o.fc.WarmHit || o.fc.Degraded {
 		return
 	}
-	_ = e.store.Put(e.persistKey(o.hash), &persist.Entry{
-		Object:     o.obj,
-		Level:      o.meta.level,
-		FuncHashes: o.meta.funcHashes,
-	})
+	_ = e.store.Put(e.persistKey(o.hash), &persist.Entry{Object: o.obj, Level: o.fc.Level})
 }
 
 // buildState captures the engine's persistable state under the engine lock.
@@ -282,7 +277,6 @@ func (e *Engine) buildState() *persist.EngineState {
 		VerifyTier:    int(e.opts.Verify),
 		Fragments:     len(e.frags),
 		Hashes:        make(map[int]uint64, len(e.frags)),
-		FuncMeta:      make(map[int]persist.FuncMeta, len(e.frags)),
 		Survey:        surveyFromClassification(e.Plan.Class),
 		VerifiedFuncs: e.verified.newest(),
 	}
@@ -292,9 +286,6 @@ func (e *Engine) buildState() *persist.EngineState {
 		fs := &e.frags[id]
 		if fs.hashKnown {
 			st.Hashes[id] = fs.hash
-		}
-		if fs.meta != nil {
-			st.FuncMeta[id] = persist.FuncMeta{Level: fs.meta.level, FuncHashes: fs.meta.funcHashes}
 		}
 		if len(fs.quarantine) > 0 {
 			if st.Quarantine == nil {

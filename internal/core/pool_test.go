@@ -334,83 +334,6 @@ func TestAffectedFragmentsFastPath(t *testing.T) {
 	}
 }
 
-// TestPoolSpliceDeterminism: function-granular splicing must be oblivious to
-// pool parallelism. Toggling one probe in each of eight multi-function
-// COMDAT fragments yields identical per-fragment splice stats (in fragment-ID
-// order), identical cumulative telemetry, and an identical linked image
-// whether the splices run serially or on eight workers.
-func TestPoolSpliceDeterminism(t *testing.T) {
-	src := spliceGroupsSrc(8)
-	run := func(workers int) (*Engine, *RebuildStats, *telemetry.Registry) {
-		reg := telemetry.NewRegistry()
-		m := irtext.MustParse("m", src)
-		e, err := New(m, Options{Variant: VariantOdin, Workers: workers, Telemetry: reg, ExtraBuiltins: []string{"__test_hit"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := e.BuildAll(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 8; i++ {
-			fn := fmt.Sprintf("g%da", i)
-			f := e.Pristine.LookupFunc(fn)
-			e.Manager.Add(&hookProbe{fnName: fn, block: f.Blocks[0], id: int64(i)})
-		}
-		sched, err := e.Schedule()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, stats, err := sched.Rebuild()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, stats, reg
-	}
-	e1, st1, _ := run(1)
-	e8, st8, reg8 := run(8)
-
-	if st1.Spliced != 8 || st8.Spliced != 8 {
-		t.Fatalf("spliced fragments = %d / %d, want 8 / 8", st1.Spliced, st8.Spliced)
-	}
-	if len(st1.Fragments) != 8 || len(st8.Fragments) != 8 {
-		t.Fatalf("rebuilt %d / %d fragments, want the 8 probed groups", len(st1.Fragments), len(st8.Fragments))
-	}
-	for i := range st1.Fragments {
-		a, b := st1.Fragments[i], st8.Fragments[i]
-		if a.FragID != b.FragID {
-			t.Fatalf("fragment order differs at %d: %d vs %d", i, a.FragID, b.FragID)
-		}
-		if !a.Spliced || a.FuncsCompiled != 1 || a.FuncCacheHits != 2 {
-			t.Fatalf("serial fragment %d not a 1-of-3 splice: %+v", a.FragID, a)
-		}
-		if b.Spliced != a.Spliced || b.FuncsCompiled != a.FuncsCompiled || b.FuncCacheHits != a.FuncCacheHits {
-			t.Fatalf("splice stats differ for fragment %d: %+v vs %+v", a.FragID, a, b)
-		}
-	}
-	x1, x8 := e1.Executable(), e8.Executable()
-	if !reflect.DeepEqual(x1.Funcs, x8.Funcs) {
-		t.Fatal("spliced image differs between Workers=1 and Workers=8")
-	}
-
-	// Cumulative telemetry on the parallel engine: the initial build compiles
-	// every defined function (8 groups x 3 + main), the rebuild splices 8
-	// functions fresh and serves 16 from cached code.
-	want := map[string]int64{
-		MetricFuncCompiles:  25 + 8,
-		MetricFuncCacheHits: 16,
-		MetricSplices:       8,
-	}
-	got := map[string]int64{}
-	for _, sm := range reg8.Snapshot() {
-		got[sm.Name] = sm.Value
-	}
-	for name, w := range want {
-		if got[name] != w {
-			t.Fatalf("%s = %d, want %d", name, got[name], w)
-		}
-	}
-}
-
 // TestCommitIsOneGeneration: a reader polling the engine during
 // multi-fragment rebuilds sees whole generations only. Every fragment of the
 // first build appears together with its image and its rebuild count — never

@@ -142,6 +142,31 @@ func extractIR(pristine *ir.Module, set map[string]bool) (*ir.Module, *ir.ValueM
 	return temp, vmap, nil
 }
 
+// tempHashes maps every symbol defined in a rebuild's temporary IR to its
+// streaming content fingerprint. It is computed once per rebuild (serially,
+// before the compile pool fans out) and read concurrently by workers.
+type tempHashes map[string]uint64
+
+// computeTempHashes fingerprints every defined symbol of the instrumented
+// temporary module.
+func computeTempHashes(temp *ir.Module) tempHashes {
+	th := make(tempHashes, len(temp.Funcs)+len(temp.Globals)+len(temp.Aliases))
+	for _, g := range temp.Globals {
+		if !g.Decl {
+			th[g.Name] = ir.FingerprintSym(g)
+		}
+	}
+	for _, a := range temp.Aliases {
+		th[a.Name] = ir.FingerprintSym(a)
+	}
+	for _, f := range temp.Funcs {
+		if !f.IsDecl() {
+			th[f.Name] = ir.FingerprintSym(f)
+		}
+	}
+	return th
+}
+
 // Map translates a value of the pristine module (a probe's stored reference)
 // into the corresponding value of the temporary IR.
 func (s *Sched) Map(v ir.Value) ir.Value { return s.vmap.MapValue(v) }
@@ -237,10 +262,9 @@ func (s *Sched) finish() (*link.Executable, *RebuildStats, error) {
 
 	// Fingerprint every defined symbol of the instrumented temporary IR
 	// once, serially: the per-symbol hashes fold into each fragment's cache
-	// key and drive the function-granular splice decisions, and sharing one
-	// table means no worker ever re-hashes a symbol. Hashing runs before
-	// verification so the verifier can skip functions whose hash was
-	// already verified clean in an earlier rebuild.
+	// key, and sharing one table means no worker ever re-hashes a symbol.
+	// Hashing runs before verification so the verifier can skip functions
+	// whose hash was already verified clean in an earlier rebuild.
 	fp := root.Child("fingerprint")
 	th := e.pristineHashes
 	if s.Temp != e.Pristine || th == nil {

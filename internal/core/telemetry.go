@@ -19,10 +19,7 @@ const (
 	MetricFragCompiles    = "odin_fragment_compiles_total"
 	MetricCacheHits       = "odin_fragment_cache_hits_total"
 	MetricCacheMisses     = "odin_fragment_cache_misses_total"
-	MetricFuncCacheHits   = "odin_func_cache_hits_total"
 	MetricFuncCompiles    = "odin_func_compiles_total"
-	MetricSplices         = "odin_fragment_splices_total"
-	MetricSpliceFallbacks = "odin_fragment_splice_fallbacks_total"
 	MetricDegraded        = "odin_fragment_degraded_total"
 	MetricQuarantined     = "odin_passes_quarantined_total"
 	MetricDeferred        = "odin_fragment_deferred_total"
@@ -118,10 +115,7 @@ type engineMetrics struct {
 	fragCompiles    *telemetry.Counter
 	cacheHits       *telemetry.Counter
 	cacheMisses     *telemetry.Counter
-	funcCacheHits   *telemetry.Counter
 	funcCompiles    *telemetry.Counter
-	splices         *telemetry.Counter
-	spliceFallbacks *telemetry.Counter
 	degraded        *telemetry.Counter
 	quarantined     *telemetry.Counter
 	deferred        *telemetry.Counter
@@ -156,10 +150,7 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 	reg.Describe(MetricFragCompiles, "Fragment compilations committed, including cache hits.")
 	reg.Describe(MetricCacheHits, "Fragment compiles satisfied by the content-hash cache.")
 	reg.Describe(MetricCacheMisses, "Fragment compiles that ran the middle and back end.")
-	reg.Describe(MetricFuncCacheHits, "Member functions served from cached machine code (function-granular cache).")
 	reg.Describe(MetricFuncCompiles, "Member functions that ran the middle and back end.")
-	reg.Describe(MetricSplices, "Fragment objects assembled by splicing cached and fresh function code.")
-	reg.Describe(MetricSpliceFallbacks, "Splice attempts that failed and fell back to a whole-fragment compile.")
 	reg.Describe(MetricDegraded, "Fragments compiled below the configured level by the degradation ladder.")
 	reg.Describe(MetricQuarantined, "Optimizer passes newly quarantined after causing a fragment failure.")
 	reg.Describe(MetricDeferred, "Fragments served from their last-good object with the probe change deferred.")
@@ -182,10 +173,7 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 		fragCompiles:    reg.Counter(MetricFragCompiles),
 		cacheHits:       reg.Counter(MetricCacheHits),
 		cacheMisses:     reg.Counter(MetricCacheMisses),
-		funcCacheHits:   reg.Counter(MetricFuncCacheHits),
 		funcCompiles:    reg.Counter(MetricFuncCompiles),
-		splices:         reg.Counter(MetricSplices),
-		spliceFallbacks: reg.Counter(MetricSpliceFallbacks),
 		degraded:        reg.Counter(MetricDegraded),
 		quarantined:     reg.Counter(MetricQuarantined),
 		deferred:        reg.Counter(MetricDeferred),
@@ -301,10 +289,7 @@ func (e *Engine) recordRebuild(root *telemetry.Span, st *RebuildStats) {
 	e.metrics.fragCompiles.Add(uint64(len(st.Fragments)))
 	e.metrics.cacheHits.Add(uint64(st.CacheHits))
 	e.metrics.cacheMisses.Add(uint64(len(st.Fragments) - st.CacheHits))
-	e.metrics.funcCacheHits.Add(uint64(st.FuncCacheHits))
 	e.metrics.funcCompiles.Add(uint64(st.FuncsCompiled))
-	e.metrics.splices.Add(uint64(st.Spliced))
-	e.metrics.spliceFallbacks.Add(uint64(st.SpliceFallbacks))
 	e.metrics.degraded.Add(uint64(st.Degraded))
 	e.metrics.quarantined.Add(uint64(st.Quarantined))
 	e.metrics.deferred.Add(uint64(st.Deferred))
@@ -342,15 +327,6 @@ func observeFragSpan(fs *telemetry.Span, out *fragOut) {
 	}
 	if out.fc.WarmHit {
 		fs.SetAttr("warm_hit", "true")
-	}
-	if out.fc.Spliced {
-		fs.SetAttr("spliced", "true")
-		fs.SetAttrInt("funcs_compiled", int64(out.fc.FuncsCompiled))
-		fs.SetAttrInt("func_cache_hits", int64(out.fc.FuncCacheHits))
-	}
-	if out.fc.SpliceFallback {
-		fs.SetAttr("splice_fallback", "true")
-		fs.SetAttr("splice_fallback_reason", out.fc.SpliceFallbackReason)
 	}
 	if out.fc.Degraded {
 		fs.SetAttr("degraded", "true")

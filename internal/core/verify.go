@@ -18,7 +18,7 @@ import (
 //     dominance-based SSA and full type checking) of the instrumented
 //     temporary IR and of every fragment module after its optimization
 //     pipeline. Per-function results are remembered by ir.FingerprintSym
-//     content hash (verifiedTable), so the steady-state probe-toggle loop
+//     content hash (verifiedTable), so a steady-state probe toggle loop
 //     re-verifies only the functions that actually changed.
 //   - VerifyAll: everything above plus strict verification after every
 //     optimizer pass; a violation becomes a *opt.PassError naming the

@@ -189,7 +189,7 @@ func TestVerifiedTableTwoGenerations(t *testing.T) {
 // one new body each; from the third on every function of every rebuild is a
 // hit, and nothing is verified again.
 func TestVerifiedTableToggleSteadyState(t *testing.T) {
-	e := spliceEngine(t, spliceGroupSrc, Options{Variant: VariantOdin, Workers: 1, Verify: VerifyBoundaries})
+	e := hookEngine(t, groupSrc, Options{Variant: VariantOdin, Workers: 1, Verify: VerifyBoundaries})
 	if _, _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}

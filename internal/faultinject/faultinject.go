@@ -15,9 +15,7 @@
 //	                     that corrupts the module here is caught by the
 //	                     verifier and attributed to <pass>
 //	codegen:module       before lowering a fragment module
-//	codegen:<func>       before lowering one function — a fault here during
-//	                     a function-granular splice aborts the splice and
-//	                     falls back to a whole-fragment rebuild
+//	codegen:<func>       before lowering one function of a fragment module
 //	link:incremental     before an incremental relink
 //	link:full            before a from-scratch link
 //	supervisor:commit    before a supervisor rebuild generation schedules

@@ -61,7 +61,7 @@ func VerifySymbols(m *Module) (err error) {
 	}()
 	// Duplicate names across the symbol slices: Lookup resolves through the
 	// registration map and silently shadows a slice-level duplicate, which
-	// can mask a splice-donor mixup — reject them here.
+	// can mask two definitions of one symbol — reject them here.
 	names := make(map[string]string, len(m.Funcs)+len(m.Globals)+len(m.Aliases))
 	dup := func(kind, name string) *VerifyError {
 		if prev, ok := names[name]; ok {

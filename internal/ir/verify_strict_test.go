@@ -346,9 +346,9 @@ func TestVerifyFuncBinopArity(t *testing.T) {
 }
 
 // TestVerifyDuplicateSymbols pins the duplicate-name rejection: appending a
-// second symbol with an existing name directly to the exported slices (the
-// splice-donor mixup shape — Module.register would panic, slice appends do
-// not) must fail verification.
+// second symbol with an existing name directly to the exported slices
+// (Module.register would panic, slice appends do not) must fail
+// verification.
 func TestVerifyDuplicateSymbols(t *testing.T) {
 	build := func() (*Module, *Func) {
 		m := NewModule("dup_test")

@@ -39,7 +39,7 @@ func (DeadArgElim) Run(m *ir.Module, o *Options) bool {
 		if f.IsDecl() || f.Linkage != ir.Internal || len(f.Params) == 0 {
 			continue
 		}
-		if aliasTargets[f.Name] || addressTaken[f.Name] || (o != nil && o.KeepArgs[f.Name]) {
+		if aliasTargets[f.Name] || addressTaken[f.Name] {
 			continue
 		}
 		dead := deadParams(f)

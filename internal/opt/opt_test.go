@@ -491,8 +491,8 @@ alias @visible = @hidden
 	}
 }
 
-func TestSkipGlobalDCE(t *testing.T) {
-	src := `
+func TestGlobalDCERemovesOrphans(t *testing.T) {
+	m := irtext.MustParse("m", `
 func @orphan() -> i64 internal noinline {
 entry:
   ret i64 1
@@ -501,15 +501,9 @@ func @main() -> i64 {
 entry:
   ret i64 0
 }
-`
-	m := irtext.MustParse("m", src)
-	Optimize(m, &Options{Level: 2, SkipGlobalDCE: true})
-	if m.LookupFunc("orphan") == nil {
-		t.Fatal("SkipGlobalDCE did not keep orphan")
-	}
-	m2 := irtext.MustParse("m", src)
-	Optimize(m2, &Options{Level: 2})
-	if m2.LookupFunc("orphan") != nil {
+`)
+	Optimize(m, &Options{Level: 2})
+	if m.LookupFunc("orphan") != nil {
 		t.Fatal("global DCE kept orphan")
 	}
 }

@@ -82,20 +82,6 @@ type Options struct {
 	Report *Report
 	// MaxInlineInstrs overrides the inliner size threshold (0 = default).
 	MaxInlineInstrs int
-	// SkipGlobalDCE keeps unreferenced internal symbols. Odin's fragment
-	// recompilations do NOT need it — a member another fragment imports
-	// is exported and therefore a global-DCE root — but tools that want
-	// to preserve dead internal code (e.g. to instrument it later without
-	// a repartition) can set it.
-	SkipGlobalDCE bool
-	// KeepArgs names functions dead-argument elimination must leave
-	// untouched. The engine's function-granular splice path compiles a
-	// reduced fragment module in which hash-clean sibling definitions are
-	// absent; DAE's address-taken and alias-target gating is module-wide, so
-	// the engine passes the set computed over the whole fragment to make the
-	// reduced compile take exactly the DAE decisions a whole-fragment
-	// compile would.
-	KeepArgs map[string]bool
 	// Quarantine names passes the pipeline must skip. The rebuild
 	// supervisor quarantines a pass for a fragment after it caused that
 	// fragment's compile to fail, so later rebuilds degrade around it
@@ -224,10 +210,8 @@ func OptimizeChecked(m *ir.Module, o *Options) error {
 				break
 			}
 		}
-		if !o.SkipGlobalDCE {
-			if _, err := runPass(m, o, GlobalDCE{}); err != nil {
-				return err
-			}
+		if _, err := runPass(m, o, GlobalDCE{}); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -16,11 +16,9 @@ import (
 	"odin/internal/obj"
 )
 
-// Entry is one persisted fragment artifact: the compiled object plus the
-// function-granular cache metadata a warm engine needs to keep splicing
-// against it. Degraded or quarantined objects are never persisted (the
-// disk-tier mirror of "degraded objects never donate"), so every entry is a
-// clean compile at its recorded level.
+// Entry is one persisted fragment artifact: the compiled object and the
+// level it was compiled at. Degraded or quarantined objects are never
+// persisted, so every entry is a clean compile at its recorded level.
 type Entry struct {
 	// Key echoes the cache key the entry was stored under; a mismatch on
 	// load means the content-addressed layout was tampered with or a rename
@@ -30,8 +28,9 @@ type Entry struct {
 	Object *obj.Object
 	// Level is the optimization level the object was compiled at.
 	Level int
-	// FuncHashes are the per-function deep hashes (reference-closure folds)
-	// the object's code was compiled from — fragMeta's persisted form.
+	// FuncHashes held per-function hashes for a function-granular cache
+	// that no longer exists. Entries written with them still decode; the
+	// engine neither reads nor writes the field.
 	FuncHashes map[string]uint64
 }
 

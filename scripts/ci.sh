@@ -247,36 +247,33 @@ echo "== persist fault sweep (persist:* sites) =="
 # `odin-bench -experiment faults`.
 go run ./cmd/odin-bench -experiment faults -programs json,sqlite,libxml2 -fault-rounds 2
 
-echo "== allocation budgets (probe-toggle hot loop, steady-state execution) =="
-# The function-granular splice path's steady-state allocation envelope,
-# pinned with testing.AllocsPerRun. Catches an accidental return to
-# whole-fragment cloning long before it shows up as latency. The execution
-# budget does the same for Tool.RunInput with every probe active: a hook
-# call, a run or a rebuild that allocates again shows as allocs per exec.
-go test ./internal/core/ -run TestSpliceAllocBudget
+echo "== allocation budgets (probe toggle hot loop, steady-state execution) =="
+# A single-probe toggle's steady-state allocation envelope, pinned with
+# testing.AllocsPerRun: a clone or side table that starts scaling with the
+# program instead of the fragment shows here long before it shows up as
+# latency. The execution budget does the same for Tool.RunInput with every
+# probe active: a hook call, a run or a rebuild that allocates again shows
+# as allocs per exec.
+go test ./internal/core/ -run TestToggleAllocBudget
 go test ./internal/cov/ -run TestRunInputAllocBudget
 
-echo "== bench regression gate (probe-toggle + verify-overhead + cold-warm + serve-storm + serve-chaos vs committed artifact) =="
-# Compare the current tree's trajectory against the committed BENCH
-# artifact: fail on >15% p50/p99 regression beyond a 2ms absolute floor
-# (machine-jitter immunity), on a shrinking function cache-hit rate, on the
-# structural invariant breaking (a single-function toggle must compile
-# exactly one function), on boundaries-tier verification overhead above its
-# 5% p50 budget, on a warm start falling below its absolute speedup floor
+echo "== bench regression gate (verify-overhead + cold-warm + serve-storm + serve-chaos vs committed artifact) =="
+# Compare the current tree's trajectory against the newest committed BENCH
+# artifact through `make bench-check`, which owns the experiment list: fail
+# on >15% p50/p99 regression beyond a 2ms absolute floor (machine-jitter
+# immunity), on boundaries-tier verification overhead above its 5% p50
+# budget, on a warm start falling below its absolute speedup floor
 # (bench.WarmSpeedupFloor) or losing image byte-identity, on the serve
 # control plane dropping healthy tenants' work / letting a hostile tenant
 # push healthy p99 past bench.ServeIsolationFactor, or on a shard failover
 # (restart or promotion under an injected wedge) dropping a healthy commit
-# or overrunning bench.ChaosFailoverBudgetMS. All experiments run in one
-# invocation so the artifact carries all of them (a missing experiment
-# counts as a regression). Regenerate with `make bench-record` when a
-# deliberate change moves the trajectory. Skipped when no artifact is
-# committed.
+# or overrunning bench.ChaosFailoverBudgetMS. A missing experiment counts as
+# a regression. Regenerate with `make bench-record` when a deliberate change
+# moves the trajectory. Skipped when no artifact is committed.
 bench_artifact="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 || true)"
 if [ -n "$bench_artifact" ]; then
 	echo "comparing against $bench_artifact"
-	go run ./cmd/odin-bench -experiment probe-toggle,verify-overhead,cold-warm,serve-storm,serve-chaos \
-		-toggle-rounds 60 -coldwarm-rounds 5 -bench-compare "$bench_artifact"
+	make bench-check BENCH="$bench_artifact"
 else
 	echo "no BENCH_*.json artifact committed; skipping regression gate"
 fi
