@@ -2,7 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"odin/internal/core"
 	"odin/internal/progen"
@@ -130,40 +133,20 @@ func TestFig10Shape(t *testing.T) {
 		t.Errorf("harfbuzz under MaxPartition only %.3f; expected substantial IPO loss", hb)
 	}
 
+	// Figures 11 and 12 compare single-sample wall-clock fragment compiles,
+	// so one scheduler stall on a loaded box can push a sub-millisecond
+	// fragment past its bound. A program whose first sample breaks a timing
+	// claim is re-measured with each fragment's fastest of three builds, and
+	// only what that re-measure breaks fails the test.
 	s := SummarizeFig10(rows)
-	f11 := Fig11(rows)
-	for _, r := range f11 {
-		if n := r.Normalized[core.VariantOdin]; n <= 0 || n >= 1 {
-			t.Errorf("%s: Odin fragment recompile share %.3f not in (0,1)", r.Program, n)
-		}
-		if r.Normalized[core.VariantMax] > r.Normalized[core.VariantOdin]*1.5 {
-			t.Errorf("%s: Max avg fragment (%.4f) should not exceed Odin (%.4f)",
-				r.Program, r.Normalized[core.VariantMax], r.Normalized[core.VariantOdin])
-		}
-	}
-	f12 := Fig12(rows)
-	for _, r := range f12 {
-		if r.WorstMS[core.VariantOne] >= r.WorstMS[core.VariantOdin] {
+	f11, f12 := Fig11(rows), Fig12(rows)
+	for i, pd := range pds {
+		if len(fig11And12Violations(f11[i], f12[i])) == 0 {
 			continue
 		}
-		// WorstMS is a max over single-sample wall-clock fragment compiles,
-		// so one scheduler stall on a loaded box can push a small fragment
-		// past the whole-program time. Re-measure the program once and only
-		// fail when the violation reproduces.
-		var pd *ProgramData
-		for _, p := range pds {
-			if p.Name == r.Program {
-				pd = p
-			}
-		}
-		again, err := RunFig10([]*ProgramData{pd})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2 := Fig12(again)[0]
-		if r2.WorstMS[core.VariantOne] < r2.WorstMS[core.VariantOdin] {
-			t.Errorf("%s: whole-program compile should bound the worst fragment (%.2fms < %.2fms on re-measure)",
-				r.Program, r2.WorstMS[core.VariantOne], r2.WorstMS[core.VariantOdin])
+		best := bestOfThree(t, pd)
+		for _, v := range fig11And12Violations(Fig11(best)[0], Fig12(best)[0]) {
+			t.Errorf("%s (fastest of three builds per fragment)", v)
 		}
 	}
 	var buf bytes.Buffer
@@ -171,6 +154,75 @@ func TestFig10Shape(t *testing.T) {
 	PrintFig11(&buf, f11)
 	PrintFig12(&buf, f12)
 	t.Logf("\n%s", buf.String())
+}
+
+// fig11And12Violations lists the Figure 11/12 timing claims one program's
+// rows break: Odin's average fragment is a proper share of the whole
+// program, Max's average fragment is not much slower than Odin's, and the
+// whole-program compile bounds Odin's worst fragment.
+func fig11And12Violations(f11 Fig11Row, f12 Fig12Row) []string {
+	var out []string
+	odin, max := f11.Normalized[core.VariantOdin], f11.Normalized[core.VariantMax]
+	if odin <= 0 || odin >= 1 {
+		out = append(out, fmt.Sprintf("%s: Odin fragment recompile share %.3f not in (0,1)", f11.Program, odin))
+	}
+	if max > odin*1.5 {
+		out = append(out, fmt.Sprintf("%s: Max avg fragment (%.4f) should not exceed Odin (%.4f)", f11.Program, max, odin))
+	}
+	if one, worst := f12.WorstMS[core.VariantOne], f12.WorstMS[core.VariantOdin]; one < worst {
+		out = append(out, fmt.Sprintf("%s: whole-program compile should bound the worst fragment (%.2fms < %.2fms)",
+			f12.Program, one, worst))
+	}
+	return out
+}
+
+// bestOfThree builds pd under every variant three times and returns
+// RunFig10-shaped rows whose compile times take each fragment's fastest
+// build: a stall only ever adds time, so the minimum drops it. Rows carry
+// only what Fig11 and Fig12 read.
+func bestOfThree(t *testing.T, pd *ProgramData) []VariantResult {
+	t.Helper()
+	var out []VariantResult
+	var wholeMS float64
+	for _, variant := range AllVariants {
+		best := map[int]time.Duration{}
+		for i := 0; i < 3; i++ {
+			// Start each build on a collected heap so GC assists charged
+			// for earlier builds' garbage do not land in its compile times.
+			runtime.GC()
+			eng, err := core.New(pd.Module, core.Options{Variant: variant, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stats, err := eng.BuildAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fc := range stats.Fragments {
+				if d, ok := best[fc.FragID]; !ok || fc.MiddleBackEnd() < d {
+					best[fc.FragID] = fc.MiddleBackEnd()
+				}
+			}
+		}
+		var sum, worst time.Duration
+		for _, d := range best {
+			sum += d
+			worst = max(worst, d)
+		}
+		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }
+		if variant == core.VariantOne {
+			wholeMS = ms(sum)
+		}
+		out = append(out, VariantResult{
+			Program:     pd.Name,
+			Variant:     variant,
+			Fragments:   len(best),
+			AvgFragMS:   ms(sum) / float64(len(best)),
+			WorstFragMS: ms(worst),
+			WholeMS:     wholeMS,
+		})
+	}
+	return out
 }
 
 func TestFig3Breakdown(t *testing.T) {

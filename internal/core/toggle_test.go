@@ -181,57 +181,59 @@ func TestToggleEqualsCold(t *testing.T) {
 		{"puts", putsSrc, []string{"w2", "w1", "w0"}, 11, "hi\nyo\n"},
 	}
 	for _, tc := range cases {
-		for _, target := range tc.targets {
-			t.Run(tc.name+"/"+target, func(t *testing.T) {
-				opts := Options{Variant: VariantOdin, Workers: 1}
-				e := hookEngine(t, tc.src, opts)
-				if _, _, err := e.BuildAll(); err != nil {
-					t.Fatal(err)
-				}
-				pid := probeOn(t, e, target, 1)
-				_, stats, err := rebuildOnce(e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fc := fragStat(t, e, stats, target); fc.CacheHit || fc.FuncsCompiled != fc.FuncsTotal {
-					t.Fatalf("probed fragment not recompiled whole: %+v", fc)
-				}
-				cold := hookEngine(t, tc.src, opts)
-				probeOn(t, cold, target, 1)
-				if _, _, err := cold.BuildAll(); err != nil {
-					t.Fatal(err)
-				}
-				assertSameImage(t, "probe on vs cold", e, cold)
+		t.Run(tc.name, func(t *testing.T) {
+			for _, target := range tc.targets {
+				t.Run(target, func(t *testing.T) {
+					opts := Options{Variant: VariantOdin, Workers: 1}
+					e := hookEngine(t, tc.src, opts)
+					if _, _, err := e.BuildAll(); err != nil {
+						t.Fatal(err)
+					}
+					pid := probeOn(t, e, target, 1)
+					_, stats, err := rebuildOnce(e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fc := fragStat(t, e, stats, target); fc.CacheHit || fc.FuncsCompiled != fc.FuncsTotal {
+						t.Fatalf("probed fragment not recompiled whole: %+v", fc)
+					}
+					cold := hookEngine(t, tc.src, opts)
+					probeOn(t, cold, target, 1)
+					if _, _, err := cold.BuildAll(); err != nil {
+						t.Fatal(err)
+					}
+					assertSameImage(t, "probe on vs cold", e, cold)
 
-				mach := vm.New(e.Executable())
-				hits := 0
-				mach.Env.Builtins["__test_hit"] = func(env *rt.Env, args []int64) (int64, error) {
-					hits++
-					return 0, nil
-				}
-				if r, err := mach.Run("main", 5); err != nil || r != tc.main5 {
-					t.Fatalf("main(5) = %d, %v; want %d", r, err, tc.main5)
-				}
-				if hits != 1 {
-					t.Fatalf("probe fired %d times, want 1", hits)
-				}
-				if got := mach.Env.Out.String(); got != tc.out {
-					t.Fatalf("main printed %q, want %q", got, tc.out)
-				}
+					mach := vm.New(e.Executable())
+					hits := 0
+					mach.Env.Builtins["__test_hit"] = func(env *rt.Env, args []int64) (int64, error) {
+						hits++
+						return 0, nil
+					}
+					if r, err := mach.Run("main", 5); err != nil || r != tc.main5 {
+						t.Fatalf("main(5) = %d, %v; want %d", r, err, tc.main5)
+					}
+					if hits != 1 {
+						t.Fatalf("probe fired %d times, want 1", hits)
+					}
+					if got := mach.Env.Out.String(); got != tc.out {
+						t.Fatalf("main printed %q, want %q", got, tc.out)
+					}
 
-				if err := e.Manager.Remove(pid); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := rebuildOnce(e); err != nil {
-					t.Fatal(err)
-				}
-				never := hookEngine(t, tc.src, opts)
-				if _, _, err := never.BuildAll(); err != nil {
-					t.Fatal(err)
-				}
-				assertSameImage(t, "probe off vs never probed", e, never)
-			})
-		}
+					if err := e.Manager.Remove(pid); err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := rebuildOnce(e); err != nil {
+						t.Fatal(err)
+					}
+					never := hookEngine(t, tc.src, opts)
+					if _, _, err := never.BuildAll(); err != nil {
+						t.Fatal(err)
+					}
+					assertSameImage(t, "probe off vs never probed", e, never)
+				})
+			}
+		})
 	}
 }
 
