@@ -97,11 +97,10 @@ persist-faults:
 serve-storm:
 	$(GO) run ./cmd/odin-bench -experiment serve-storm
 
-# Shard chaos experiment on its own: kill/wedge a shard mid-storm and
-# measure the self-healing ladder — hot-spare promotion on the replicated
-# arm, warm restart-in-place on the replica-less arm. Fails on any dropped
+# Shard chaos experiment on its own: wedge a shard mid-storm and measure
+# the self-healing ladder's warm restart in place. Fails on any dropped
 # healthy commit or a failover window past the absolute budget. Prints the
-# per-arm table without touching the committed artifact.
+# arm's table without touching the committed artifact.
 serve-chaos:
 	$(GO) run ./cmd/odin-bench -experiment serve-chaos
 

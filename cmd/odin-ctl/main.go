@@ -9,7 +9,7 @@
 //	shards                       list hosted shards
 //	funcs SHARD                  list a shard's instrumentable functions
 //	fleet                        fleet snapshot (per-shard queue/breaker/persist, tenants)
-//	health                       fleet health view: shard state, breaker, spare, failovers
+//	health                       fleet health view: shard state, breaker, failovers
 //	metrics                      aggregated Prometheus exposition
 //	probe-add SHARD FUNC [KIND]  add + activate a probe (kind: counter|poison)
 //	probe-enable SHARD ID        re-enable a removed probe
@@ -162,24 +162,20 @@ func dispatch(c *serve.Client, cmd string, args []string) error {
 }
 
 // printHealth renders the operator-facing fleet health view: one line per
-// shard with the watchdog state, breaker, hot-spare presence, and recovery
-// history, then recent failover events.
+// shard with the watchdog state, breaker, and recovery history, then
+// recent restarts.
 func printHealth(w *os.File, snap serve.FleetSnapshot) error {
 	for _, sh := range snap.Shards {
-		spare := "no-spare"
-		if sh.Replica {
-			spare = "spare-ready"
-		}
 		mode := ""
-		if sh.ReadOnly {
+		if sh.Persist != nil && sh.Persist.ReadOnly {
 			mode = " read-only"
 		}
-		fmt.Fprintf(w, "%-12s %-10s breaker=%-9s queue=%d probes=%d %s%s restarts=%d promotions=%d journal=%d\n",
+		fmt.Fprintf(w, "%-12s %-10s breaker=%-9s queue=%d probes=%d%s restarts=%d journal=%d\n",
 			sh.Name, sh.State, sh.Supervisor.Breaker, sh.Health.QueueDepth,
-			sh.ActiveProbes, spare, mode, sh.Restarts, sh.Promotions, sh.JournalRecords)
+			sh.ActiveProbes, mode, sh.Restarts, sh.JournalRecords)
 		for _, ev := range sh.Failovers {
-			fmt.Fprintf(w, "  %s %.0fms at %s (%s)\n",
-				ev.Kind, ev.DurationMS, time.Unix(ev.At, 0).Format(time.TimeOnly), ev.Cause)
+			fmt.Fprintf(w, "  restart %.0fms at %s (%s)\n",
+				ev.DurationMS, time.Unix(ev.At, 0).Format(time.TimeOnly), ev.Cause)
 		}
 	}
 	return nil

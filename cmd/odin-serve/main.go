@@ -9,8 +9,8 @@
 //	odin-ctl -addr http://127.0.0.1:9180 shards
 //
 // Each shard runs under a health watchdog with a recovery ladder: a wedged
-// engine is restarted in place warm from its snapshot, or — with -replicas
-// N — replaced by a hot-spare replica in one atomic swap. The watchdog
+// engine is restarted in place warm from its snapshot, with backoff, and
+// the shard is marked dead once the restarts fail. The watchdog
 // thresholds are tunable (-watchdog-interval, -gen-deadline,
 // -stuck-queue-age, -restart-attempts) and the -chaos-* flags arm a
 // one-shot injected fault after boot so CI can rehearse a failover against
@@ -69,11 +69,10 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 0, "end-to-end bound for one probe operation (0 = 30s)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for shards to drain")
 	lcCfg := lifecycleCfg{}
-	flag.IntVar(&lcCfg.replicas, "replicas", 0, "hot-spare replicas per shard (promoted on failover)")
 	flag.DurationVar(&lcCfg.interval, "watchdog-interval", 0, "health watchdog sample interval (0 = default 500ms)")
 	flag.DurationVar(&lcCfg.genDeadline, "gen-deadline", 0, "a generation running longer than this wedges the shard (0 = default 60s)")
 	flag.DurationVar(&lcCfg.stuckQueueAge, "stuck-queue-age", 0, "a ticket queued longer than this wedges the shard (0 = default 30s)")
-	flag.IntVar(&lcCfg.restartAttempts, "restart-attempts", 0, "restarts in place before promoting the hot spare (0 = default 2, -1 = promote immediately)")
+	flag.IntVar(&lcCfg.restartAttempts, "restart-attempts", 0, "restarts in place before the shard is marked dead (<= 0 = default 2)")
 	flag.StringVar(&lcCfg.chaosSite, "chaos-site", "", "arm a one-shot injected fault at this site after boot (e.g. supervisor:commit; CI failover rehearsal)")
 	flag.DurationVar(&lcCfg.chaosStall, "chaos-stall", 2*time.Second, "stall duration for the -chaos-site fault")
 	flag.DurationVar(&lcCfg.chaosDelay, "chaos-delay", time.Second, "delay after listen before arming the -chaos-site fault")
@@ -87,7 +86,6 @@ func main() {
 
 // lifecycleCfg carries the shard-lifecycle and chaos-rehearsal flags.
 type lifecycleCfg struct {
-	replicas        int
 	interval        time.Duration
 	genDeadline     time.Duration
 	stuckQueueAge   time.Duration
@@ -109,7 +107,6 @@ func run(shards shardFlags, addr, data string, workers, queueDepth int, tenantRP
 	for i := range shards {
 		shards[i].Workers = workers
 		shards[i].QueueDepth = queueDepth
-		shards[i].Replicas = lcCfg.replicas
 		shards[i].Watchdog = serve.WatchdogOptions{
 			Interval:        lcCfg.interval,
 			GenDeadline:     lcCfg.genDeadline,
@@ -148,9 +145,9 @@ func run(shards shardFlags, addr, data string, workers, queueDepth int, tenantRP
 	}
 	fmt.Fprintf(os.Stderr, "odin-serve: listening on %s\n", bound)
 	if inj != nil {
-		// Arm after the delay, not at boot: the boot builds and replica
-		// seeding must land on a healthy shard so the rehearsal wedges the
-		// serving slot, mirroring a mid-storm failure.
+		// Arm after the delay, not at boot: the boot builds must land on a
+		// healthy shard so the rehearsal wedges the serving slot, mirroring
+		// a mid-storm failure.
 		site, stall, delay := lcCfg.chaosSite, lcCfg.chaosStall, lcCfg.chaosDelay
 		time.AfterFunc(delay, func() {
 			inj.Arm(faultinject.Rule{Site: site, Kind: faultinject.KindStall, Rate: 1, Times: 1})

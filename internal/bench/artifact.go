@@ -45,8 +45,8 @@ type ArtifactMetrics struct {
 	IsolationX     float64 `json:"isolation_x,omitempty"`
 	DroppedHealthy int     `json:"dropped_healthy,omitempty"`
 	// FailoverP99MS is the serve-chaos experiment's headline: the worst
-	// shard-failover unavailability window (begin-swap to end-swap) across
-	// the kill and wedge arms. CI gates it against the absolute
+	// shard-failover unavailability window (begin-swap to end-swap) of the
+	// restart arm. CI gates it against the absolute
 	// ChaosFailoverBudgetMS budget, and DroppedHealthy must stay zero —
 	// failover parks in-flight requests, it never sheds them.
 	FailoverP99MS float64 `json:"failover_p99_ms,omitempty"`
@@ -260,9 +260,9 @@ func CompareArtifacts(ref, cur *Artifact, tolPct, floorMS float64) []string {
 			bad = append(bad, fmt.Sprintf("%s: %d healthy tickets dropped under hostile load (must be 0)",
 				name, c.DroppedHealthy))
 		}
-		// Failover windows are gated absolutely: a shard kill or wedge must
-		// resolve — watchdog detection, drain, warm reboot or spare
-		// promotion, parked-request re-admission — inside the budget.
+		// Failover windows are gated absolutely: a wedged shard's restart —
+		// abandon the wedged slot, warm reboot, ledger replay — must land
+		// inside the budget.
 		if c.FailoverP99MS > ChaosFailoverBudgetMS {
 			bad = append(bad, fmt.Sprintf("%s: failover p99 %.0fms exceeds the %dms budget",
 				name, c.FailoverP99MS, ChaosFailoverBudgetMS))

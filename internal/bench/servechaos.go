@@ -14,17 +14,12 @@ import (
 	"odin/internal/serve"
 )
 
-// The serve-chaos experiment kills shards mid-storm and measures what the
-// self-healing lifecycle does about it. Two arms, each a fresh control
-// plane under healthy tenant load:
-//
-//   - promotion: the shard runs with a hot-spare replica and no restart
-//     budget; a one-shot 2s stall injected at supervisor:commit wedges the
-//     primary past its generation deadline, and the watchdog must promote
-//     the spare.
-//   - restart: the same wedge against a replica-less shard with a restart
-//     budget; the watchdog must restart the engine in place, warm from the
-//     persist snapshot.
+// The serve-chaos experiment wedges a shard mid-storm and measures what the
+// self-healing lifecycle does about it: a fresh one-shard control plane
+// under healthy tenant load, a one-shot 2s stall injected at
+// supervisor:commit that holds the generation past its deadline, and a
+// watchdog that must restart the engine in place, warm from the persist
+// snapshot.
 //
 // The gates are absolute, not drift bands: zero healthy commits dropped
 // (requests caught in the failover window park on the shard gate and
@@ -32,11 +27,11 @@ import (
 // stays under ChaosFailoverBudgetMS.
 
 // ChaosFailoverBudgetMS bounds the failover unavailability window (begin
-// swap to end swap) recorded by either arm. The budget is deliberately
-// generous — it includes a bounded drain of the wedged supervisor plus a
-// warm engine boot — but absolute: a failover that takes longer than this
-// is an outage, whatever the machine.
-const ChaosFailoverBudgetMS = 10_000
+// swap to end swap). A restart never waits on the wedged loop, so the
+// window is a warm engine boot plus the ledger replay; the budget is
+// absolute, and far below the injected stall, so a restart that waits the
+// wedge out fails it whatever the machine.
+const ChaosFailoverBudgetMS = 500
 
 // ChaosStallDefault is the injected commit stall: long enough to blow any
 // sane generation deadline, short enough to keep the experiment quick.
@@ -44,8 +39,7 @@ const ChaosStallDefault = 2 * time.Second
 
 // ServeChaosArm is one arm's outcome.
 type ServeChaosArm struct {
-	// Name is "promotion" or "restart" — which recovery rung the arm
-	// exercises.
+	// Name is the recovery rung the arm exercises ("restart").
 	Name string `json:"name"`
 	// Requests/Committed/Dropped/Retries aggregate the healthy tenants'
 	// probe commits across the storm, fault window included.
@@ -57,13 +51,10 @@ type ServeChaosArm struct {
 	// includes requests that rode through the failover.
 	P50 time.Duration `json:"p50"`
 	P99 time.Duration `json:"p99"`
-	// FailoverKind is the recovery action the watchdog took ("promotion"
-	// or "restart"); FailoverMS is its unavailability window.
-	FailoverKind string  `json:"failover_kind"`
-	FailoverMS   float64 `json:"failover_ms"`
-	// Restarts/Promotions are the shard's lifetime counters after the arm.
-	Restarts   uint64 `json:"restarts"`
-	Promotions uint64 `json:"promotions"`
+	// FailoverMS is the restart's unavailability window.
+	FailoverMS float64 `json:"failover_ms"`
+	// Restarts is the shard's lifetime restart counter after the arm.
+	Restarts uint64 `json:"restarts"`
 }
 
 // ServeChaosSummary is the whole experiment.
@@ -72,16 +63,16 @@ type ServeChaosSummary struct {
 	HealthyTenants    int             `json:"healthy_tenants"`
 	RequestsPerTenant int             `json:"requests_per_tenant"`
 	Arms              []ServeChaosArm `json:"arms"`
-	// DroppedHealthy is the gate headline: healthy commits dropped across
-	// both arms (must be 0 — failover parks requests, it doesn't shed them).
+	// DroppedHealthy is the gate headline: healthy commits dropped (must be
+	// 0 — failover parks requests, it doesn't shed them).
 	DroppedHealthy int `json:"dropped_healthy"`
-	// FailoverP99MS is the worst failover window across arms, gated
-	// absolutely against ChaosFailoverBudgetMS.
+	// FailoverP99MS is the worst failover window, gated absolutely against
+	// ChaosFailoverBudgetMS.
 	FailoverP99MS float64       `json:"failover_p99_ms"`
 	Wall          time.Duration `json:"wall"`
 }
 
-// RunServeChaos runs both chaos arms against the named suite program.
+// RunServeChaos runs the restart arm against the named suite program.
 func RunServeChaos(program string, healthy, perTenant int) (*ServeChaosSummary, error) {
 	if _, ok := progen.ByName(program); !ok {
 		return nil, fmt.Errorf("bench: unknown suite program %q", program)
@@ -95,13 +86,7 @@ func RunServeChaos(program string, healthy, perTenant int) (*ServeChaosSummary, 
 	sum := &ServeChaosSummary{Program: program, HealthyTenants: healthy, RequestsPerTenant: perTenant}
 	t0 := time.Now()
 
-	promo, err := runChaosArm(program, healthy, perTenant, true)
-	if err != nil {
-		return nil, fmt.Errorf("bench: promotion arm: %w", err)
-	}
-	sum.Arms = append(sum.Arms, *promo)
-
-	restart, err := runChaosArm(program, healthy, perTenant, false)
+	restart, err := runChaosArm(program, healthy, perTenant)
 	if err != nil {
 		return nil, fmt.Errorf("bench: restart arm: %w", err)
 	}
@@ -115,41 +100,27 @@ func RunServeChaos(program string, healthy, perTenant int) (*ServeChaosSummary, 
 	return sum, nil
 }
 
-// chaosWatchdog is the tight watchdog both arms run: wedges are detected in
-// tens of milliseconds so the experiment measures recovery, not detection.
-func chaosWatchdog(restartAttempts int) serve.WatchdogOptions {
-	return serve.WatchdogOptions{
-		Interval:        20 * time.Millisecond,
-		GenDeadline:     200 * time.Millisecond,
-		StuckQueueAge:   400 * time.Millisecond,
-		RestartAttempts: restartAttempts,
-		RestartBackoff:  50 * time.Millisecond,
-		DrainTimeout:    time.Second,
-	}
-}
-
-// runChaosArm boots a one-shard control plane (with or without a hot
-// spare), storms it with healthy tenants, wedges the shard mid-storm with a
-// one-shot injected stall, and waits out the recovery.
-func runChaosArm(program string, healthy, perTenant int, withReplica bool) (*ServeChaosArm, error) {
+// runChaosArm boots a one-shard control plane, storms it with healthy
+// tenants, wedges the shard mid-storm with a one-shot injected stall, and
+// waits out the recovery. The watchdog is tight — wedges are detected in
+// tens of milliseconds — so the experiment measures recovery, not
+// detection.
+func runChaosArm(program string, healthy, perTenant int) (*ServeChaosArm, error) {
 	arm := &ServeChaosArm{Name: "restart"}
-	attempts := 1
-	replicas := 0
-	if withReplica {
-		arm.Name = "promotion"
-		attempts = -1 // skip restarts: the arm must exercise the spare
-		replicas = 1
-	}
-
 	inj := faultinject.New(97)
 	inj.SetStall(ChaosStallDefault)
 	srv, err := serve.New(serve.Options{
 		Shards: []serve.ShardSpec{{
 			Name:      "s0",
 			Program:   program,
-			Replicas:  replicas,
 			FaultHook: inj.At,
-			Watchdog:  chaosWatchdog(attempts),
+			Watchdog: serve.WatchdogOptions{
+				Interval:        20 * time.Millisecond,
+				GenDeadline:     200 * time.Millisecond,
+				StuckQueueAge:   400 * time.Millisecond,
+				RestartAttempts: 1,
+				RestartBackoff:  50 * time.Millisecond,
+			},
 		}},
 		Admission: serve.AdmissionOptions{
 			TenantRPS:      5000,
@@ -182,13 +153,6 @@ func runChaosArm(program string, healthy, perTenant int, withReplica bool) (*Ser
 	}
 	if len(funcs) == 0 {
 		return nil, fmt.Errorf("shard s0 has no instrumentable functions")
-	}
-	if withReplica {
-		// Kill the primary only once the spare is converged and standing
-		// by, as a real deployment's readiness check would.
-		if err := waitChaos(20*time.Second, func() bool { return srv.Fleet().Shards[0].Replica }); err != nil {
-			return nil, fmt.Errorf("hot spare never became ready")
-		}
 	}
 
 	type tenantRow struct {
@@ -277,22 +241,10 @@ func runChaosArm(program string, healthy, perTenant int, withReplica bool) (*Ser
 		arm.P50 = lats[n/2]
 		arm.P99 = lats[n*99/100]
 	}
-	evs := srv.ShardFailovers("s0")
-	for _, ev := range evs {
-		arm.FailoverKind = ev.Kind
+	for _, ev := range srv.ShardFailovers("s0") {
 		arm.FailoverMS = maxf(arm.FailoverMS, ev.DurationMS)
 	}
-	snap := srv.Fleet()
-	arm.Restarts = snap.Shards[0].Restarts
-	arm.Promotions = snap.Shards[0].Promotions
-
-	want := "restart"
-	if withReplica {
-		want = "promotion"
-	}
-	if arm.FailoverKind != want {
-		return nil, fmt.Errorf("%s arm recovered via %q, want %q", arm.Name, arm.FailoverKind, want)
-	}
+	arm.Restarts = srv.Fleet().Shards[0].Restarts
 	return arm, nil
 }
 
@@ -324,17 +276,17 @@ func (a *Artifact) AddServeChaos(s *ServeChaosSummary) {
 	a.Experiments["serve-chaos"] = m
 }
 
-// PrintServeChaos renders both arms and the chaos verdict.
+// PrintServeChaos renders the arm and the chaos verdict.
 func PrintServeChaos(w io.Writer, s *ServeChaosSummary) {
-	fmt.Fprintf(w, "Serve chaos — shard kill/wedge mid-storm, self-healing recovery (%s, %d tenants x %d commits)\n",
+	fmt.Fprintf(w, "Serve chaos — shard wedge mid-storm, restart in place (%s, %d tenants x %d commits)\n",
 		s.Program, s.HealthyTenants, s.RequestsPerTenant)
-	fmt.Fprintf(w, "%-10s %8s %9s %7s %7s %9s %9s  %-9s %10s %8s %10s\n",
-		"arm", "requests", "committed", "dropped", "retries", "p50", "p99", "recovery", "failover", "restarts", "promotions")
+	fmt.Fprintf(w, "%-10s %8s %9s %7s %7s %9s %9s %10s %8s\n",
+		"arm", "requests", "committed", "dropped", "retries", "p50", "p99", "failover", "restarts")
 	for _, a := range s.Arms {
-		fmt.Fprintf(w, "%-10s %8d %9d %7d %7d %9s %9s  %-9s %8.0fms %8d %10d\n",
+		fmt.Fprintf(w, "%-10s %8d %9d %7d %7d %9s %9s %8.0fms %8d\n",
 			a.Name, a.Requests, a.Committed, a.Dropped, a.Retries,
 			a.P50.Round(10*time.Microsecond), a.P99.Round(10*time.Microsecond),
-			a.FailoverKind, a.FailoverMS, a.Restarts, a.Promotions)
+			a.FailoverMS, a.Restarts)
 	}
 	verdict := "PASS"
 	if s.DroppedHealthy > 0 || s.FailoverP99MS > ChaosFailoverBudgetMS {

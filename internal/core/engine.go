@@ -74,13 +74,6 @@ type Options struct {
 	// Supervisor.Drain — atomically rewrites it. A corrupt or mismatched
 	// snapshot degrades to a cold start.
 	SnapshotPath string
-	// CacheReadOnly opens the persistent tier in read-only mode: the store
-	// never attempts the writer flock (so it cannot steal it from a live
-	// primary engine sharing the same CacheDir) and SaveSnapshot is a no-op
-	// (so the primary's snapshot is never clobbered). Hot-spare replica
-	// engines (internal/serve) boot with this set, warm-loading from the
-	// primary's cache while it keeps publishing.
-	CacheReadOnly bool
 	// AdoptModule transfers ownership of the input module to the engine: New
 	// uses it directly as the pristine module instead of defensively cloning
 	// it, and the caller must not read or mutate the module afterward. The

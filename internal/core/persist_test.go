@@ -549,90 +549,3 @@ func TestPersistMetricsOnRegistry(t *testing.T) {
 		t.Fatalf("%s = %d, want > 0", persist.MetricHits, got)
 	}
 }
-
-// TestReplicaSnapshotIdentityMismatch pins the failover-path restore
-// contract for hot-spare replicas (CacheReadOnly engines): a spare booted
-// against a snapshot from a different module or variant must fall back to a
-// cold boot — never adopt the mismatched state — and, being read-only, must
-// neither remove the snapshot nor rewrite it on Close. The primary that
-// owns the file keeps warm-starting from it afterwards.
-func TestReplicaSnapshotIdentityMismatch(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "engine.snap")
-
-	// Primary writes a valid snapshot for manyFuncSrc(4) at VariantMax.
-	p := persistEngine(t, 4, Options{CacheDir: dir, SnapshotPath: snap})
-	if _, _, err := p.BuildAll(); err != nil {
-		t.Fatal(err)
-	}
-	p.addQuarantine(1, "cse")
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatalf("snapshot not written: %v", err)
-	}
-
-	// A read-only spare for a DIFFERENT module boots against the same
-	// paths (the stale-state scenario: layout reused after a redeploy).
-	m := irtext.MustParse("other", manyFuncSrc(7))
-	rep, err := New(m, Options{
-		Variant: VariantMax, CacheDir: dir, SnapshotPath: snap, CacheReadOnly: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SnapshotRestored() {
-		t.Fatal("spare adopted a snapshot from a different module")
-	}
-	if len(rep.Quarantined(1)) != 0 {
-		t.Fatal("stale quarantine leaked into the spare")
-	}
-	if _, _, err := rep.BuildAll(); err != nil {
-		t.Fatalf("cold fallback build: %v", err)
-	}
-	if err := rep.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Read-only spares never touch the snapshot file: not removed on the
-	// mismatch, not rewritten on Close.
-	after, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatalf("spare removed or lost the primary's snapshot: %v", err)
-	}
-	if string(after) != string(before) {
-		t.Fatal("read-only spare rewrote the primary's snapshot")
-	}
-
-	// A matching read-only spare DOES restore the state, and still leaves
-	// the file alone on Close.
-	rep2, err := New(irtext.MustParse("m", manyFuncSrc(4)), Options{
-		Variant: VariantMax, CacheDir: dir, SnapshotPath: snap, CacheReadOnly: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep2.SnapshotRestored() {
-		t.Fatal("matching spare did not restore the snapshot")
-	}
-	if q := rep2.Quarantined(1); !reflect.DeepEqual(q, []string{"cse"}) {
-		t.Fatalf("restored quarantine = %v", q)
-	}
-	if st, ok := rep2.PersistStats(); !ok || !st.ReadOnly {
-		t.Fatalf("spare store not read-only: %+v ok=%v", st, ok)
-	}
-	if err := rep2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if final, err := os.ReadFile(snap); err != nil || string(final) != string(before) {
-		t.Fatalf("matching spare disturbed the snapshot (err=%v)", err)
-	}
-
-	// And the primary restarts warm against the untouched snapshot.
-	p2 := persistEngine(t, 4, Options{CacheDir: dir, SnapshotPath: snap})
-	if !p2.SnapshotRestored() {
-		t.Fatal("primary lost its snapshot after spare boots")
-	}
-}

@@ -48,7 +48,6 @@ func (o Options) persistOptions() persist.Options {
 		BuildID:   persistBuildID(),
 		Telemetry: o.Telemetry,
 		FaultHook: o.FaultHook,
-		ReadOnly:  o.CacheReadOnly,
 	}
 }
 
@@ -306,9 +305,7 @@ func (e *Engine) buildState() *persist.EngineState {
 // concurrently with rebuilds; the snapshot is a consistent view taken under
 // the engine lock.
 func (e *Engine) SaveSnapshot() error {
-	if e.opts.SnapshotPath == "" || e.opts.CacheReadOnly {
-		// Read-only engines (hot-spare replicas) observe a primary's
-		// snapshot; writing it back would clobber the owner's state.
+	if e.opts.SnapshotPath == "" {
 		return nil
 	}
 	st := e.buildState()

@@ -514,6 +514,14 @@ func (s *Supervisor) Drain(ctx context.Context) error {
 	}
 }
 
+// Abandon stops admission and returns without waiting on the loop: the
+// in-flight generation finishes (or stays stuck) on its own, and queued
+// tickets then resolve with ErrSupervisorClosed. Unlike Close it never
+// saves a snapshot — the recovery path for a loop already judged wedged.
+func (s *Supervisor) Abandon() {
+	s.shutdown(false)
+}
+
 func (s *Supervisor) shutdown(drain bool) {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()

@@ -428,6 +428,62 @@ func TestSupervisorBreaker(t *testing.T) {
 	}
 }
 
+// TestSupervisorAbandon: Abandon returns while the loop is stuck inside a
+// generation, admission closes at once, and when the generation unsticks it
+// commits its own batch while everything queued behind it resolves with
+// ErrSupervisorClosed — the serve layer's cue to re-admit elsewhere.
+func TestSupervisorAbandon(t *testing.T) {
+	e, box := supEngine(t, 4, 2)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	box.fn = func(site string) error {
+		if site == "supervisor:commit" {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		}
+		return nil
+	}
+	s := Supervise(e, SupervisorOptions{})
+	defer s.Close()
+
+	inFlight, err := s.Sync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	queued, err := s.Sync()
+	if err != nil {
+		t.Fatalf("queued request rejected: %v", err)
+	}
+
+	returned := make(chan struct{})
+	go func() {
+		s.Abandon()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Abandon waited on the stuck generation")
+	}
+	if _, err := s.Sync(); !errors.Is(err, ErrSupervisorClosed) {
+		t.Fatalf("admission after Abandon: %v, want ErrSupervisorClosed", err)
+	}
+
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if res, err := inFlight.Wait(ctx); err != nil || res.Err != nil {
+		t.Fatalf("in-flight ticket: %v / %v", err, res.Err)
+	}
+	if res, err := queued.Wait(ctx); err != nil || !errors.Is(res.Err, ErrSupervisorClosed) {
+		t.Fatalf("queued ticket: %v / %v, want ErrSupervisorClosed", err, res.Err)
+	}
+}
+
 // TestSupervisorQueueFull: with a depth-1 queue and a stalled rebuild loop,
 // non-blocking admission must shed load with ErrQueueFull, and a rejected
 // AddProbe must not leak its manager registration.

@@ -23,7 +23,7 @@ type ShardPaths struct {
 	SnapshotPath string
 	// JournalPath is the shard's replayable tenant-probe journal (an
 	// append-only Log): the record the serve layer replays to reconstruct
-	// probe state on an engine restart or hot-spare promotion.
+	// probe state when the process restarts.
 	JournalPath string
 }
 

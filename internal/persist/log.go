@@ -73,25 +73,6 @@ func decodeLogStream(data []byte) (recs [][]byte, goodLen int64) {
 	return recs, int64(off)
 }
 
-// ReadLog replays a log read-only and returns its record payloads in append
-// order. A missing file yields no records and no error; a torn tail is
-// silently dropped. Read-only observers (hot-spare replicas) use this while
-// the writer keeps appending.
-func ReadLog(path string, opts Options) ([][]byte, error) {
-	if err := fault(opts.FaultHook, SiteLogOpen); err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("persist: read log: %w", err)
-	}
-	recs, _ := decodeLogStream(data)
-	return recs, nil
-}
-
 // OpenLog opens (creating if absent) a log for appending, replays its
 // existing records, and truncates any torn tail. The returned records are in
 // append order.

@@ -162,10 +162,9 @@ func (s *Server) shardOf(w http.ResponseWriter, r *http.Request) *shard {
 
 // handleProbeAdd is POST /v1/shards/{shard}/probes: admit, register the
 // probe, wait out its activation generation, and attribute the outcome to
-// the tenant's failure breaker. The committed op is journaled and forwarded
-// to the hot spare. A request that lands in a failover window parks on the
-// shard gate and is re-admitted against the new slot — delayed, not
-// dropped.
+// the tenant's failure breaker. The committed op is journaled. A request
+// that lands in a failover window parks on the shard gate and is
+// re-admitted against the new slot — delayed, not dropped.
 func (s *Server) handleProbeAdd(w http.ResponseWriter, r *http.Request) {
 	sh := s.shardOf(w, r)
 	if sh == nil {
@@ -232,7 +231,7 @@ func (s *Server) handleProbeAdd(w http.ResponseWriter, r *http.Request) {
 // handleProbeAction is POST /v1/shards/{shard}/probes/{id}/{action} with
 // action one of enable, remove, change. Tenants can only act on probes
 // they own; foreign or unknown IDs read as not found. IDs are serve-level:
-// stable across engine restarts and hot-spare promotions.
+// stable across engine restarts.
 func (s *Server) handleProbeAction(w http.ResponseWriter, r *http.Request) {
 	sh := s.shardOf(w, r)
 	if sh == nil {

@@ -10,8 +10,7 @@ const APIVersion = "v1"
 
 // ShardStatus is one shard's row in the fleet snapshot: what it hosts, how
 // its admission queue and breaker are doing, its persist-tier health, and
-// the lifecycle manager's view — watchdog state, hot-spare presence, and
-// the failover history.
+// the lifecycle manager's view — watchdog state and the failover history.
 type ShardStatus struct {
 	Name    string `json:"name"`
 	Program string `json:"program"`
@@ -36,16 +35,10 @@ type ShardStatus struct {
 	// Persist is the shard's cache-tier counters, absent when the shard
 	// runs without persistence.
 	Persist *persist.Stats `json:"persist,omitempty"`
-	// ReadOnly marks a slot serving from a read-only persist tier (a
-	// promoted hot spare, or a shard that lost the writer-lock race).
-	ReadOnly bool `json:"read_only,omitempty"`
-	// Replica reports whether a hot spare is currently standing by.
-	Replica bool `json:"replica,omitempty"`
-	// Restarts and Promotions count recovery-ladder actions over the
-	// shard's lifetime; Failovers is the bounded recent-event history.
-	Restarts   uint64          `json:"restarts,omitempty"`
-	Promotions uint64          `json:"promotions,omitempty"`
-	Failovers  []FailoverEvent `json:"failovers,omitempty"`
+	// Restarts counts restarts in place over the shard's lifetime;
+	// Failovers is the bounded recent-event history.
+	Restarts  uint64          `json:"restarts,omitempty"`
+	Failovers []FailoverEvent `json:"failovers,omitempty"`
 	// JournalRecords and JournalDropped describe the tenant-probe journal:
 	// how many committed ops it holds, and how many appends were lost to
 	// persistent write failure.
@@ -76,8 +69,7 @@ type ShardInfo struct {
 // ProbeResult is the response body of probe and sync operations: the probe
 // ID (add only), the generation that applied the change, and how the
 // supervisor handled the request. Probe IDs are serve-level — stable across
-// engine restarts and hot-spare promotions, unlike the engine's own probe
-// IDs.
+// engine restarts, unlike the engine's own probe IDs.
 type ProbeResult struct {
 	ID  int64  `json:"id"`
 	Gen uint64 `json:"gen"`

@@ -12,9 +12,10 @@ import (
 // operations: an append-only persist.Log of JSON-encoded journalOp records,
 // one per committed add/enable/remove/change. Replaying it reconstructs the
 // shard's probe state on a fresh engine — the mechanism behind crash
-// restarts (probes survive a process bounce), engine restarts in place, and
-// hot-spare promotion. Engine probe IDs are process-local, so the journal is
-// keyed by serve-level probe IDs, which are stable across engine instances.
+// restarts (probes survive a process bounce); a restart in place replays
+// the in-memory probe ledger the journal mirrors. Engine probe IDs are
+// process-local, so the journal is keyed by serve-level probe IDs, which
+// are stable across engine instances.
 
 // Journal op names.
 const (

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -12,12 +13,10 @@ import (
 // watchdog samples Supervisor.Health on an interval and classifies the
 // shard; when it turns wedged the recovery ladder runs:
 //
-//  1. restart in place — drain, close the engine, boot a fresh one warm
-//     from the persist snapshot + object cache, replay the tenant-probe
-//     journal; retried with exponential backoff up to RestartAttempts;
-//  2. hot-spare promotion — atomically swap in the standby replica that has
-//     been converging through the journal stream (zero rebuild work);
-//  3. dead — fail fast with 503 + Retry-After until an operator intervenes.
+//  1. restart in place — abandon the wedged slot, close its engine, boot a
+//     fresh one warm from the persist snapshot + object cache, replay the
+//     probe ledger; retried with exponential backoff up to RestartAttempts;
+//  2. dead — fail fast with 503 + Retry-After until an operator intervenes.
 //
 // Requests arriving during a swap park on the shard gate and re-admit
 // against the new slot; they are delayed by the failover window, never
@@ -30,12 +29,12 @@ const (
 	// ShardHealthy: serving, breaker closed or only transiently open.
 	ShardHealthy ShardState = iota
 	// ShardDegraded: serving but impaired — breaker open past the grace
-	// window, or the hot spare is missing/lagging.
+	// window.
 	ShardDegraded
 	// ShardWedged: not making progress (stuck queue, overrun generation,
 	// loop panic, breaker pinned open); recovery ladder is about to run.
 	ShardWedged
-	// ShardRecovering: a restart or promotion is in flight.
+	// ShardRecovering: a restart is in flight.
 	ShardRecovering
 	// ShardDead: recovery ladder exhausted; terminal until operator action.
 	ShardDead
@@ -72,17 +71,13 @@ type WatchdogOptions struct {
 	// BreakerWedgeAfter: breaker open longer than this is wedged — backoff
 	// is no longer converging. Default 30s.
 	BreakerWedgeAfter time.Duration
-	// RestartAttempts bounds restart-in-place tries before escalating to
-	// promotion. 0 means the default (2); -1 skips restarts entirely and
-	// goes straight to promotion.
+	// RestartAttempts bounds restart-in-place tries before the shard is
+	// marked dead. A value <= 0 means the default (2).
 	RestartAttempts int
 	// RestartBackoff is the delay before the first restart retry, doubling
 	// up to RestartMaxBackoff. Defaults 250ms / 5s.
 	RestartBackoff    time.Duration
 	RestartMaxBackoff time.Duration
-	// DrainTimeout bounds how long a recovery waits for the old supervisor
-	// to drain before abandoning it. Default 3s.
-	DrainTimeout time.Duration
 	// BootTimeout bounds a replacement engine's boot build (warm starts are
 	// fast; a cold rebuild of a large module is not). Default 2m.
 	BootTimeout time.Duration
@@ -106,7 +101,7 @@ func (o WatchdogOptions) withDefaults() WatchdogOptions {
 	if o.BreakerWedgeAfter <= 0 {
 		o.BreakerWedgeAfter = 30 * time.Second
 	}
-	if o.RestartAttempts == 0 {
+	if o.RestartAttempts <= 0 {
 		o.RestartAttempts = 2
 	}
 	if o.RestartBackoff <= 0 {
@@ -115,19 +110,14 @@ func (o WatchdogOptions) withDefaults() WatchdogOptions {
 	if o.RestartMaxBackoff <= 0 {
 		o.RestartMaxBackoff = 5 * time.Second
 	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 3 * time.Second
-	}
 	if o.BootTimeout <= 0 {
 		o.BootTimeout = 2 * time.Minute
 	}
 	return o
 }
 
-// FailoverEvent records one completed recovery action.
+// FailoverEvent records one completed restart in place.
 type FailoverEvent struct {
-	// Kind is "restart" or "promotion".
-	Kind string `json:"kind"`
 	// DurationMS is the unavailability window: beginSwap to endSwap.
 	DurationMS float64 `json:"duration_ms"`
 	// At is when the event completed (unix seconds).
@@ -143,48 +133,36 @@ const maxFailoverEvents = 32
 const (
 	MetricShardState       = "odin_serve_shard_state"
 	MetricRestarts         = "odin_serve_restarts_total"
-	MetricPromotions       = "odin_serve_promotions_total"
 	MetricFailoverSeconds  = "odin_serve_failover_seconds"
 	MetricParked           = "odin_serve_parked_total"
 	MetricJournalAppends   = "odin_serve_journal_appends_total"
 	MetricJournalFallbacks = "odin_serve_journal_fallbacks_total"
-	MetricReplicaFailures  = "odin_serve_replica_failures_total"
-	MetricReplicaForwarded = "odin_serve_replica_forwarded_total"
 )
 
 // shardMetrics holds the lifecycle metric handles on the shard registry.
 // The registry is reused across engine instances, so these accumulate
-// across restarts and promotions.
+// across restarts.
 type shardMetrics struct {
 	restarts         *telemetry.Counter
-	promotions       *telemetry.Counter
 	failoverSeconds  *telemetry.Histogram
 	parked           *telemetry.Counter
 	journalAppends   *telemetry.Counter
 	journalFallbacks *telemetry.Counter
-	replicaFailures  *telemetry.Counter
-	replicaForwarded *telemetry.Counter
 }
 
 func newShardMetrics(reg *telemetry.Registry) *shardMetrics {
 	reg.Describe(MetricShardState, "Watchdog classification of the shard (0 healthy .. 4 dead).")
 	reg.Describe(MetricRestarts, "Engine restarts in place performed by the recovery ladder.")
-	reg.Describe(MetricPromotions, "Hot-spare replica promotions performed by the recovery ladder.")
 	reg.Describe(MetricFailoverSeconds, "Unavailability window of each failover swap.")
 	reg.Describe(MetricParked, "Requests parked on the shard gate during a failover swap.")
 	reg.Describe(MetricJournalAppends, "Probe operations appended to the tenant-probe journal.")
 	reg.Describe(MetricJournalFallbacks, "Journal opens or appends abandoned after persistent failure.")
-	reg.Describe(MetricReplicaFailures, "Hot-spare boot or rebuild failures.")
-	reg.Describe(MetricReplicaForwarded, "Probe operations forwarded to the hot spare.")
 	return &shardMetrics{
 		restarts:         reg.Counter(MetricRestarts),
-		promotions:       reg.Counter(MetricPromotions),
 		failoverSeconds:  reg.Histogram(MetricFailoverSeconds, nil),
 		parked:           reg.Counter(MetricParked),
 		journalAppends:   reg.Counter(MetricJournalAppends),
 		journalFallbacks: reg.Counter(MetricJournalFallbacks),
-		replicaFailures:  reg.Counter(MetricReplicaFailures),
-		replicaForwarded: reg.Counter(MetricReplicaForwarded),
 	}
 }
 
@@ -317,8 +295,7 @@ func (lc *lifecycle) classify() (ShardState, string) {
 }
 
 // runLadder executes the recovery ladder for one wedge event: bounded
-// restarts in place with exponential backoff, then hot-spare promotion,
-// then dead.
+// restarts in place with exponential backoff, then dead.
 func (lc *lifecycle) runLadder(cause string) {
 	defer func() {
 		lc.mu.Lock()
@@ -348,18 +325,16 @@ func (lc *lifecycle) runLadder(cause string) {
 			return
 		}
 	}
-	if err := lc.promote(cause); err == nil {
-		return
-	}
-	lc.sh.markDead(fmt.Errorf("%s; restarts and promotion failed", cause))
+	lc.sh.markDead(fmt.Errorf("%s; restarts failed", cause))
 	lc.mu.Lock()
 	lc.state = ShardDead
 	lc.mu.Unlock()
 }
 
-// restartInPlace drains the wedged slot (bounded), tears it down, and boots
-// a replacement engine warm from the persist snapshot + cache, replaying
-// the probe ledger so every registered probe survives.
+// restartInPlace abandons the wedged slot, closes its engine, and boots a
+// replacement warm from the persist snapshot + cache, replaying the probe
+// ledger so every registered probe survives. It never waits on the wedged
+// loop: the watchdog has already judged it stuck.
 func (lc *lifecycle) restartInPlace(cause string) error {
 	sh := lc.sh
 	start := time.Now()
@@ -371,23 +346,22 @@ func (lc *lifecycle) restartInPlace(cause string) error {
 		}
 	}()
 
-	old := sh.current()
-	if old != nil {
-		drainCtx, cancel := ctxTimeout(lc.opts.DrainTimeout)
-		// Best-effort drain: already-admitted work gets a chance to commit
-		// (and feed the journal) before teardown. A wedged loop won't
-		// drain; the timeout moves on.
-		old.sup.Drain(drainCtx)
-		cancel()
+	if old := sh.current(); old != nil {
+		// Abandon, not Close or Drain: both wait on the wedged loop, and
+		// Close would also rewrite the snapshot after the replacement owns
+		// it. Queued tickets resolve with ErrSupervisorClosed once the loop
+		// unsticks and re-admit against the new slot; a late commit from the
+		// abandoned generation is re-applied by shard.committed.
+		old.sup.Abandon()
 		// Engine.Close is safe against an in-flight rebuild; it saves the
 		// snapshot and releases the persist writer lock so the replacement
 		// can take it.
 		old.eng.Close()
 	}
 
-	bootCtx, cancel := ctxTimeout(lc.opts.BootTimeout)
+	bootCtx, cancel := context.WithTimeout(context.Background(), lc.opts.BootTimeout)
 	defer cancel()
-	slot, err := sh.bootEngine(bootCtx, false)
+	slot, err := sh.bootEngine(bootCtx)
 	if err != nil {
 		return err
 	}
@@ -403,66 +377,6 @@ func (lc *lifecycle) restartInPlace(cause string) error {
 	d := time.Since(start)
 	sh.metrics.restarts.Inc()
 	sh.metrics.failoverSeconds.Observe(d)
-	lc.recordEvent(FailoverEvent{Kind: "restart", DurationMS: float64(d) / float64(time.Millisecond), At: time.Now().Unix(), Cause: cause})
-	return nil
-}
-
-// promote swaps the hot-spare replica in as the serving slot. The replica
-// has been converging through the journal stream, so the swap is a drain +
-// barrier, not a rebuild. Ordering matters: the spare is detached only
-// after the swap gate closes, so every committed op either reached the
-// spare's intake, or landed in pendingOps for endSwap to replay onto the
-// promoted slot — never neither.
-func (lc *lifecycle) promote(cause string) error {
-	sh := lc.sh
-	start := time.Now()
-	sh.beginSwap()
-	ok := false
-	defer func() {
-		if !ok {
-			sh.endSwap(nil, nil)
-		}
-	}()
-
-	sh.mu.Lock()
-	rep := sh.replica
-	sh.replica = nil
-	sh.mu.Unlock()
-	if rep == nil {
-		return fmt.Errorf("serve: shard %s: no hot spare", sh.name)
-	}
-
-	old := sh.current()
-	if old != nil {
-		drainCtx, cancel := ctxTimeout(lc.opts.DrainTimeout)
-		old.sup.Drain(drainCtx)
-		cancel()
-		old.eng.Close()
-	}
-
-	promoteCtx, cancel := ctxTimeout(lc.opts.BootTimeout)
-	defer cancel()
-	slot, engIDs, err := rep.promote(promoteCtx)
-	if err != nil {
-		sh.metrics.replicaFailures.Inc()
-		return err
-	}
-	sh.endSwap(slot, engIDs)
-	ok = true
-
-	d := time.Since(start)
-	sh.metrics.promotions.Inc()
-	sh.metrics.failoverSeconds.Observe(d)
-	lc.recordEvent(FailoverEvent{Kind: "promotion", DurationMS: float64(d) / float64(time.Millisecond), At: time.Now().Unix(), Cause: cause})
-
-	// Boot the replacement spare off the critical path; it registers
-	// itself. The promoted slot serves read-only from the old primary's
-	// persist tier, and spares stay read-only too — nothing contends for
-	// the writer lock after a promotion.
-	go func() {
-		if _, err := bootReplica(sh); err != nil {
-			sh.metrics.replicaFailures.Inc()
-		}
-	}()
+	lc.recordEvent(FailoverEvent{DurationMS: float64(d) / float64(time.Millisecond), At: time.Now().Unix(), Cause: cause})
 	return nil
 }

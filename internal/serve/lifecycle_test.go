@@ -3,11 +3,10 @@ package serve
 import (
 	"context"
 	"net/http/httptest"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"odin/internal/faultinject"
 	"odin/internal/ir"
 )
 
@@ -22,7 +21,6 @@ func fastWatchdog() WatchdogOptions {
 		BreakerWedgeAfter: 400 * time.Millisecond,
 		RestartAttempts:   1,
 		RestartBackoff:    20 * time.Millisecond,
-		DrainTimeout:      time.Second,
 		BootTimeout:       time.Minute,
 	}
 }
@@ -110,74 +108,116 @@ func startTest(t *testing.T, srv *Server) (*httptest.Server, func(string) *Clien
 	return hs, func(tenant string) *Client { return &Client{Base: hs.URL, Tenant: tenant} }
 }
 
-// TestWatchdogRestartFromSnapshot wedges a replica-less shard with a
-// persistent stall at the commit site and asserts the watchdog restarts the
-// engine in place: the shard returns to healthy, a restart failover event
-// is recorded, and probes registered before the wedge still answer under
-// their serve-level IDs.
+// TestWatchdogRestartFromSnapshot wedges a shard with a fault hook that
+// blocks the commit site until the test releases it, and asserts the
+// watchdog restarts the engine in place without waiting on the wedged
+// generation: the restart is recorded and a new probe commits on the new
+// slot while the old generation is still blocked. After the release the
+// wedged request converges onto the new slot, probes registered before the
+// wedge still answer under their serve-level IDs, and the recovered shard
+// writes the snapshot a later boot warm-starts from.
 func TestWatchdogRestartFromSnapshot(t *testing.T) {
-	inj := faultinject.New(7)
-	inj.SetStall(2 * time.Second)
+	var armed atomic.Bool
+	release := make(chan struct{})
+	hook := func(site string) error {
+		if site == "supervisor:commit" && armed.CompareAndSwap(true, false) {
+			<-release
+		}
+		return nil
+	}
 	dataDir := t.TempDir()
+	mod := testModule(t, 5)
+	clone, _ := ir.CloneModule(mod)
 	srv, err := New(Options{
 		DataDir: dataDir,
 		Shards: []ShardSpec{{
 			Name:      "alpha",
-			Module:    testModule(t, 5),
-			FaultHook: inj.At,
+			Module:    clone,
+			FaultHook: hook,
 			Watchdog: WatchdogOptions{
 				Interval:        20 * time.Millisecond,
 				GenDeadline:     200 * time.Millisecond,
 				StuckQueueAge:   300 * time.Millisecond,
 				RestartAttempts: 2,
 				RestartBackoff:  20 * time.Millisecond,
-				DrainTimeout:    500 * time.Millisecond,
 			},
 		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	closeSrv := func(srv *Server) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		srv.Close(ctx)
+	}
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
 	}()
 	hs, client := startTest(t, srv)
-	defer hs.Close()
 	c := client("acme")
 
-	res, err := c.AddProbe("alpha", ProbeSpec{Func: "f0"})
+	res0, err := c.AddProbe("alpha", ProbeSpec{Func: "f0"})
 	if err != nil {
-		t.Fatalf("AddProbe: %v", err)
+		t.Fatalf("AddProbe f0: %v", err)
+	}
+	res2, err := c.AddProbe("alpha", ProbeSpec{Func: "f2"})
+	if err != nil {
+		t.Fatalf("AddProbe f2: %v", err)
 	}
 
-	// Wedge: every commit from now on stalls 2s, far past GenDeadline. The
-	// request itself rides through the failover (parked + re-admitted or
-	// committed by the drain), so fire it from a goroutine with a generous
-	// client-side budget.
-	inj.Arm(faultinject.Rule{Site: "supervisor:commit", Kind: faultinject.KindStall, Rate: 1, Times: 1})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	// Wedge: the next commit blocks until released, far past GenDeadline.
+	// The request rides through the failover, so fire it from a goroutine.
+	armed.Store(true)
+	type addResult struct {
+		res ProbeResult
+		err error
+	}
+	wedged := make(chan addResult, 1)
 	go func() {
-		defer wg.Done()
-		c.AddProbe("alpha", ProbeSpec{Func: "f1"})
+		res, err := c.AddProbe("alpha", ProbeSpec{Func: "f1"})
+		wedged <- addResult{res, err}
 	}()
 
 	waitFor(t, 15*time.Second, "watchdog restart", func() bool {
-		evs := srv.ShardFailovers("alpha")
-		return len(evs) > 0 && evs[0].Kind == "restart"
+		return len(srv.ShardFailovers("alpha")) > 0
 	})
-	wg.Wait()
+	// The new slot serves while the old generation is still blocked.
+	if _, err := c.AddProbe("alpha", ProbeSpec{Func: "f3"}); err != nil {
+		t.Fatalf("AddProbe on the new slot during the wedge: %v", err)
+	}
+	select {
+	case r := <-wedged:
+		t.Fatalf("wedged request finished before its generation was released: %+v", r)
+	default:
+	}
+
+	close(release)
+	released = true
+	r := <-wedged
+	if r.err != nil {
+		t.Fatalf("wedged AddProbe f1: %v", r.err)
+	}
+	sh := srv.byName["alpha"]
+	waitFor(t, 10*time.Second, "wedged probe on the new slot", func() bool {
+		rec, ok := sh.lookupProbe(r.res.ID)
+		slot := sh.current()
+		return ok && slot != nil && rec.gen == slot.gen
+	})
+	if _, err := c.ProbeAction("alpha", r.res.ID, "remove"); err != nil {
+		t.Fatalf("remove wedged probe %d after restart: %v", r.res.ID, err)
+	}
 	waitFor(t, 10*time.Second, "shard healthy again", func() bool {
 		return srv.ShardState("alpha") == ShardHealthy
 	})
-
-	// The restarted engine still knows the pre-wedge probe.
-	if _, err := c.ProbeAction("alpha", res.ID, "remove"); err != nil {
-		t.Fatalf("remove probe %d after restart: %v", res.ID, err)
+	// The restarted engine still knows the pre-wedge probes, and warm-started
+	// from the persist tier.
+	if _, err := c.ProbeAction("alpha", res0.ID, "remove"); err != nil {
+		t.Fatalf("remove probe %d after restart: %v", res0.ID, err)
 	}
-	// And the restart warm-started from the persist tier.
 	snap := srv.Fleet()
 	if snap.Shards[0].Restarts != 1 {
 		t.Fatalf("restarts = %d, want 1", snap.Shards[0].Restarts)
@@ -185,90 +225,40 @@ func TestWatchdogRestartFromSnapshot(t *testing.T) {
 	if snap.Shards[0].WarmHits == 0 {
 		t.Fatalf("restarted shard did not warm-start (warm hits = 0)")
 	}
-}
+	hs.Close()
+	closeSrv(srv)
 
-// TestPromotionZeroDowntime wedges a shard that has a hot spare and no
-// restart budget, and asserts the ladder promotes the spare: requests keep
-// succeeding throughout (parked during the swap, never dropped), the
-// promoted slot is read-only, and pre-wedge probes survive with their IDs.
-func TestPromotionZeroDowntime(t *testing.T) {
-	inj := faultinject.New(11)
-	inj.SetStall(2 * time.Second)
-	dataDir := t.TempDir()
-	srv, err := New(Options{
+	// Reopen on the same data dir: the recovered shard wrote the snapshot
+	// and the cache this boot warm-starts from, and both pre-wedge probes
+	// answer under their IDs.
+	clone, _ = ir.CloneModule(mod)
+	srv2, err := New(Options{
 		DataDir: dataDir,
-		Shards: []ShardSpec{{
-			Name:      "alpha",
-			Module:    testModule(t, 5),
-			Replicas:  1,
-			FaultHook: inj.At,
-			Watchdog: WatchdogOptions{
-				Interval:        20 * time.Millisecond,
-				GenDeadline:     200 * time.Millisecond,
-				StuckQueueAge:   300 * time.Millisecond,
-				RestartAttempts: -1, // straight to promotion
-				DrainTimeout:    500 * time.Millisecond,
-			},
-		}},
+		Shards:  []ShardSpec{{Name: "alpha", Module: clone, Watchdog: WatchdogOptions{Disable: true}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv.Close(ctx)
-	}()
-	hs, client := startTest(t, srv)
-	defer hs.Close()
-	c := client("acme")
-
-	res, err := c.AddProbe("alpha", ProbeSpec{Func: "f0"})
-	if err != nil {
-		t.Fatalf("AddProbe: %v", err)
+	defer closeSrv(srv2)
+	hs2, client2 := startTest(t, srv2)
+	defer hs2.Close()
+	c2 := client2("acme")
+	if !srv2.byName["alpha"].current().eng.SnapshotRestored() {
+		t.Fatal("reopened shard did not restore the recovered shard's snapshot")
 	}
-	// Wait for the spare to finish seeding before the kill, as a real
-	// deployment would (the fleet view reports spare readiness).
-	waitFor(t, 30*time.Second, "hot spare ready", func() bool {
-		return srv.Fleet().Shards[0].Replica
-	})
-
-	// Kill the primary: one 2s stall wedges the generation past deadline.
-	inj.Arm(faultinject.Rule{Site: "supervisor:commit", Kind: faultinject.KindStall, Rate: 1, Times: 1})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.AddProbe("alpha", ProbeSpec{Func: "f1"})
-	}()
-
-	waitFor(t, 15*time.Second, "promotion", func() bool {
-		evs := srv.ShardFailovers("alpha")
-		return len(evs) > 0 && evs[len(evs)-1].Kind == "promotion"
-	})
-	wg.Wait()
-	waitFor(t, 10*time.Second, "shard healthy again", func() bool {
-		return srv.ShardState("alpha") == ShardHealthy
-	})
-
-	// Zero dropped: mid-failover and post-failover requests all commit.
-	if _, err := c.ProbeAction("alpha", res.ID, "remove"); err != nil {
-		t.Fatalf("remove pre-failover probe %d on promoted slot: %v", res.ID, err)
+	if hits := srv2.ShardWarmHits("alpha"); hits == 0 {
+		t.Fatal("reopened shard did not warm-start (warm hits = 0)")
 	}
-	if _, err := c.AddProbe("alpha", ProbeSpec{Func: "f2"}); err != nil {
-		t.Fatalf("AddProbe on promoted slot: %v", err)
+	if _, err := c2.ProbeAction("alpha", res0.ID, "enable"); err != nil {
+		t.Fatalf("enable pre-wedge probe %d after reopen: %v", res0.ID, err)
 	}
-	snap := srv.Fleet()
-	if snap.Shards[0].Promotions != 1 {
-		t.Fatalf("promotions = %d, want 1", snap.Shards[0].Promotions)
-	}
-	if !snap.Shards[0].ReadOnly {
-		t.Fatalf("promoted slot should serve read-only from the primary's cache")
+	if _, err := c2.ProbeAction("alpha", res2.ID, "remove"); err != nil {
+		t.Fatalf("remove pre-wedge probe %d after reopen: %v", res2.ID, err)
 	}
 }
 
-// TestDeadShardFailsFast exhausts the ladder (no spare, no restart budget
-// left because boot itself is broken) and asserts requests fail fast with
+// TestDeadShardFailsFast exhausts the ladder (no restart budget left
+// because boot itself is broken) and asserts requests fail fast with
 // the dead verdict + Retry-After instead of hanging.
 func TestDeadShardFailsFast(t *testing.T) {
 	mod := testModule(t, 4)
@@ -288,7 +278,7 @@ func TestDeadShardFailsFast(t *testing.T) {
 	c := client("acme")
 
 	// Drive the terminal rung directly (the watchdog paths are exercised
-	// above); markDead is what the ladder calls after promotion fails.
+	// above); markDead is what the ladder calls after the restarts fail.
 	sh := srv.byName["alpha"]
 	sh.markDead(context.DeadlineExceeded)
 

@@ -160,16 +160,11 @@ func (s *Server) Fleet() FleetSnapshot {
 			st.WarmHits = slot.warmHits
 			st.Supervisor = slot.sup.Stats()
 			st.Health = slot.sup.Health()
-			st.ReadOnly = slot.readOnly
 			if ra := slot.sup.BreakerRetryAfter(); ra > 0 {
 				st.BreakerRetryAfterMS = float64(ra) / float64(time.Millisecond)
 			}
 		}
-		sh.mu.Lock()
-		st.Replica = sh.replica != nil
-		sh.mu.Unlock()
 		st.Restarts = sh.metrics.restarts.Value()
-		st.Promotions = sh.metrics.promotions.Value()
 		st.JournalRecords = sh.journal.records()
 		st.JournalDropped = sh.journal.dropped()
 		snap.Shards = append(snap.Shards, st)

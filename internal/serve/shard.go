@@ -16,7 +16,7 @@ import (
 )
 
 // ErrShardDead reports that the shard exhausted its recovery ladder —
-// restarts, then hot-spare promotion — and was marked dead. Requests fail
+// every restart in place failed — and was marked dead. Requests fail
 // fast with 503 + Retry-After until an operator restarts the process.
 var ErrShardDead = errors.New("serve: shard dead (recovery ladder exhausted)")
 
@@ -50,17 +50,9 @@ type ShardSpec struct {
 	// QueueDepth bounds the shard supervisor's admission queue (0 =
 	// supervisor default).
 	QueueDepth int
-	// Replicas is the number of hot-spare standby engines kept booted
-	// read-only from the same persist cache and converged through the
-	// tenant-probe journal stream. Only 0 and 1 are meaningful today;
-	// larger values clamp to 1.
-	Replicas int
-	// FaultHook threads a fault-injection hook into the writer engine
-	// instances this shard boots (the serving primary and its restarts) —
-	// the chaos-drill substrate (internal/faultinject sites, e.g.
-	// supervisor:commit). Read-only hot spares run clean: a one-shot
-	// injected fault must wedge the primary deterministically, not race
-	// into the standby that is supposed to rescue it.
+	// FaultHook threads a fault-injection hook into every engine instance
+	// this shard boots (the first and its restarts) — the chaos-drill
+	// substrate (internal/faultinject sites, e.g. supervisor:commit).
 	FaultHook func(site string) error
 	// Watchdog tunes the shard's health watchdog and recovery ladder.
 	Watchdog WatchdogOptions
@@ -68,7 +60,7 @@ type ShardSpec struct {
 
 // engineSlot is one live engine + supervisor instance. The shard serves
 // from exactly one slot at a time; lifecycle recovery swaps the whole slot
-// atomically (restart in place, or hot-spare promotion).
+// atomically on a restart in place.
 type engineSlot struct {
 	eng *core.Engine
 	sup *core.Supervisor
@@ -76,11 +68,6 @@ type engineSlot struct {
 	// build — warm-start evidence, frozen so later traffic doesn't dilute
 	// it.
 	warmHits uint64
-	// readOnly marks a slot whose persist tier is read-only: a promoted
-	// replica keeps serving from the primary's cache without ever taking
-	// the writer lock. Commits stop being persisted until the next process
-	// restart; correctness is unaffected.
-	readOnly bool
 	// booted is when the slot went live.
 	booted time.Time
 	// gen is the slot's installation generation (assigned when the slot
@@ -98,7 +85,7 @@ type shard struct {
 	program string
 	spec    ShardSpec
 	// module is the pristine hosted module, retained (never adopted by an
-	// engine) so restarts and replicas can boot new engines from it.
+	// engine) so restarts can boot new engines from it.
 	module *ir.Module
 	// reg is the shard's telemetry registry, shared by every engine
 	// instance: handles are reused and gauge functions rebind on restart,
@@ -109,14 +96,14 @@ type shard struct {
 	funcs []string
 	// site allocates shard-unique hit-site IDs for counter probes; nextID
 	// allocates serve-level probe IDs, which — unlike engine probe IDs —
-	// are stable across engine restarts and promotions.
+	// are stable across engine restarts.
 	site   atomic.Int64
 	nextID atomic.Int64
 
 	journal *probeJournal
 
-	// mu guards the slot machinery (slot, swapping, gate, deadErr), the
-	// probe ledger, and the replica pointer.
+	// mu guards the slot machinery (slot, swapping, gate, deadErr) and the
+	// probe ledger.
 	mu       sync.Mutex
 	slot     *engineSlot
 	slotGen  int64
@@ -124,10 +111,9 @@ type shard struct {
 	gate     chan struct{}
 	deadErr  error
 	probes   map[int64]*probeRec
-	replica  *replica
 	// pendingOps collects ops that commit while a swap is in flight; the
-	// swap's endSwap replays them onto the incoming slot (and forwards
-	// them to the hot spare), so no committed op is lost to a failover.
+	// swap's endSwap replays them onto the incoming slot, so no committed
+	// op is lost to a failover.
 	pendingOps []journalOp
 
 	lc      *lifecycle
@@ -136,7 +122,7 @@ type shard struct {
 
 // probeRec is the control plane's per-probe bookkeeping, keyed by the
 // serve-level probe ID. EngID is the probe's ID on the *current* engine
-// slot; replays and promotions rewrite it.
+// slot; replays rewrite it.
 type probeRec struct {
 	Tenant string
 	Spec   ProbeSpec
@@ -147,24 +133,15 @@ type probeRec struct {
 }
 
 // bootEngine builds one engine + supervisor over the shard's module and
-// runs the boot build. readOnly engines never take the persist writer lock
-// and never write snapshots — the hot-spare mode.
-func (sh *shard) bootEngine(ctx context.Context, readOnly bool) (*engineSlot, error) {
-	// Spares don't get the fault hook (see ShardSpec.FaultHook): chaos
-	// faults target the writer so a drill wedges the serving slot, never
-	// the standby meant to replace it.
-	hook := sh.spec.FaultHook
-	if readOnly {
-		hook = nil
-	}
+// runs the boot build.
+func (sh *shard) bootEngine(ctx context.Context) (*engineSlot, error) {
 	eng, err := core.New(sh.module, core.Options{
 		Telemetry:     sh.reg,
 		ExtraBuiltins: []string{HitBuiltin},
 		Workers:       sh.spec.Workers,
 		CacheDir:      sh.spec.CacheDir,
 		SnapshotPath:  sh.spec.SnapshotPath,
-		CacheReadOnly: readOnly,
-		FaultHook:     hook,
+		FaultHook:     sh.spec.FaultHook,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard %s: %w", sh.name, err)
@@ -184,12 +161,9 @@ func (sh *shard) bootEngine(ctx context.Context, readOnly bool) (*engineSlot, er
 		eng.Close()
 		return nil, fmt.Errorf("serve: shard %s boot build: %w", sh.name, err)
 	}
-	slot := &engineSlot{eng: eng, sup: sup, readOnly: readOnly, booted: time.Now()}
+	slot := &engineSlot{eng: eng, sup: sup, booted: time.Now()}
 	if ps, ok := eng.PersistStats(); ok {
 		slot.warmHits = ps.Hits
-		if !readOnly {
-			slot.readOnly = ps.ReadOnly
-		}
 	}
 	return slot, nil
 }
@@ -239,8 +213,8 @@ func replayInto(ctx context.Context, slot *engineSlot, states []probeState, site
 }
 
 // newShard builds the shard's first engine slot, replays the tenant-probe
-// journal so probes survive process restarts, boots the configured hot
-// spare, and starts the health watchdog.
+// journal so probes survive process restarts, and starts the health
+// watchdog.
 func newShard(spec ShardSpec) (*shard, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("serve: shard needs a name")
@@ -286,7 +260,7 @@ func newShard(spec ShardSpec) (*shard, error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), spec.Watchdog.BootTimeout)
 	defer cancel()
-	slot, err := sh.bootEngine(ctx, false)
+	slot, err := sh.bootEngine(ctx)
 	if err != nil {
 		sh.journal.close()
 		return nil, err
@@ -309,15 +283,6 @@ func newShard(spec ShardSpec) (*shard, error) {
 	sh.slotGen = 1
 	slot.gen = 1
 	sh.slot = slot
-
-	if spec.Replicas > 0 {
-		// bootReplica registers itself as sh.replica; a shard without its
-		// spare is degraded, not down.
-		if _, rerr := bootReplica(sh); rerr != nil {
-			sh.metrics.replicaFailures.Inc()
-		}
-	}
-
 	sh.lc = newLifecycle(sh, spec.Watchdog)
 	return sh, nil
 }
@@ -383,11 +348,9 @@ func (sh *shard) beginSwap() {
 // recovery that will retry) and reopens the gate. engIDs is the serve-ID →
 // engine-ID mapping the swap's replay produced; the ledger is rewritten to
 // it under the same lock that installs the slot. Ops that committed during
-// the swap window are then replayed onto the new slot and forwarded to the
-// hot spare, in commit order.
+// the swap window are then replayed onto the new slot, in commit order.
 func (sh *shard) endSwap(slot *engineSlot, engIDs map[int64]int) {
 	var pending []journalOp
-	var rep *replica
 	sh.mu.Lock()
 	if slot != nil {
 		sh.slotGen++
@@ -401,7 +364,6 @@ func (sh *shard) endSwap(slot *engineSlot, engIDs map[int64]int) {
 		sh.slot = slot
 		pending = sh.pendingOps
 		sh.pendingOps = nil
-		rep = sh.replica
 	}
 	sh.swapping = false
 	if sh.gate != nil {
@@ -410,14 +372,7 @@ func (sh *shard) endSwap(slot *engineSlot, engIDs map[int64]int) {
 	}
 	sh.mu.Unlock()
 	if len(pending) > 0 {
-		go func() {
-			sh.applyOps(pending)
-			if rep != nil {
-				for _, op := range pending {
-					rep.forward(op)
-				}
-			}
-		}()
+		go sh.applyOps(pending)
 	}
 }
 
@@ -458,8 +413,8 @@ func (sh *shard) lookupProbe(id int64) (probeRec, bool) {
 	return *rec, true
 }
 
-// committed journals one committed probe op, updates the ledger, and feeds
-// the hot spare. slot is the slot the op committed on. Two races with
+// committed journals one committed probe op and updates the ledger. slot is
+// the slot the op committed on. Two races with
 // failover are closed here: an op committing while a swap is in flight is
 // parked in pendingOps (endSwap replays it onto the incoming slot), and an
 // op that committed on a slot that has already been swapped out is
@@ -482,12 +437,8 @@ func (sh *shard) committed(slot *engineSlot, op journalOp) {
 		sh.mu.Unlock()
 		return
 	}
-	rep := sh.replica
 	cur := sh.slot
 	sh.mu.Unlock()
-	if rep != nil {
-		rep.forward(op)
-	}
 	if cur != nil && cur != slot {
 		go sh.applyOps([]journalOp{op})
 	}
@@ -562,8 +513,7 @@ func (sh *shard) applyOp(ctx context.Context, op journalOp) {
 }
 
 // ledgerStates reduces the in-memory probe ledger to replayable states (the
-// same shape a journal reduction yields) — the source for replica seeding
-// and lagging-replica recovery.
+// same shape a journal reduction yields) — the source a restart replays.
 func (sh *shard) ledgerStates() []probeState {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -603,14 +553,9 @@ func (sh *shard) quickClose() {
 		sh.lc.stopWatchdog()
 	}
 	sh.mu.Lock()
-	rep := sh.replica
-	sh.replica = nil
 	slot := sh.slot
 	sh.slot = nil
 	sh.mu.Unlock()
-	if rep != nil {
-		rep.shutdown()
-	}
 	if slot != nil {
 		slot.sup.Close()
 		slot.eng.Close()
@@ -618,7 +563,7 @@ func (sh *shard) quickClose() {
 	sh.journal.close()
 }
 
-// close stops the watchdog and replica, drains the serving supervisor
+// close stops the watchdog, drains the serving supervisor
 // (bounded by ctx), and closes the engine. Draining rather than closing
 // means already-admitted tickets still commit, and the supervisor snapshot
 // lands before engine teardown. If ctx expires the drain keeps running in
@@ -628,14 +573,7 @@ func (sh *shard) close(ctx context.Context) error {
 	if sh.lc != nil {
 		sh.lc.stopWatchdog()
 	}
-	sh.mu.Lock()
-	rep := sh.replica
-	sh.replica = nil
-	slot := sh.slot
-	sh.mu.Unlock()
-	if rep != nil {
-		rep.shutdown()
-	}
+	slot := sh.current()
 	defer sh.journal.close()
 	if slot == nil {
 		return nil

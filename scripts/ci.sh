@@ -175,20 +175,19 @@ done
 rm -rf "$sdir"
 echo "serve smoke: ok"
 
-echo "== serve chaos smoke (hot-spare promotion under injected wedge) =="
+echo "== serve chaos smoke (restart in place under injected wedge) =="
 # The self-healing ladder end to end, at process granularity: boot a
-# one-shard daemon with a hot-spare replica and a tight watchdog, arm a
-# one-shot 2s stall at the supervisor commit site (via -chaos-site), and
-# keep probe traffic flowing. The stall wedges the primary past its
-# generation deadline; the watchdog must promote the spare without dropping
-# a single probe commit (every odin-ctl storm invocation must exit 0 — its
+# one-shard daemon with a tight watchdog, arm a one-shot 2s stall at the
+# supervisor commit site (via -chaos-site), and keep probe traffic flowing.
+# The stall wedges the engine past its generation deadline; the watchdog
+# must restart it in place, warm from its snapshot, without dropping a
+# single probe commit (every odin-ctl storm invocation must exit 0 — its
 # retry loop only absorbs shed/backpressure verdicts, not failures).
 cdir="$(mktemp -d)"
 go build -o "$cdir/odin-serve" ./cmd/odin-serve
 go build -o "$cdir/odin-ctl" ./cmd/odin-ctl
 chaos_log="$cdir/serve.log"
 "$cdir/odin-serve" -shard s=json -data "$cdir/data" -addr 127.0.0.1:0 \
-	-replicas 1 -restart-attempts -1 \
 	-watchdog-interval 50ms -gen-deadline 300ms -stuck-queue-age 500ms \
 	-chaos-site supervisor:commit -chaos-stall 2s -chaos-delay 1s \
 	>/dev/null 2>"$chaos_log" &
@@ -205,18 +204,18 @@ if [ -z "$caddr" ]; then
 	kill "$chaos_pid" 2>/dev/null || true
 	exit 1
 fi
-# Wait for the spare to converge before wedging the primary.
-for _ in $(seq 1 300); do
-	"$cdir/odin-ctl" -addr "http://$caddr" health | grep -q 'spare-ready' && break
-	sleep 0.1
-done
-# Storm until the watchdog has promoted; every storm must commit cleanly
-# even while the wedge and the failover swap are in flight.
-promoted=""
+# Storm until the watchdog has restarted the shard; every storm must commit
+# cleanly even while the wedge and the failover swap are in flight.
+restarted=""
 for _ in $(seq 1 40); do
-	"$cdir/odin-ctl" -addr "http://$caddr" -tenant ci storm s 20 >/dev/null
-	if "$cdir/odin-ctl" -addr "http://$caddr" health | grep -q 'promotions=1'; then
-		promoted=yes
+	if ! "$cdir/odin-ctl" -addr "http://$caddr" -tenant ci storm s 20 >/dev/null; then
+		echo "chaos smoke: a storm failed during the failover:"
+		cat "$chaos_log"
+		kill "$chaos_pid" 2>/dev/null || true
+		exit 1
+	fi
+	if "$cdir/odin-ctl" -addr "http://$caddr" health | grep -q 'restarts=1 '; then
+		restarted=yes
 		break
 	fi
 	sleep 0.2
@@ -224,19 +223,19 @@ done
 health_out="$("$cdir/odin-ctl" -addr "http://$caddr" health)"
 kill "$chaos_pid" 2>/dev/null || true
 wait "$chaos_pid" 2>/dev/null || true
-if [ -z "$promoted" ]; then
-	echo "chaos smoke: watchdog never promoted the hot spare:"
+if [ -z "$restarted" ]; then
+	echo "chaos smoke: watchdog never restarted the wedged shard:"
 	echo "$health_out"
 	cat "$chaos_log"
 	exit 1
 fi
 if ! echo "$health_out" | grep -q 'healthy'; then
-	echo "chaos smoke: shard not healthy after promotion:"
+	echo "chaos smoke: shard not healthy after the restart:"
 	echo "$health_out"
 	exit 1
 fi
 rm -rf "$cdir"
-echo "chaos smoke: ok (spare promoted under wedge, zero dropped commits)"
+echo "chaos smoke: ok (shard restarted in place under wedge, zero dropped commits)"
 
 echo "== persist fault sweep (persist:* sites) =="
 # The persistence arm of the faults experiment: engine restarts onto a
@@ -266,7 +265,7 @@ echo "== bench regression gate (verify-overhead + cold-warm + serve-storm + serv
 # (bench.WarmSpeedupFloor) or losing image byte-identity, on the serve
 # control plane dropping healthy tenants' work / letting a hostile tenant
 # push healthy p99 past bench.ServeIsolationFactor, or on a shard failover
-# (restart or promotion under an injected wedge) dropping a healthy commit
+# (restart in place under an injected wedge) dropping a healthy commit
 # or overrunning bench.ChaosFailoverBudgetMS. A missing experiment counts as
 # a regression. Regenerate with `make bench-record` when a deliberate change
 # moves the trajectory. Skipped when no artifact is committed.
