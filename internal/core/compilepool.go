@@ -409,14 +409,15 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 	st := e.frags[id]
 	bypass := e.persistBypass
 	e.mu.RUnlock()
-	if st.obj != nil && st.hashKnown && st.hash == out.hash {
-		// Content-hash hit: the post-instrumentation IR is byte-identical
-		// to what produced the cached object, so the whole pipeline —
-		// materialize included — would reproduce it exactly. Skip it all.
-		out.obj = st.obj
+	if cached := st.lookup(out.hash); cached != nil {
+		// Content-hash hit on either generation: the post-instrumentation
+		// IR is byte-identical to what produced the cached object, so the
+		// whole pipeline — materialize included — would reproduce it
+		// exactly. Skip it all.
+		out.obj = cached
 		out.fc.CacheHit = true
 		out.fc.FuncCacheHits = out.fc.FuncsTotal
-		out.fc.Instrs = st.obj.CodeSize()
+		out.fc.Instrs = cached.CodeSize()
 		return out
 	}
 

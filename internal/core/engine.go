@@ -229,7 +229,7 @@ func (st *RebuildStats) SerialEquivalent() time.Duration {
 // cache entry of Figure 5 and, beside it, what the degradation ladder needs
 // to know about it. A compile copies its fragment's record once; finish
 // commits every staged result in one critical section; the state snapshot
-// saves and restores the same fields.
+// saves and restores the newest object's fields.
 type fragState struct {
 	// obj is the cached object; nil until the fragment's first build.
 	obj *obj.Object
@@ -237,6 +237,12 @@ type fragState struct {
 	// hashKnown is false before the first build and after InvalidateCache.
 	hash      uint64
 	hashKnown bool
+	// prev is the previous distinct clean object and prevHash its
+	// fingerprint, so reverting a probe change is a cache hit. clean marks
+	// obj as eligible to become prev: not degraded, no new quarantine.
+	prev     *obj.Object
+	prevHash uint64
+	clean    bool
 	// quarantine holds the optimizer passes that made this fragment's
 	// compile fail; later rebuilds skip them (degradation ladder, step 3).
 	// The map is replaced, never mutated, so a copied record reads it
@@ -248,15 +254,38 @@ type fragState struct {
 	deferred bool
 }
 
+// lookup returns the object of either generation compiled from IR with
+// fingerprint hash, or nil.
+func (st *fragState) lookup(hash uint64) *obj.Object {
+	if st.obj != nil && st.hashKnown && st.hash == hash {
+		return st.obj
+	}
+	if st.prev != nil && st.prevHash == hash {
+		return st.prev
+	}
+	return nil
+}
+
 // commit folds one staged compilation result into the record. finish calls
 // it only after every scheduled fragment succeeded AND the staged image
-// linked. A deferred fragment keeps its last-good object and fingerprint.
+// linked. A deferred fragment keeps both generations; otherwise a new
+// object demotes the newest to prev when that one is clean.
 func (st *fragState) commit(o *fragOut) {
 	if o.deferred {
 		st.deferred = true
 		return
 	}
-	st.obj, st.hash, st.hashKnown, st.deferred = o.obj, o.hash, true, false
+	st.deferred = false
+	if o.obj == st.obj {
+		return
+	}
+	switch {
+	case st.clean && st.hashKnown && st.hash != o.hash:
+		st.prev, st.prevHash = st.obj, st.hash
+	case o.obj == st.prev:
+		st.prev = nil
+	}
+	st.obj, st.hash, st.hashKnown, st.clean = o.obj, o.hash, true, !o.fc.Degraded
 }
 
 // Engine is the Odin instrumentation framework instance for one program.
@@ -298,14 +327,15 @@ type Engine struct {
 	// does the work, every later call returns the same result.
 	closeOnce sync.Once
 	closeErr  error
-	// store is the persistent artifact tier, non-nil only when
-	// Options.CacheDir named a usable directory. persistBypass (guarded by
-	// mu) suppresses warm loads between InvalidateCache and the next
-	// successful rebuild, so invalidation forces real recompilation instead
-	// of disk hits. moduleHash fingerprints the pristine module for
+	// store is the persistent artifact tier (wb its write-behind queue),
+	// non-nil only when Options.CacheDir named a usable directory.
+	// persistBypass (guarded by mu) suppresses warm loads between
+	// InvalidateCache and the next successful rebuild, so invalidation
+	// forces real recompilation instead of disk hits. moduleHash fingerprints the pristine module for
 	// snapshot identity; persistMetrics counts persistence fallbacks that
 	// happen outside any store (open/snapshot failures).
 	store          *persist.Store
+	wb             *writeBehind
 	persistBypass  bool
 	moduleHash     uint64
 	persistMetrics *persist.Metrics
@@ -400,14 +430,15 @@ func New(m *ir.Module, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// Close releases the engine's resources exactly once: it writes the state
-// snapshot (when Options.SnapshotPath is set), then flushes and closes the
-// persistent store. Close is idempotent and safe to call concurrently —
-// including while a rebuild is in flight: a racing commit's store publishes
-// lose cleanly (counted fallbacks, in-memory cache unaffected), and the
+// Close releases the engine's resources exactly once: it drains and stops
+// the write-behind queue, writes the state snapshot (Options.SnapshotPath),
+// then flushes and closes the persistent store. Close is idempotent and
+// safe to call concurrently — including while a rebuild is in flight: a
+// racing commit's publications are dropped as counted fallbacks, and the
 // store's journal is flushed exactly once.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
+		e.wb.flush(true)
 		// Snapshot before closing the store: SaveSnapshot reads only engine
 		// state (under the engine lock), never the store.
 		e.closeErr = e.SaveSnapshot()
@@ -462,7 +493,7 @@ func (e *Engine) InvalidateCache() {
 	e.allDirty = true
 	e.mu.Lock()
 	for i := range e.frags {
-		e.frags[i].hashKnown = false
+		e.frags[i].hashKnown, e.frags[i].prev = false, nil
 	}
 	// The persistent tier would defeat the invalidation — the evicted
 	// objects are still on disk under unchanged keys — so warm loads are
@@ -538,30 +569,7 @@ func (e *Engine) addQuarantine(id int, pass string) map[string]bool {
 		next[p] = true
 	}
 	next[pass] = true
-	st.quarantine = next
+	// Both generations predate the new pass set: neither may serve as prev.
+	st.quarantine, st.prev, st.clean = next, nil, false
 	return next
-}
-
-// Quarantined returns the quarantined pass names for a fragment, sorted.
-func (e *Engine) Quarantined(id int) []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if id < 0 || id >= len(e.frags) {
-		return nil
-	}
-	return sortedKeys(e.frags[id].quarantine)
-}
-
-// DeferredFragments returns the fragments whose probe changes are deferred
-// (last rebuild served their last-good object), sorted.
-func (e *Engine) DeferredFragments() []int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var out []int
-	for id := range e.frags {
-		if e.frags[id].deferred {
-			out = append(out, id)
-		}
-	}
-	return out
 }

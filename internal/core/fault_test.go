@@ -138,7 +138,7 @@ func TestFaultEverySiteNoCorruption(t *testing.T) {
 			if r, rerr := vmRun(e.Executable(), "main", 7); rerr != nil || r != ref {
 				t.Fatalf("deferred image wrong: main(7) = %d, %v, want %d", r, rerr, ref)
 			}
-			if len(e.DeferredFragments()) == 0 {
+			if len(e.Snapshot().Deferred) == 0 {
 				t.Fatal("no fragments recorded as deferred")
 			}
 
@@ -153,7 +153,7 @@ func TestFaultEverySiteNoCorruption(t *testing.T) {
 				t.Fatalf("retry compiled %d fragments with %d still deferred, want %d and 0",
 					len(st2.Fragments), st2.Deferred, st.Deferred)
 			}
-			if got := e.DeferredFragments(); got != nil {
+			if got := e.Snapshot().Deferred; got != nil {
 				t.Fatalf("deferred set not cleared: %v", got)
 			}
 			if r, rerr := vmRun(e.Executable(), "main", 7); rerr != nil || r != ref {
@@ -274,8 +274,8 @@ func TestFaultQuarantine(t *testing.T) {
 				fc.FragID, fc.Level, fc.Attempts, fc.QuarantinedPass)
 		}
 	}
-	if got := e.Quarantined(0); len(got) != 1 || got[0] != "cse" {
-		t.Fatalf("Quarantined(0) = %v, want [cse]", got)
+	if got := e.Snapshot().Quarantined[0]; len(got) != 1 || got[0] != "cse" {
+		t.Fatalf("quarantined passes of fragment 0 = %v, want [cse]", got)
 	}
 
 	// Fault still armed, pass now quarantined: the next recompile routes

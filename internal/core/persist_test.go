@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -331,7 +332,7 @@ func TestSnapshotRestoresEngineState(t *testing.T) {
 	if !e2.SnapshotRestored() {
 		t.Fatal("snapshot not restored")
 	}
-	if q := e2.Quarantined(1); !reflect.DeepEqual(q, []string{"cse", "licm"}) {
+	if q := e2.Snapshot().Quarantined[1]; !reflect.DeepEqual(q, []string{"cse", "licm"}) {
 		t.Fatalf("restored quarantine = %v", q)
 	}
 	// Quarantined fragments never warm-load (a cold compile would route
@@ -358,7 +359,7 @@ func TestSnapshotRestoresEngineState(t *testing.T) {
 	if e3.SnapshotRestored() {
 		t.Fatal("corrupt snapshot restored")
 	}
-	if len(e3.Quarantined(1)) != 0 {
+	if len(e3.Snapshot().Quarantined[1]) != 0 {
 		t.Fatal("quarantine leaked from corrupt snapshot")
 	}
 	if _, err := os.Stat(snap); !os.IsNotExist(err) {
@@ -476,6 +477,9 @@ func TestReadOnlySecondEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Publication is write-behind: PersistStats waits until the writer's
+	// objects are on disk for the second engine to find.
+	w.PersistStats()
 	r := persistEngine(t, 4, Options{CacheDir: dir})
 	ps, ok := r.PersistStats()
 	if !ok || !ps.ReadOnly {
@@ -519,12 +523,132 @@ func TestEngineCloseFlushesStoreOnce(t *testing.T) {
 		t.Fatalf("second close: %v", err)
 	}
 	<-done
+
+	// A generation that commits after Close (a supervisor abandoned
+	// mid-generation does exactly this) drops its publications: each one a
+	// counted fallback, never a blocked commit or a panic.
+	before, _ := e.PersistStats()
+	e.InvalidateCache()
+	_, st, err := e.BuildAll()
+	if err != nil {
+		t.Fatalf("rebuild after close: %v", err)
+	}
+	after, _ := e.PersistStats()
+	var want uint64
+	for _, fc := range st.Fragments {
+		if fc.FuncsCompiled > 0 && !fc.Degraded {
+			want++
+		}
+	}
+	if got := after.Fallbacks - before.Fallbacks; want == 0 || got != want {
+		t.Fatalf("commit after close counted %d fallbacks, want %d (one per fresh object)", got, want)
+	}
+
 	// The directory must reopen cleanly whatever the race outcome.
-	s, err := persist.Open(dir, persist.Options{BuildID: persistBuildID()})
+	s, err := persist.Open(dir, persist.Options{BuildID: PersistBuildID()})
 	if err != nil {
 		t.Fatalf("reopen after racing close: %v", err)
 	}
 	s.Close()
+}
+
+// TestWriteBehindOverflow: while the store's writer is stuck in a put, K
+// generations commit at once; the queue holds publishDepth of them and each
+// write beyond that is a counted fallback. After the release, Close flushes
+// the queue, and a restarted engine serves every queued object as a warm
+// hit while the dropped ones compile cold — every image equal to its cold
+// build either way.
+func TestWriteBehindOverflow(t *testing.T) {
+	dir := t.TempDir()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hook := func(site string) error {
+		if site == persist.SiteStore {
+			once.Do(func() { close(entered); <-release })
+		}
+		return nil
+	}
+	opts := Options{Variant: VariantMax, Workers: 1, ExtraBuiltins: []string{"__test_hit"}}
+	src := manyFuncSrc(4)
+	mk := func(o Options) *Engine {
+		e, err := New(irtext.MustParse("m", src), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+	wo := opts
+	wo.CacheDir, wo.FaultHook = dir, hook
+	e := mk(wo)
+	unblock := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unblock) // runs before e.Close on an early failure
+	if _, _, err := e.BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the writer holds the cold build's batch, stuck in its first put
+
+	// Generation i runs probe ID i on f0: one fresh object each.
+	const extra = 3
+	pid := -1
+	setProbe := func(e *Engine, id int64) *RebuildStats {
+		t.Helper()
+		if pid >= 0 {
+			if err := e.Manager.Remove(pid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pid = e.Manager.Add(&supProbe{fnName: "f0", id: id})
+		_, st, err := e.BuildAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for id := int64(1); id <= publishDepth+extra; id++ {
+		if st := setProbe(e, id); st.FuncsCompiled == 0 {
+			t.Fatalf("generation %d compiled nothing: %+v", id, st)
+		}
+	}
+	unblock()
+	ps, _ := e.PersistStats()
+	if ps.Fallbacks != extra {
+		t.Fatalf("fallbacks = %d, want %d (the generations past the queue depth)", ps.Fallbacks, extra)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ro := opts
+	ro.CacheDir = dir
+	warm := mk(ro)
+	if _, st, err := warm.BuildAll(); err != nil || st.WarmHits != len(warm.Plan.Fragments) {
+		t.Fatalf("restart: %d of %d fragments warm, err %v", st.WarmHits, len(warm.Plan.Fragments), err)
+	}
+	pid = -1
+	for id := int64(1); id <= publishDepth+extra; id++ {
+		st := setProbe(warm, id)
+		if queued := id <= publishDepth; st.WarmHits != btoi(queued) {
+			t.Fatalf("probe ID %d (queued %v): %d warm hits", id, queued, st.WarmHits)
+		}
+		cold := mk(opts)
+		cold.Manager.Add(&supProbe{fnName: "f0", id: id})
+		want, _, err := cold.BuildAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Executable().Fingerprint() != want.Fingerprint() {
+			t.Fatalf("probe ID %d: image differs from its cold build", id)
+		}
+	}
+}
+
+// btoi is 1 for true, 0 for false.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestPersistMetricsOnRegistry: the odin_persist_* families must be present
@@ -536,6 +660,7 @@ func TestPersistMetricsOnRegistry(t *testing.T) {
 	if _, _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
+	e.PersistStats() // let the write-behind queue drain
 	if got := reg.Counter(persist.MetricStores).Value(); got == 0 {
 		t.Fatalf("%s = %d, want > 0", persist.MetricStores, got)
 	}

@@ -4,48 +4,49 @@ package core
 // behind the in-memory fragment cache, plus engine state snapshots.
 //
 // The tiering contract mirrors the in-memory caches exactly. A fragment
-// compile consults memory first (content-hash hit skips everything), then the
-// persistent store (a warm hit skips materialize+opt+codegen but still links
-// and commits normally), then compiles cold. Only artifacts a clean compile
-// produced at the configured level are ever persisted — degraded, deferred,
-// and quarantined objects never reach disk — so a warm-served object is
-// always byte-identical to what the cold pipeline would produce. Entries and
-// snapshots written by earlier versions may carry per-function hashes
-// (persist.Entry.FuncHashes, EngineState.FuncMeta); the engine ignores them
-// and writes them empty. Every persistence
-// failure, from a missing directory to a bit-flipped entry to an injected
-// persist:* fault, degrades to a counted cold compile; the rebuild pipeline
-// never sees an error from this layer.
+// compile consults memory first (a content-hash hit on either of the
+// fragment's two generations skips everything), then the persistent store (a
+// warm hit skips materialize+opt+codegen but still links and commits
+// normally), then compiles cold. Only artifacts a clean compile produced at
+// the configured level are ever persisted — degraded, deferred, and
+// quarantined objects never reach disk — so a warm-served object is always
+// byte-identical to what the cold pipeline would produce. Publication is
+// write-behind: a generation commits before its objects reach the disk.
+// Entries and snapshots written by earlier versions may carry per-function
+// hashes (persist.Entry.FuncHashes, EngineState.FuncMeta); the engine ignores
+// them and writes them empty. Every persistence failure, from a missing
+// directory to a bit-flipped entry to an injected persist:* fault, degrades
+// to a counted cold compile; the rebuild pipeline never sees an error from
+// this layer.
 
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"odin/internal/ir"
 	"odin/internal/persist"
 )
 
-// persistBuildID is the toolchain identity stamped into every persisted
-// blob. Artifacts are machine code for Odin's deterministic MIR target, so
-// the Go release (which fixes gob encoding details and the compiler package
-// versions baked into this binary) plus the persist schema are the
-// compatibility surface; cache-relevant engine configuration (opt level,
-// codegen strategy) is folded into each entry's key instead.
-func persistBuildID() string {
+// PersistBuildID is the toolchain identity stamped into every persisted
+// blob, exposed for inspection tools that open an engine's cache or snapshot
+// out-of-process (read-only). Artifacts are machine code for Odin's
+// deterministic MIR target, so the Go release (which fixes gob encoding
+// details and the compiler package versions baked into this binary) plus the
+// persist schema are the compatibility surface; cache-relevant engine
+// configuration (opt level, codegen strategy) is folded into each entry's
+// key instead.
+func PersistBuildID() string {
 	return fmt.Sprintf("%s/odin-schema-%d", runtime.Version(), persist.Schema)
 }
-
-// PersistBuildID exposes the toolchain identity for inspection tools that
-// open an engine's cache or snapshot out-of-process (read-only).
-func PersistBuildID() string { return persistBuildID() }
 
 // persistOptions assembles the persist-layer options from the engine's:
 // shared telemetry registry, shared (wrapped) fault hook so persist:* sites
 // are injectable and counted like every other pipeline site.
 func (o Options) persistOptions() persist.Options {
 	return persist.Options{
-		BuildID:   persistBuildID(),
+		BuildID:   PersistBuildID(),
 		Telemetry: o.Telemetry,
 		FaultHook: o.FaultHook,
 	}
@@ -183,7 +184,7 @@ func (e *Engine) openPersistence(moduleHash uint64, pm *persist.Metrics, st *per
 			// run cold. The engine must come up regardless.
 			e.persistMetrics.Fallbacks.Inc()
 		} else {
-			e.store = s
+			e.store, e.wb = s, newWriteBehind(s)
 		}
 	}
 	if st != nil {
@@ -231,12 +232,13 @@ func (e *Engine) applySnapshot(st *persist.EngineState) {
 // Options.SnapshotPath at construction.
 func (e *Engine) SnapshotRestored() bool { return e.snapRestored }
 
-// PersistStats snapshots the persistent cache's counters; ok is false when
-// no store is attached (Options.CacheDir unset or the directory unusable).
+// PersistStats drains the write-behind queue and snapshots the store's
+// counters; ok is false without a store (Options.CacheDir unset or unusable).
 func (e *Engine) PersistStats() (persist.Stats, bool) {
 	if e.store == nil {
 		return persist.Stats{}, false
 	}
+	e.wb.flush(false)
 	return e.store.Stats(), true
 }
 
@@ -256,15 +258,85 @@ func (e *Engine) loadPersisted(hash uint64) *persist.Entry {
 	return ent
 }
 
-// persistCommit publishes one committed fragment result to the disk tier:
-// fresh, clean, not deferred. Cache and warm hits are already stored, and
-// degraded or deferred results are never persisted. Failures are the store's
-// to count — commit never fails on persistence.
-func (e *Engine) persistCommit(o *fragOut) {
-	if e.store == nil || o.deferred || o.fc.CacheHit || o.fc.WarmHit || o.fc.Degraded {
+// publishDepth bounds the write-behind queue in generations, one batch each
+// however many fragments it compiled: only a writer stalled that long drops.
+const publishDepth = 64
+
+// writeBehind is the persistent tier's publication queue: a committing
+// generation hands it its fresh clean objects and goes on; one writer
+// goroutine, started with the store and stopped by Close, puts them. mu
+// guards q (nil once closed) and pending, the batches queued or in writing.
+type writeBehind struct {
+	store   *persist.Store
+	q       chan []*persist.Entry
+	mu      sync.Mutex
+	idle    sync.Cond // signalled as each batch lands
+	pending int
+}
+
+func newWriteBehind(store *persist.Store) *writeBehind {
+	q := make(chan []*persist.Entry, publishDepth)
+	wb := &writeBehind{store: store, q: q}
+	wb.idle.L = &wb.mu
+	go func() {
+		for batch := range q {
+			for _, ent := range batch {
+				_ = store.Put(ent.Key, ent)
+			}
+			wb.mu.Lock()
+			wb.pending--
+			wb.idle.Broadcast()
+			wb.mu.Unlock()
+		}
+	}()
+	return wb
+}
+
+// publish queues a committing generation's fresh, clean objects (hits are
+// already stored; degraded or deferred results never are). It never blocks:
+// with the queue full or closed the batch is dropped, each entry a counted
+// store fallback — a later cold compile, never a wrong image.
+func (e *Engine) publish(outs []fragOut) {
+	if e.wb == nil {
 		return
 	}
-	_ = e.store.Put(e.persistKey(o.hash), &persist.Entry{Object: o.obj, Level: o.fc.Level})
+	var batch []*persist.Entry
+	for i := range outs {
+		if o := &outs[i]; !o.deferred && !o.fc.CacheHit && !o.fc.WarmHit && !o.fc.Degraded {
+			batch = append(batch, &persist.Entry{Key: e.persistKey(o.hash), Object: o.obj, Level: o.fc.Level})
+		}
+	}
+	if len(batch) == 0 {
+		return
+	}
+	e.wb.mu.Lock()
+	defer e.wb.mu.Unlock()
+	select {
+	case e.wb.q <- batch:
+		e.wb.pending++
+		return
+	default:
+	}
+	for range batch {
+		e.store.Fallback()
+	}
+}
+
+// flush waits until every queued batch has reached the store (a no-op
+// without one); stop first closes the queue, which ends the writer goroutine.
+func (wb *writeBehind) flush(stop bool) {
+	if wb == nil {
+		return
+	}
+	wb.mu.Lock()
+	defer wb.mu.Unlock()
+	if stop && wb.q != nil {
+		close(wb.q)
+		wb.q = nil
+	}
+	for wb.pending > 0 {
+		wb.idle.Wait()
+	}
 }
 
 // buildState captures the engine's persistable state under the engine lock.
@@ -299,12 +371,14 @@ func (e *Engine) buildState() *persist.EngineState {
 	return st
 }
 
-// SaveSnapshot atomically writes the engine's state snapshot to
+// SaveSnapshot drains the write-behind queue, so the objects the snapshot
+// names are on disk, then atomically writes the engine's state snapshot to
 // Options.SnapshotPath (a no-op without one), including the supervisor's
 // breaker state when a Supervisor owns this engine. Safe to call
 // concurrently with rebuilds; the snapshot is a consistent view taken under
 // the engine lock.
 func (e *Engine) SaveSnapshot() error {
+	e.wb.flush(false)
 	if e.opts.SnapshotPath == "" {
 		return nil
 	}

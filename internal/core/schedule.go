@@ -325,15 +325,15 @@ func (s *Sched) finish() (*link.Executable, *RebuildStats, error) {
 	stats.LinkDur = time.Since(tl)
 
 	// Every fragment compiled (possibly degraded) and the image linked:
-	// nothing can fail any more. Publish fresh clean objects to the
-	// persistent tier first (disk I/O stays outside the lock, and failures
-	// are the store's to count — the in-memory commit is the source of truth
-	// either way), then commit every staged fragment, the image and the
-	// rebuild tally in one critical section, so a concurrent reader sees the
+	// nothing can fail any more. Hand fresh clean objects to the persistent
+	// tier's writer (the disk is never on this path, and failures are the
+	// store's to count — the in-memory commit is the source of truth either
+	// way), then commit every staged fragment, the image and the rebuild
+	// tally in one critical section, so a concurrent reader sees the
 	// previous generation or this one, never a mix.
 	commit := root.Child("commit")
+	e.publish(outs)
 	for i := range outs {
-		e.persistCommit(&outs[i])
 		stats.Fragments = append(stats.Fragments, outs[i].fc)
 		stats.tally(&outs[i].fc)
 	}

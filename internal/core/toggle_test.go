@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -106,7 +107,7 @@ entry:
 `
 
 // hookEngine builds an engine over src with the test hook builtin.
-func hookEngine(t *testing.T, src string, opts Options) *Engine {
+func hookEngine(t testing.TB, src string, opts Options) *Engine {
 	t.Helper()
 	m := irtext.MustParse("m", src)
 	opts.ExtraBuiltins = append(opts.ExtraBuiltins, "__test_hit")
@@ -163,6 +164,19 @@ func rebuildOnce(e *Engine) (*Engine, *RebuildStats, error) {
 	return e, stats, err
 }
 
+// toggleShapes are the multi-function fragment programs the toggle tests
+// probe, with the functions they probe and what main(5) returns and prints.
+var toggleShapes = []struct {
+	name, src string
+	targets   []string
+	main5     int64
+	out       string
+}{
+	{"group", groupSrc, []string{"w1", "w2"}, 17, ""},
+	{"dead-member", deadMemberSrc, []string{"w1"}, 8, ""},
+	{"puts", putsSrc, []string{"w2", "w1", "w0"}, 11, "hi\nyo\n"},
+}
+
 // TestToggleEqualsCold: a probe toggled on inside a multi-function fragment
 // recompiles that fragment whole into an image byte-identical to a cold
 // build with the same probe, and toggling it off again gives the image of a
@@ -170,17 +184,7 @@ func rebuildOnce(e *Engine) (*Engine, *RebuildStats, error) {
 // a group with a dead internal member, and a group whose printf calls the
 // optimizer turns into puts of synthesised strings.
 func TestToggleEqualsCold(t *testing.T) {
-	cases := []struct {
-		name, src string
-		targets   []string
-		main5     int64  // main(5)
-		out       string // what main prints
-	}{
-		{"group", groupSrc, []string{"w1", "w2"}, 17, ""},
-		{"dead-member", deadMemberSrc, []string{"w1"}, 8, ""},
-		{"puts", putsSrc, []string{"w2", "w1", "w0"}, 11, "hi\nyo\n"},
-	}
-	for _, tc := range cases {
+	for _, tc := range toggleShapes {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, target := range tc.targets {
 				t.Run(target, func(t *testing.T) {
@@ -273,44 +277,73 @@ entry:
 }
 
 // TestToggleAllocBudget pins the steady-state allocation cost of a
-// single-probe toggle — the hot loop of a fuzzing campaign: each toggle
-// recompiles exactly its one fragment, whole. The budget is about twice the
-// measured cost, so it catches a clone or a side table that starts scaling
-// with the program rather than the fragment without flaking on allocator
-// noise.
+// single-probe toggle — the hot loop of a fuzzing campaign. Two probes with
+// different IDs alternate on g0a, so every enable is a state neither of the
+// fragment's two generations holds and recompiles the fragment whole, while
+// every disable reverts to the previous generation and is a cache hit. Each
+// half has its own budget, about twice its measured cost, so it catches a
+// clone or a side table that starts scaling with the program rather than
+// the fragment without flaking on allocator noise.
 func TestToggleAllocBudget(t *testing.T) {
 	e := hookEngine(t, groupsSrc(8), Options{Variant: VariantOdin, Workers: 1})
 	if _, _, err := e.BuildAll(); err != nil {
 		t.Fatal(err)
 	}
 	f := e.Pristine.LookupFunc("g0a")
-	probe := &hookProbe{fnName: "g0a", block: f.Blocks[0], id: 1}
-	var pid int
-	on := false
-	toggle := func() {
-		if on {
-			if err := e.Manager.Remove(pid); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			pid = e.Manager.Add(probe)
-		}
-		on = !on
+	probes := [2]*hookProbe{{fnName: "g0a", block: f.Blocks[0], id: 1}, {fnName: "g0a", block: f.Blocks[0], id: 2}}
+	var pid, n int
+	rebuild := func(hit bool) {
 		_, stats, err := rebuildOnce(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(stats.Fragments) != 1 || stats.CacheHits != 0 ||
-			stats.Fragments[0].FuncsCompiled != stats.Fragments[0].FuncsTotal {
-			t.Fatalf("toggle did not recompile exactly its one fragment whole: %+v", stats)
+		if len(stats.Fragments) != 1 {
+			t.Fatalf("toggle rebuilt %d fragments, want 1: %+v", len(stats.Fragments), stats)
+		}
+		want := stats.Fragments[0].FuncsTotal
+		if hit {
+			want = 0
+		}
+		if fc := stats.Fragments[0]; fc.CacheHit != hit || fc.FuncsCompiled != want {
+			t.Fatalf("toggle compiled %d functions (cache hit %v), want %d (cache hit %v)", fc.FuncsCompiled, fc.CacheHit, want, hit)
 		}
 	}
-	toggle()
-	toggle()
-	avg := testing.AllocsPerRun(20, toggle)
-	const budget = 600
-	if avg > budget {
-		t.Fatalf("probe toggle allocates %.0f objects/op, budget %d", avg, budget)
+	on := func() {
+		pid = e.Manager.Add(probes[n%2])
+		n++
+		rebuild(false)
 	}
-	t.Logf("probe toggle: %.0f allocs/op (budget %d)", avg, budget)
+	off := func() {
+		if err := e.Manager.Remove(pid); err != nil {
+			t.Fatal(err)
+		}
+		rebuild(true)
+	}
+	on()
+	off()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var onAllocs, offAllocs uint64
+	for i := 0; i < runs; i++ {
+		onAllocs += mallocs(on)
+		offAllocs += mallocs(off)
+	}
+	const budget, hitBudget = 600, 180
+	if avg := onAllocs / runs; avg > budget {
+		t.Fatalf("probe enable allocates %d objects/op, budget %d", avg, budget)
+	}
+	if avg := offAllocs / runs; avg > hitBudget {
+		t.Fatalf("probe revert allocates %d objects/op, budget %d", avg, hitBudget)
+	}
+	t.Logf("probe enable: %d allocs/op (budget %d); revert: %d allocs/op (budget %d)",
+		onAllocs/runs, budget, offAllocs/runs, hitBudget)
+}
+
+// mallocs counts the heap allocations f makes, as testing.AllocsPerRun does.
+func mallocs(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
 }

@@ -86,7 +86,7 @@ func TestVerifyAllQuarantinesFaultedPass(t *testing.T) {
 	}
 	quarantined := false
 	for id := range e.Plan.Fragments {
-		for _, p := range e.Quarantined(id) {
+		for _, p := range e.Snapshot().Quarantined[id] {
 			if p == "constprop" {
 				quarantined = true
 			}

@@ -263,8 +263,9 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// fallback counts one operation that degraded to the in-memory path.
-func (s *Store) fallback() {
+// Fallback counts one operation that degraded to the in-memory path,
+// including a publication its caller dropped before it reached Put.
+func (s *Store) Fallback() {
 	s.fallbacks.Add(1)
 	s.metrics.Fallbacks.Inc()
 }
@@ -280,11 +281,11 @@ func (s *Store) Get(key uint64) (*Entry, error) {
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		s.fallback()
+		s.Fallback()
 		return nil, ErrClosed
 	}
 	if err := fault(s.hook, SiteLoad); err != nil {
-		s.fallback()
+		s.Fallback()
 		return nil, err
 	}
 	path := s.entryPath(key)
@@ -295,7 +296,7 @@ func (s *Store) Get(key uint64) (*Entry, error) {
 		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrSchemaSkew) {
 			s.evict(key, path)
 		} else {
-			s.fallback()
+			s.Fallback()
 		}
 		s.miss()
 		return nil, err
@@ -342,12 +343,12 @@ func (s *Store) Put(key uint64, e *Entry) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.fallback()
+		s.Fallback()
 		return ErrClosed
 	}
 	if !s.writer {
 		s.mu.Unlock()
-		s.fallback()
+		s.Fallback()
 		return ErrReadOnly
 	}
 	if _, dup := s.index[key]; dup {
@@ -358,23 +359,23 @@ func (s *Store) Put(key uint64, e *Entry) error {
 	s.mu.Unlock()
 
 	if e.Object == nil {
-		s.fallback()
+		s.Fallback()
 		return fmt.Errorf("persist: refusing to store entry %016x without an object", key)
 	}
 	if err := fault(s.hook, SiteStore); err != nil {
-		s.fallback()
+		s.Fallback()
 		return err
 	}
 	e.Key = key
 	payload := encodeEntry(e)
 	path := s.entryPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		s.fallback()
+		s.Fallback()
 		return err
 	}
 	n, err := writeBlobAtomic(path, MagicEntry, s.buildID, payload)
 	if err != nil {
-		s.fallback()
+		s.Fallback()
 		return err
 	}
 	s.bytesWritten.Add(uint64(n))
@@ -402,7 +403,7 @@ func (s *Store) evict(key uint64, path string) {
 	s.corrupt.Add(1)
 	s.metrics.CorruptEvicted.Inc()
 	if ferr := fault(s.hook, SiteEvict); ferr != nil {
-		s.fallback()
+		s.Fallback()
 		return
 	}
 	s.mu.Lock()

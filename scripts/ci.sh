@@ -33,6 +33,13 @@ echo "== fuzz: reset contract (10s) =="
 # a fresh vm.New's byte for byte, and after Rebind the second image's.
 go test -run xxx -fuzz FuzzResetEquivalence -fuzztime 10s ./internal/vm
 
+echo "== fuzz: toggle history (10s) =="
+# Generated add / flip / remove histories over the toggle-test programs,
+# with one and two workers, with and without a cache directory: after every
+# rebuild the image must equal a cold build of the probe set active at that
+# moment, whichever cache generation or tier served each fragment.
+go test -run xxx -fuzz FuzzToggleHistory -fuzztime 10s ./internal/core
+
 echo "== supervisor soak (-race, ~30s) =="
 # Bounded concurrent-supervisor soak: 8 goroutines of random probe toggles
 # against a fault-injecting engine under the race detector. The test asserts
@@ -80,10 +87,12 @@ echo "metrics smoke: ok"
 echo "== persist crash-restart smoke =="
 # Kill-9 tolerance end to end, at process granularity: seed a persistent
 # cache + snapshot with a clean run (recording the reference image
-# fingerprint), SIGKILL fresh runs against the same cache dir at varying
-# points mid-build, then assert a final restart (a) does not crash on
-# whatever half-written state the kills left behind, (b) serves warm hits
-# from the surviving entries, and (c) produces a byte-identical image.
+# fingerprint), restart cleanly once (publication is write-behind, so this
+# proves Close flushed every fragment: all of them must be warm), SIGKILL
+# fresh runs against the same cache dir at varying points mid-build, then
+# assert a final restart (a) does not crash on whatever half-written state
+# the kills left behind, (b) serves warm hits from the surviving entries,
+# and (c) produces a byte-identical image.
 pdir="$(mktemp -d)"
 go build -o "$pdir/odin-run" ./cmd/odin-run
 seed_log="$pdir/seed.log"
@@ -95,6 +104,16 @@ if [ -z "$ref" ]; then
 	cat "$seed_log"
 	exit 1
 fi
+clean_log="$pdir/clean.log"
+"$pdir/odin-run" -odin -program libxml2 \
+	-cache-dir "$pdir/cache" -snapshot "$pdir/state.snap" >/dev/null 2>"$clean_log"
+clean="$(sed -n 's/^; persist: \([0-9]*\/[0-9]*\) fragments warm.*/\1/p' "$clean_log")"
+if [ -z "$clean" ] || [ "${clean%/*}" -eq 0 ] || [ "${clean%/*}" != "${clean#*/}" ]; then
+	echo "crash-restart smoke: clean restart after the seed run not fully warm (${clean:-no persist line}):"
+	cat "$clean_log"
+	exit 1
+fi
+echo "crash-restart smoke: clean restart $clean fragments warm"
 for delay in 0 0.02 0.05 0.1; do
 	"$pdir/odin-run" -odin -program libxml2 \
 		-cache-dir "$pdir/cache" -snapshot "$pdir/state.snap" >/dev/null 2>&1 &
