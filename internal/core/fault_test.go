@@ -4,13 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"odin/internal/faultinject"
+	"odin/internal/ir"
 	"odin/internal/irtext"
 	"odin/internal/link"
+	"odin/internal/progen"
+	"odin/internal/rt"
+	"odin/internal/vm"
 )
 
 // hookBox lets a test swap the engine's fault hook after construction: the
@@ -499,4 +504,151 @@ func TestDeferredProbeChangeReattempt(t *testing.T) {
 	if len(st.Fragments) != 0 {
 		t.Fatalf("steady-state rebuild recompiled %d fragments, want 0", len(st.Fragments))
 	}
+}
+
+// sweepSig is what replaying one input must reproduce: the return value,
+// the program output, whether it trapped, and how many times the sweep's
+// probe fired.
+type sweepSig struct {
+	ret     int64
+	out     string
+	trapped bool
+	hits    int
+}
+
+// replaySweep replays inputs on exe, counting __test_hit firings per input.
+// An error other than a trap fails the test.
+func replaySweep(t *testing.T, exe *link.Executable, inputs [][]byte) []sweepSig {
+	t.Helper()
+	mach := vm.New(exe)
+	hits := 0
+	mach.Env.Builtins["__test_hit"] = func(*rt.Env, []int64) (int64, error) { hits++; return 0, nil }
+	sigs := make([]sweepSig, len(inputs))
+	for i, in := range inputs {
+		hits = 0
+		ret, out, _, err := vm.RunProgram(mach, in)
+		var trap *rt.TrapError
+		if err != nil && !errors.As(err, &trap) {
+			t.Errorf("replay input %d: %v", i, err)
+		}
+		sigs[i] = sweepSig{ret: ret, out: out, trapped: err != nil, hits: hits}
+	}
+	return sigs
+}
+
+// sameResults compares two replays without the probe firings: a deferred
+// probe change serves last-good objects, which count by the old probe state.
+func sameResults(a, b []sweepSig) bool {
+	for i := range a {
+		if a[i].ret != b[i].ret || a[i].out != b[i].out || a[i].trapped != b[i].trapped {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestFaultRateSweep is the pipeline arm of the fault sweep: every fault
+// kind at several injection rates, armed at every site ("*"), over full
+// rebuilds of suite programs. Each round toggles one counter probe, so
+// consecutive images count differently, then runs InvalidateCache +
+// BuildAll. Whatever a round's outcome, the two hard invariants hold:
+//   - a failure is typed: a *TimeoutError (the stall kind's signature) or a
+//     RebuildError/FragError that faultinject recognises as injected;
+//   - the served image is right: after a failure it is the pre-round image,
+//     after a success it replays the inputs exactly like the clean build of
+//     the current probe set, and after a success that deferred a probe
+//     change (last-good objects served) with the same results and output.
+func TestFaultRateSweep(t *testing.T) {
+	kinds := []faultinject.Kind{faultinject.KindError, faultinject.KindPanic, faultinject.KindStall}
+	for pi, name := range []string{"json", "woff2"} {
+		p, ok := progen.ByName(name)
+		if !ok {
+			t.Fatalf("no profile %s", name)
+		}
+		m := p.Generate()
+		for _, kind := range kinds {
+			for _, rate := range []float64{0.05, 0.2, 1} {
+				t.Run(fmt.Sprintf("%s/%s@%g", name, kind, rate), func(t *testing.T) {
+					faultSweepCell(t, m, uint64(pi+1), faultinject.Rule{Site: "*", Kind: kind, Rate: rate})
+				})
+			}
+		}
+	}
+}
+
+// faultSweepCell runs one (program, kind, rate) cell of TestFaultRateSweep.
+func faultSweepCell(t *testing.T, m *ir.Module, seed uint64, rule faultinject.Rule) {
+	inputs := [][]byte{nil, {3}, []byte("fault sweep"), {0, 1, 2, 3, 4, 5, 250, 128, 66, 99}}
+	const rounds = 4
+	box := &hookBox{}
+	e, err := New(m, Options{FaultHook: box.at, ExtraBuiltins: []string{"__test_hit"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Clean references for both probe states: ref[0] off, ref[1] on.
+	var ref [2][]sweepSig
+	exe, _, err := e.BuildAll()
+	if err != nil {
+		t.Fatalf("clean build: %v", err)
+	}
+	ref[0] = replaySweep(t, exe, inputs)
+	id := e.Manager.Add(&supProbe{fnName: "fuzz_target", id: 1})
+	if exe, _, err = e.BuildAll(); err != nil {
+		t.Fatalf("clean build with probe: %v", err)
+	}
+	ref[1] = replaySweep(t, exe, inputs)
+	if ref[1][0].hits == 0 {
+		t.Fatal("probe never fires in the clean build")
+	}
+
+	inj := faultinject.New(seed).SetStall(5 * time.Millisecond).Arm(rule)
+	box.fn = inj.At
+	if rule.Kind == faultinject.KindStall {
+		e.opts.RebuildTimeout = 100 * time.Millisecond
+	}
+	active := 1
+	var ok, deferred, failed, timeouts int
+	for r := 0; r < rounds; r++ {
+		active ^= 1
+		if err := e.Manager.SetActive(id, active == 1); err != nil {
+			t.Fatal(err)
+		}
+		before := e.Executable()
+		e.InvalidateCache()
+		_, st, err := e.BuildAll()
+		var te *TimeoutError
+		var re *RebuildError
+		var fe FragError
+		switch {
+		case err == nil && st.Deferred > 0:
+			deferred++
+			if got := replaySweep(t, e.Executable(), inputs); !sameResults(got, ref[active]) {
+				t.Errorf("round %d: deferred image diverged from the clean build", r)
+			}
+			continue
+		case err == nil:
+			ok++
+			if got := replaySweep(t, e.Executable(), inputs); !reflect.DeepEqual(got, ref[active]) {
+				t.Errorf("round %d: image diverged from the clean build with probe state %d", r, active)
+			}
+			continue
+		case errors.As(err, &te):
+			timeouts++
+		case errors.As(err, &re), errors.As(err, &fe):
+			failed++
+			if !faultinject.IsInjected(err) {
+				t.Errorf("round %d: non-injected failure: %v", r, err)
+			}
+		default:
+			t.Errorf("round %d: untyped failure %T: %v", r, err, err)
+		}
+		if e.Executable() != before {
+			t.Errorf("round %d: failed rebuild replaced the served image", r)
+		}
+	}
+	if inj.TotalInjected() == 0 {
+		t.Error("no faults injected")
+	}
+	t.Logf("%d ok, %d deferred, %d failed, %d timed out; %d faults injected",
+		ok, deferred, failed, timeouts, inj.TotalInjected())
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"odin/internal/ir"
 	"odin/internal/irtext"
 	"odin/internal/persist"
+	"odin/internal/progen"
 	"odin/internal/telemetry"
 	"odin/internal/vm"
 )
@@ -270,41 +272,91 @@ func TestInvalidateCacheBypassesPersist(t *testing.T) {
 	}
 }
 
-// TestPersistFaultSweep arms every persist:* site at rate 1 and asserts the
-// engine neither crashes nor changes output — the verify-or-degrade
-// contract under injected I/O failure.
+// TestPersistFaultSweep is the persistence arm of the fault sweep: faults
+// armed at every persist:* site must never surface as a build error or
+// change the image, the verify-or-degrade contract under injected I/O
+// failure. The "error" and "panic" cases build onto an empty cache with
+// every persist call failing; the "seeded" cases first seed a cache and
+// snapshot with a clean engine, then restart onto them twice per kind and
+// rate, the warm start a persisting engine makes after every restart.
 func TestPersistFaultSweep(t *testing.T) {
-	ref := persistEngine(t, 4, Options{})
-	exeRef, _, err := ref.BuildAll()
+	p, _ := progen.ByName("json")
+	m := p.Generate()
+	engine := func(opts Options) *Engine {
+		t.Helper()
+		e, err := New(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+	exeRef, _, err := engine(Options{}).BuildAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []faultinject.Kind{faultinject.KindError, faultinject.KindPanic} {
-		t.Run(string(kind), func(t *testing.T) {
+	type sweepCase struct {
+		name   string
+		rule   faultinject.Rule
+		seeded bool
+	}
+	cases := []sweepCase{
+		{name: "error", rule: faultinject.Rule{Site: "persist:*", Kind: faultinject.KindError, Rate: 1}},
+		{name: "panic", rule: faultinject.Rule{Site: "persist:*", Kind: faultinject.KindPanic, Rate: 1}},
+	}
+	for _, kind := range []faultinject.Kind{faultinject.KindError, faultinject.KindPanic, faultinject.KindStall} {
+		for _, rate := range []float64{0.05, 0.2, 1} {
+			cases = append(cases, sweepCase{
+				name:   fmt.Sprintf("seeded/%s@%g", kind, rate),
+				rule:   faultinject.Rule{Site: "persist:*", Kind: kind, Rate: rate},
+				seeded: true,
+			})
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			inj := faultinject.New(7).
-				Arm(faultinject.Rule{Site: "persist:*", Kind: kind, Rate: 1})
-			e := persistEngine(t, 4, Options{
+			opts := Options{
 				CacheDir:     dir,
 				SnapshotPath: filepath.Join(dir, "engine.snap"),
-				FaultHook:    inj.At,
 				Telemetry:    telemetry.NewRegistry(),
-			})
-			exe, st, err := e.BuildAll()
-			if err != nil {
-				t.Fatalf("build under persist faults: %v", err)
 			}
-			if st.WarmHits != 0 {
-				t.Fatalf("warm hits under total persist failure: %d", st.WarmHits)
+			restarts := 1
+			if tc.seeded {
+				seed := engine(opts)
+				if _, _, err := seed.BuildAll(); err != nil {
+					t.Fatalf("seed build: %v", err)
+				}
+				if err := seed.Close(); err != nil {
+					t.Fatalf("seed close: %v", err)
+				}
+				restarts = 2
 			}
-			if exe.Fingerprint() != exeRef.Fingerprint() {
-				t.Fatal("output changed under persist faults")
+			inj := faultinject.New(7).SetStall(time.Millisecond).Arm(tc.rule)
+			opts.FaultHook = inj.At
+			for r := 0; r < restarts; r++ {
+				e := engine(opts)
+				exe, st, err := e.BuildAll()
+				if err != nil {
+					t.Fatalf("restart %d: build under persist faults: %v", r, err)
+				}
+				if !tc.seeded && st.WarmHits != 0 {
+					t.Fatalf("warm hits under total persist failure: %d", st.WarmHits)
+				}
+				if exe.Fingerprint() != exeRef.Fingerprint() {
+					t.Fatalf("restart %d: output changed under persist faults", r)
+				}
+				// Close may surface an injected snapshot-save fault: a typed
+				// error on an explicit flush, not a crash. The next restart
+				// proves the disk state stayed loadable or evictable.
+				if err := e.Close(); err != nil {
+					t.Logf("restart %d: close surfaced %v", r, err)
+				}
 			}
-			if e.Close() != nil {
-				// Close surfaces the snapshot-save fault; acceptable, but it
-				// must not have crashed or corrupted anything.
-				t.Log("close surfaced injected fault (expected)")
+			if tc.rule.Rate == 1 && inj.TotalInjected() == 0 {
+				t.Fatal("no faults injected")
 			}
+			t.Logf("%d faults injected", inj.TotalInjected())
 		})
 	}
 }

@@ -2,8 +2,8 @@
 // fault injector for the rebuild pipeline. It is the test substrate for the
 // fault-tolerant rebuild supervisor: opt, codegen, and link expose plain
 // function-valued hooks (no build tags) that an Injector can arm to raise
-// errors, panics, or stalls at named sites, and the robustness experiment
-// (`odin-bench -experiment faults`) sweeps injection rates through it.
+// errors, panics, or stalls at named sites, and internal/core's
+// TestFaultRateSweep and TestPersistFaultSweep sweep injection rates through it.
 //
 // Site names follow "<stage>:<point>":
 //

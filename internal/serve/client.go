@@ -11,7 +11,7 @@ import (
 )
 
 // Client is a thin typed wrapper over the control-plane API, used by
-// odin-ctl and the serve-storm bench driver.
+// odin-ctl and the tests.
 type Client struct {
 	// Base is the daemon's root URL, e.g. "http://127.0.0.1:9180".
 	Base string

@@ -15,23 +15,52 @@ import (
 // shed/backpressure included — (b) healthy tail latency stays bounded, and
 // (c) the hostile tenant is demonstrably contained by its failure breaker
 // rather than by the shard breaker everyone shares.
+//
+// It runs under two admission ladders. "tuned" sets the tenant breaker's
+// threshold below the shard breaker's, so the tenant breaker trips first.
+// "default" keeps the default threshold, equal to the shard breaker's, so
+// the two race; its generous bucket and short breaker windows let the
+// hostile tenant spray as hard as the breakers allow. When the shard
+// breaker wins, poison-only generations hold it open for every tenant on
+// the shard and healthy tickets drop: a known defect of the breaker, which
+// this case exposes in a few percent of runs.
 func TestTenantIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-tenant storm")
 	}
-	srv, _, client := newTestServer(t, Options{
-		Shards: []ShardSpec{
-			{Name: "alpha", Module: testModule(t, 8)},
-			{Name: "beta", Module: testModule(t, 8)},
-		},
-		Admission: AdmissionOptions{
+	cases := []struct {
+		name      string
+		admission AdmissionOptions
+		// shedPause is how long the hostile tenant waits after a 429.
+		shedPause time.Duration
+	}{
+		{"tuned", AdmissionOptions{
 			// Rate limiting off: the test wants the failure breaker, not the
 			// bucket, to do the containing.
 			TenantRPS:      -1,
 			FailThreshold:  2,
 			FailBackoff:    100 * time.Millisecond,
 			FailMaxBackoff: time.Second,
+		}, 10 * time.Millisecond},
+		{"default", AdmissionOptions{
+			TenantRPS:      5000,
+			TenantBurst:    1000,
+			FailBackoff:    100 * time.Millisecond,
+			FailMaxBackoff: 2 * time.Second,
+		}, 5 * time.Millisecond},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { tenantIsolation(t, tc.admission, tc.shedPause) })
+	}
+}
+
+func tenantIsolation(t *testing.T, admission AdmissionOptions, shedPause time.Duration) {
+	srv, _, client := newTestServer(t, Options{
+		Shards: []ShardSpec{
+			{Name: "alpha", Module: testModule(t, 8)},
+			{Name: "beta", Module: testModule(t, 8)},
 		},
+		Admission: admission,
 	})
 
 	const healthyOps = 24
@@ -65,7 +94,7 @@ func TestTenantIsolation(t *testing.T) {
 			var ae *APIError
 			if errors.As(err, &ae) && ae.Status == 429 {
 				hostileShed++
-				time.Sleep(10 * time.Millisecond)
+				time.Sleep(shedPause)
 			}
 		}
 	}()

@@ -28,8 +28,8 @@ const (
 // ProbeSpec is the wire form of a probe request: which function to patch
 // and what instrumentation to apply. Kind defaults to "counter"; "poison"
 // installs an instrumenter that always fails, exercising the supervisor's
-// bisection/quarantine path (used by tests and the hostile arm of the
-// serve-storm experiment).
+// bisection/quarantine path (used by the hostile tenant of
+// TestTenantIsolation).
 type ProbeSpec struct {
 	Func string `json:"func"`
 	Kind string `json:"kind,omitempty"`

@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI entry point: vet, build, full tests, race tests on the concurrent
-# packages, and a gofmt cleanliness check. Mirrors `make ci`.
+# packages, fuzz smokes, process-level smokes, allocation budgets, and a
+# gofmt cleanliness check. `make ci` runs this script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -256,15 +257,6 @@ fi
 rm -rf "$cdir"
 echo "chaos smoke: ok (shard restarted in place under wedge, zero dropped commits)"
 
-echo "== persist fault sweep (persist:* sites) =="
-# The persistence arm of the faults experiment: engine restarts onto a
-# seeded cache with error/panic/stall faults armed at every persist:* site.
-# odin-bench exits nonzero on any build error or image divergence — the
-# verify-or-degrade contract at sweep scale. Bounded to three programs and
-# two rounds to keep CI wall time in check; the full suite runs via
-# `odin-bench -experiment faults`.
-go run ./cmd/odin-bench -experiment faults -programs json,sqlite,libxml2 -fault-rounds 2
-
 echo "== allocation budgets (probe toggle hot loop, steady-state execution) =="
 # A single-probe toggle's steady-state allocation envelope, pinned with
 # testing.AllocsPerRun: a clone or side table that starts scaling with the
@@ -274,27 +266,6 @@ echo "== allocation budgets (probe toggle hot loop, steady-state execution) =="
 # as allocs per exec.
 go test ./internal/core/ -run TestToggleAllocBudget
 go test ./internal/cov/ -run TestRunInputAllocBudget
-
-echo "== bench regression gate (verify-overhead + cold-warm + serve-storm + serve-chaos vs committed artifact) =="
-# Compare the current tree's trajectory against the newest committed BENCH
-# artifact through `make bench-check`, which owns the experiment list: fail
-# on >15% p50/p99 regression beyond a 2ms absolute floor (machine-jitter
-# immunity), on boundaries-tier verification overhead above its 5% p50
-# budget, on a warm start falling below its absolute speedup floor
-# (bench.WarmSpeedupFloor) or losing image byte-identity, on the serve
-# control plane dropping healthy tenants' work / letting a hostile tenant
-# push healthy p99 past bench.ServeIsolationFactor, or on a shard failover
-# (restart in place under an injected wedge) dropping a healthy commit
-# or overrunning bench.ChaosFailoverBudgetMS. A missing experiment counts as
-# a regression. Regenerate with `make bench-record` when a deliberate change
-# moves the trajectory. Skipped when no artifact is committed.
-bench_artifact="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 || true)"
-if [ -n "$bench_artifact" ]; then
-	echo "comparing against $bench_artifact"
-	make bench-check BENCH="$bench_artifact"
-else
-	echo "no BENCH_*.json artifact committed; skipping regression gate"
-fi
 
 echo "== gofmt =="
 out="$(gofmt -l .)"
