@@ -148,8 +148,7 @@ func printPersist(d *persistDump) {
 		if d.StoreError != "" {
 			fmt.Printf("  store %s: unavailable: %s\n", d.CacheDir, d.StoreError)
 		} else {
-			fmt.Printf("  store %s: %d entries, read-only=%v\n",
-				d.CacheDir, d.Store.Entries, d.Store.ReadOnly)
+			fmt.Printf("  store %s: read-only=%v\n", d.CacheDir, d.Store.ReadOnly)
 		}
 	}
 	if d.SnapshotPath != "" {

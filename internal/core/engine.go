@@ -432,10 +432,10 @@ func New(m *ir.Module, opts Options) (*Engine, error) {
 
 // Close releases the engine's resources exactly once: it drains and stops
 // the write-behind queue, writes the state snapshot (Options.SnapshotPath),
-// then flushes and closes the persistent store. Close is idempotent and
-// safe to call concurrently — including while a rebuild is in flight: a
-// racing commit's publications are dropped as counted fallbacks, and the
-// store's journal is flushed exactly once.
+// then closes the persistent store. Close is idempotent and safe to call
+// concurrently — including while a rebuild is in flight: a racing commit's
+// publications are dropped as counted fallbacks, and the store's writer lock
+// is released exactly once.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		e.wb.flush(true)

@@ -393,8 +393,9 @@ func TestRebuildTimeout(t *testing.T) {
 		}
 		snap.requireUnchanged(t, e, "after timeout")
 
-		// Recovery on the same engine: no deadline, no stalls.
-		box.fn = nil
+		// Recovery on the same engine: no deadline, and no stalls — the
+		// one-shot rule is spent. box.fn stays as it is: the abandoned
+		// worker still stalled in the timed-out build reads it when it wakes.
 		e.opts.RebuildTimeout = 0
 		if _, _, err := e.BuildAll(); err != nil {
 			t.Fatalf("workers=%d: recovery rebuild: %v", workers, err)

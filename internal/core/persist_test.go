@@ -51,7 +51,7 @@ func TestWarmStartByteIdentity(t *testing.T) {
 		t.Fatalf("cold build reported %d warm hits", stCold.WarmHits)
 	}
 	ps, ok := cold.PersistStats()
-	if !ok || ps.Stores == 0 || ps.Entries == 0 {
+	if !ok || ps.Stores == 0 {
 		t.Fatalf("cold build persisted nothing: %+v (ok=%v)", ps, ok)
 	}
 	if err := cold.Close(); err != nil {

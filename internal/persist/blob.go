@@ -94,8 +94,8 @@ func decodeBlob(data []byte, magic [8]byte, buildID string) ([]byte, error) {
 	return payload, nil
 }
 
-// tempPattern is the temp-file prefix atomic publishes write under; readers
-// and directory scans ignore it, and Open sweeps abandoned ones (kill -9
+// tempPattern is the temp-file prefix atomic publishes write under; no
+// reader ever opens one, and a writer's Open sweeps abandoned ones (kill -9
 // between temp write and rename).
 const tempPattern = ".tmp-"
 

@@ -4,16 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 )
 
 // Log is the tree's one torn-tail-tolerant append-only record log, for
-// callers that need a replayable sequence of opaque payloads: the serve
-// layer's tenant-probe journal rides on the Log type, the store journal
-// (journal.go) on its framing. Each record is length-prefixed and
-// self-checksummed and is appended with a single write; replay stops at the
-// first short or checksum-failing record — a torn tail from a crash
+// callers that need a replayable sequence of opaque payloads; the serve
+// layer's tenant-probe journal rides on it. Each record is length-prefixed
+// and self-checksummed and is appended with a single write; replay stops at
+// the first short or checksum-failing record — a torn tail from a crash
 // mid-append — and the writer truncates the tail away before appending
 // again. Appends are not fsynced per record: losing the final records of a
 // crash costs replaying a slightly older state, never reading a corrupt one.
@@ -85,11 +85,31 @@ func OpenLog(path string, opts Options) (*Log, [][]byte, error) {
 		return nil, nil, fmt.Errorf("persist: open log: %w", err)
 	}
 	recs, goodLen := decodeLogStream(data)
-	f, err := openJournalForAppend(path, goodLen)
+	f, err := openLogForAppend(path, goodLen)
 	if err != nil {
 		return nil, nil, fmt.Errorf("persist: open log: %w", err)
 	}
 	return &Log{f: f, recs: len(recs), hook: opts.FaultHook}, recs, nil
+}
+
+// openLogForAppend opens the log file truncated to its last good record,
+// ready for appends.
+func openLogForAppend(path string, goodLen int64) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if fi, err := f.Stat(); err == nil && fi.Size() != goodLen {
+		if err := f.Truncate(goodLen); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // Append writes one record with a single write syscall.
@@ -119,7 +139,8 @@ func (l *Log) Records() int {
 	return l.recs
 }
 
-// Close syncs and closes the log file. Idempotent.
+// Close syncs and closes the log file, returning the Sync error if the
+// flush failed and the Close error otherwise. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -127,6 +148,9 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	l.f.Sync()
-	return l.f.Close()
+	serr := l.f.Sync()
+	if cerr := l.f.Close(); serr == nil {
+		return cerr
+	}
+	return serr
 }

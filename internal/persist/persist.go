@@ -16,10 +16,9 @@
 //     content-addressed layout (objects/<xx>/<key>.obj). A reader can
 //     observe an entry fully or not at all; kill -9 between temp write and
 //     rename leaves only an ignorable temp file.
-//   - The journal is append-only with per-record checksums and tolerates a
-//     torn tail (kill -9 mid-append): replay stops at the first bad record
-//     and the writer truncates the tail away. A journal corrupted beyond
-//     repair is rebuilt from a directory scan, never trusted.
+//   - The entry files are the store's only record: no index or journal of
+//     them exists to replay at Open or to fall out of step with the
+//     directory, so a lookup is a read of the key's path and nothing else.
 //   - Corrupt or skewed entries are evicted on detection (when the store
 //     holds the writer lock) and counted on the odin_persist_corrupt_evicted
 //     metric; the caller sees a plain miss and compiles cold.
@@ -42,9 +41,9 @@ import (
 )
 
 // Schema is the on-disk format version, stamped into every blob header.
-// Bump it when the blob layout, the journal record format, or a payload
-// shape (the entry codec or the gob-encoded snapshot structs) changes
-// incompatibly; skewed entries are evicted on load.
+// Bump it when the blob layout or a payload shape (the entry codec or the
+// gob-encoded snapshot structs) changes incompatibly; skewed entries are
+// evicted on load.
 //
 // History: 1 = gob entry payloads; 2 = varint entry codec (codec.go) and
 // snapshot survey/verification carryover.
@@ -111,7 +110,6 @@ const (
 	MetricBytesWritten   = "odin_persist_bytes_written_total"
 	MetricLoadSeconds    = "odin_persist_load_seconds"
 	MetricStoreSeconds   = "odin_persist_store_seconds"
-	MetricEntries        = "odin_persist_entries"
 )
 
 // Metrics holds the pre-registered persist metric handles. The zero value
@@ -126,7 +124,6 @@ type Metrics struct {
 	BytesWritten   *telemetry.Counter
 	LoadDur        *telemetry.Histogram
 	StoreDur       *telemetry.Histogram
-	Entries        *telemetry.Gauge
 }
 
 // NewMetrics registers the odin_persist_* families on reg (a no-op returning
@@ -141,7 +138,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	reg.Describe(MetricBytesWritten, "Bytes written to the persistent cache.")
 	reg.Describe(MetricLoadSeconds, "Persistent-cache load latency (hit or classified miss).")
 	reg.Describe(MetricStoreSeconds, "Persistent-cache store latency (atomic publish).")
-	reg.Describe(MetricEntries, "Entries currently indexed in the persistent cache.")
 	return &Metrics{
 		Hits:           reg.Counter(MetricHits),
 		Misses:         reg.Counter(MetricMisses),
@@ -152,7 +148,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		BytesWritten:   reg.Counter(MetricBytesWritten),
 		LoadDur:        reg.Histogram(MetricLoadSeconds, nil),
 		StoreDur:       reg.Histogram(MetricStoreSeconds, nil),
-		Entries:        reg.Gauge(MetricEntries),
 	}
 }
 

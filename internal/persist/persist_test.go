@@ -17,9 +17,6 @@ import (
 
 const testBuildID = "test-build-1"
 
-// journalRecSize is one framed journal record on disk.
-const journalRecSize = logHeaderSize + journalPayloadSize
-
 func testOptions() Options {
 	return Options{BuildID: testBuildID, Telemetry: telemetry.NewRegistry()}
 }
@@ -77,7 +74,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("absent key: got (%v, %v), want (nil, nil)", e, err)
 	}
 	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Stores != 1 || st.Entries != 1 {
+	if st.Hits != 1 || st.Misses != 1 || st.Stores != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -94,9 +91,6 @@ func TestStoreSurvivesReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	s2 := mustOpen(t, dir, testOptions())
-	if s2.Len() != 5 {
-		t.Fatalf("reopened index has %d entries, want 5", s2.Len())
-	}
 	for k := uint64(1); k <= 5; k++ {
 		e, err := s2.Get(k)
 		if err != nil || e == nil {
@@ -105,63 +99,43 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestCorruptionMatrix is the blob-level corruption matrix: each mutilation
-// of a published entry must classify as corrupt or skewed, evict the entry,
-// count it, and serve a plain miss afterwards — never a decode of bad bytes.
+// corruptionMatrix is the blob-level corruption matrix: each mutilation of
+// a published entry's bytes and the classification a load must give it. The
+// fuzz targets seed their corpora from the same mutations.
+var corruptionMatrix = []struct {
+	name     string
+	mutilate func(data []byte) []byte
+	wantErr  error
+}{
+	{"truncate-half", func(d []byte) []byte { return d[:len(d)/2] }, ErrCorrupt},
+	{"zero-length", func([]byte) []byte { return nil }, ErrCorrupt},
+	{"bit-flip-payload", func(d []byte) []byte {
+		d[len(d)-1] ^= 0x40
+		return d
+	}, ErrCorrupt},
+	{"bit-flip-magic", func(d []byte) []byte {
+		d[0] ^= 0x01
+		return d
+	}, ErrCorrupt},
+	{"version-skew", func(d []byte) []byte {
+		d[11]++ // schema uint32 low byte
+		return d
+	}, ErrSchemaSkew},
+	{"half-write", func(d []byte) []byte {
+		// A write torn mid-payload with trailing garbage appended:
+		// length matches but checksum cannot.
+		for i := len(d) - 8; i < len(d); i++ {
+			d[i] ^= 0xAA
+		}
+		return d
+	}, ErrCorrupt},
+}
+
+// TestCorruptionMatrix: each mutilation of a published entry must classify
+// as corrupt or skewed, evict the entry, count it, and serve a plain miss
+// afterwards — never a decode of bad bytes.
 func TestCorruptionMatrix(t *testing.T) {
-	cases := []struct {
-		name     string
-		mutilate func(path string) error
-		wantErr  error
-	}{
-		{"truncate-half", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(p, data[:len(data)/2], 0o644)
-		}, ErrCorrupt},
-		{"zero-length", func(p string) error {
-			return os.WriteFile(p, nil, 0o644)
-		}, ErrCorrupt},
-		{"bit-flip-payload", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			data[len(data)-1] ^= 0x40
-			return os.WriteFile(p, data, 0o644)
-		}, ErrCorrupt},
-		{"bit-flip-magic", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			data[0] ^= 0x01
-			return os.WriteFile(p, data, 0o644)
-		}, ErrCorrupt},
-		{"version-skew", func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			data[11]++ // schema uint32 low byte
-			return os.WriteFile(p, data, 0o644)
-		}, ErrSchemaSkew},
-		{"half-write", func(p string) error {
-			// A write torn mid-payload with trailing garbage appended:
-			// length matches but checksum cannot.
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			for i := len(data) - 8; i < len(data); i++ {
-				data[i] ^= 0xAA
-			}
-			return os.WriteFile(p, data, 0o644)
-		}, ErrCorrupt},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptionMatrix {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := mustOpen(t, dir, testOptions())
@@ -169,7 +143,11 @@ func TestCorruptionMatrix(t *testing.T) {
 				t.Fatalf("Put: %v", err)
 			}
 			path := s.entryPath(3)
-			if err := tc.mutilate(path); err != nil {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read entry: %v", err)
+			}
+			if err := os.WriteFile(path, tc.mutilate(data), 0o644); err != nil {
 				t.Fatalf("mutilate: %v", err)
 			}
 			e, err := s.Get(3)
@@ -203,108 +181,107 @@ func TestBuildIDSkewEvicts(t *testing.T) {
 
 	// A different toolchain reopening the same directory owns it (writer)
 	// and clears the skewed entries at Open via the manifest check.
+	// A skewed entry left in place would fail its Get with ErrSchemaSkew and
+	// count an eviction; a cleared one is a plain miss.
 	s2 := mustOpen(t, dir, Options{BuildID: "other-build"})
-	if s2.Len() != 0 {
-		t.Fatalf("skewed store reopened with %d entries, want 0", s2.Len())
-	}
 	if e, err := s2.Get(1); e != nil || err != nil {
-		t.Fatalf("Get after skew clear: (%v, %v)", e, err)
+		t.Fatalf("Get after skew clear: (%v, %v), want (nil, nil)", e, err)
+	}
+	if st := s2.Stats(); st.CorruptEvicted != 0 {
+		t.Fatalf("skewed entry evicted at Get, not cleared at Open: %+v", st)
 	}
 }
 
-func TestJournalTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, testOptions())
-	for k := uint64(1); k <= 3; k++ {
-		if err := s.Put(k, testEntry(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-
-	// Simulate kill -9 mid-append: a partial record at the tail.
-	jpath := filepath.Join(dir, "journal")
-	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+// TestPutDedupe: content addressing makes an existing name proof of its
+// bytes, so a Put of a published key writes nothing; once the file is gone
+// (an external cleanup), the same Put publishes it again.
+func TestPutDedupe(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), testOptions())
+	if err := s.Put(5, testEntry(5)); err != nil {
 		t.Fatal(err)
 	}
-	f.Write([]byte{journalOpPut, 0xde, 0xad})
-	f.Close()
-
-	s2 := mustOpen(t, dir, testOptions())
-	if s2.Len() != 3 {
-		t.Fatalf("torn-tail replay found %d entries, want 3", s2.Len())
-	}
-	// The writer truncated the tail; appends continue cleanly.
-	if err := s2.Put(4, testEntry(4)); err != nil {
+	before := s.Stats()
+	if err := s.Put(5, testEntry(5)); err != nil {
 		t.Fatal(err)
 	}
-	s2.Close()
-	if fi, err := os.Stat(jpath); err != nil || fi.Size()%journalRecSize != 0 {
-		t.Fatalf("journal not truncated to record boundary: size %d", fi.Size())
+	if st := s.Stats(); st.Stores != before.Stores || st.BytesWritten != before.BytesWritten {
+		t.Fatalf("duplicate Put wrote: before %+v, after %+v", before, st)
+	}
+	if err := os.Remove(s.entryPath(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(5, testEntry(5)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Stores != before.Stores+1 {
+		t.Fatalf("Put after external delete: stores %d, want %d", st.Stores, before.Stores+1)
+	}
+	if e, err := s.Get(5); err != nil || e == nil {
+		t.Fatalf("Get after re-publish: (%v, %v)", e, err)
 	}
 }
 
-func TestJournalGarbageRebuildsFromScan(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, testOptions())
-	for k := uint64(1); k <= 3; k++ {
-		if err := s.Put(k, testEntry(k)); err != nil {
-			t.Fatal(err)
-		}
+// TestUpgradeRemovesJournal: a directory written when the store still kept
+// a publish/evict journal beside its entries opens with every entry served,
+// whatever state that journal is in. A writer removes the dead file; a
+// read-only opener leaves it alone.
+func TestUpgradeRemovesJournal(t *testing.T) {
+	keys := []uint64{1, 2<<56 | 2, 3<<56 | 3}
+	// record is one journal put record: [op 'p'][key 8][size 8].
+	record := func(key uint64) []byte {
+		var b [17]byte
+		b[0] = 'p'
+		binary.BigEndian.PutUint64(b[1:9], key)
+		binary.BigEndian.PutUint64(b[9:17], 100)
+		return b[:]
 	}
-	s.Close()
-	if err := os.WriteFile(filepath.Join(dir, "journal"), []byte("not a journal, definitely"), 0o644); err != nil {
-		t.Fatal(err)
+	var framed, bare []byte
+	for _, k := range keys {
+		framed = append(framed, frameLogRecord(record(k))...)
+		// The framing before the journal moved onto the Log's: a bare
+		// 21-byte [op][key][size][crc] record.
+		bare = binary.BigEndian.AppendUint32(append(bare, record(k)...), crc32.ChecksumIEEE(record(k)))
 	}
-	s2 := mustOpen(t, dir, testOptions())
-	if s2.Len() != 3 {
-		t.Fatalf("scan recovery found %d entries, want 3", s2.Len())
+	journals := []struct {
+		name string
+		data []byte
+	}{
+		{"valid", framed},
+		{"torn", append(append([]byte(nil), framed...), 0, 0, 0, 17, 0xde)},
+		{"garbage", []byte("not a journal, definitely")},
+		{"old-framing", bare},
 	}
-}
-
-// TestJournalOldFramingReseeds: a journal written before the store journal
-// moved onto the Log framing — bare 21-byte [op][key][size][crc] records —
-// must read as a torn tail at offset 0, fall back to the directory scan, and
-// come back re-seeded in the current framing.
-func TestJournalOldFramingReseeds(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, testOptions())
-	var old []byte
-	for k := uint64(1); k <= 3; k++ {
-		if err := s.Put(k<<56|k, testEntry(k<<56|k)); err != nil {
-			t.Fatal(err)
-		}
-		var rec [21]byte
-		rec[0] = journalOpPut
-		binary.BigEndian.PutUint64(rec[1:9], k<<56|k)
-		binary.BigEndian.PutUint64(rec[9:17], 100)
-		binary.BigEndian.PutUint32(rec[17:21], crc32.ChecksumIEEE(rec[:17]))
-		old = append(old, rec[:]...)
-	}
-	s.Close()
-	jpath := filepath.Join(dir, "journal")
-	if err := os.WriteFile(jpath, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if index, goodLen, err := replayJournal(jpath); err != nil || len(index) != 0 || goodLen != 0 {
-		t.Fatalf("old-framing replay = %d entries, good length %d, %v; want a torn tail at 0", len(index), goodLen, err)
-	}
-
-	s2 := mustOpen(t, dir, testOptions())
-	if s2.Len() != 3 {
-		t.Fatalf("scan recovery found %d entries, want 3", s2.Len())
-	}
-	if e, err := s2.Get(1<<56 | 1); err != nil || e == nil {
-		t.Fatalf("Get after recovery: (%v, %v)", e, err)
-	}
-	s2.Close()
-	index, goodLen, err := replayJournal(jpath)
-	if err != nil || len(index) != 3 || goodLen != 3*journalRecSize {
-		t.Fatalf("re-seeded journal = %d entries, good length %d, %v; want 3 in %d bytes", len(index), goodLen, err, 3*journalRecSize)
-	}
-	if fi, err := os.Stat(jpath); err != nil || fi.Size() != goodLen {
-		t.Fatalf("re-seeded journal keeps old bytes: size %d, good length %d", fi.Size(), goodLen)
+	for _, jc := range journals {
+		t.Run(jc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, testOptions())
+			for _, k := range keys {
+				if err := s.Put(k, testEntry(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
+			jpath := filepath.Join(dir, "journal")
+			if err := os.WriteFile(jpath, jc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range []Options{{BuildID: testBuildID, ReadOnly: true}, testOptions()} {
+				s := mustOpen(t, dir, o)
+				for _, k := range keys {
+					if e, err := s.Get(k); err != nil || e == nil {
+						t.Fatalf("read-only=%v: Get(%x) = (%v, %v)", o.ReadOnly, k, e, err)
+					}
+				}
+				_, err := os.Stat(jpath)
+				if o.ReadOnly && err != nil {
+					t.Fatalf("read-only opener touched the journal: %v", err)
+				}
+				if !o.ReadOnly && !os.IsNotExist(err) {
+					t.Fatalf("writer left the journal in place: %v", err)
+				}
+				s.Close()
+			}
+		})
 	}
 }
 
@@ -528,9 +505,6 @@ func TestEntryKeyMismatchIsCorrupt(t *testing.T) {
 	if err := os.Rename(src, dst); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	s.index[2] = s.index[1]
-	s.mu.Unlock()
 	if e, err := s.Get(2); e != nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("misfiled entry: (%v, %v), want ErrCorrupt", e, err)
 	}
@@ -565,7 +539,11 @@ func TestConcurrentPutGet(t *testing.T) {
 			t.Fatalf("concurrent op: %v", err)
 		}
 	}
-	if s.Len() != 80 {
-		t.Fatalf("entries = %d, want 80", s.Len())
+	for w := uint64(0); w < 4; w++ {
+		for k := uint64(0); k < 20; k++ {
+			if e, err := s.Get(w*100 + k); err != nil || e == nil {
+				t.Fatalf("Get(%d) after concurrent Puts: (%v, %v)", w*100+k, e, err)
+			}
+		}
 	}
 }

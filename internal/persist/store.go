@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,7 +44,6 @@ type Stats struct {
 	Fallbacks      uint64 `json:"fallbacks"`
 	BytesRead      uint64 `json:"bytes_read"`
 	BytesWritten   uint64 `json:"bytes_written"`
-	Entries        int    `json:"entries"`
 	ReadOnly       bool   `json:"read_only"`
 }
 
@@ -53,11 +51,12 @@ type Stats struct {
 //
 //	<dir>/lock            writer flock
 //	<dir>/MANIFEST        store identity blob (schema + build ID)
-//	<dir>/journal         append-only publish/evict log (see journal.go)
 //	<dir>/objects/<xx>/<key16>.obj   sharded content-addressed entries
 //
-// All methods are safe for concurrent use; Get and Put from concurrent
-// compile-pool workers serialize only on the in-memory index, not on I/O.
+// The entry files are the store's only record: there is no index or log of
+// them to replay, rebuild or disagree with. All methods are safe for
+// concurrent use; Get and Put from concurrent compile-pool workers serialize
+// only on the closed-flag check, never on I/O.
 type Store struct {
 	dir     string
 	buildID string
@@ -69,10 +68,8 @@ type Store struct {
 	writer bool
 	lockF  *os.File
 
-	mu      sync.Mutex
-	closed  bool
-	index   map[uint64]int64 // live keys → entry size
-	journal *os.File
+	mu     sync.Mutex
+	closed bool
 
 	hits, misses, stores, corrupt, fallbacks atomic.Uint64
 	bytesRead, bytesWritten                  atomic.Uint64
@@ -82,18 +79,6 @@ const entrySuffix = ".obj"
 
 // entryName formats a key as its content-addressed file name.
 func entryName(key uint64) string { return fmt.Sprintf("%016x%s", key, entrySuffix) }
-
-func parseEntryName(name string) (uint64, bool) {
-	hex := strings.TrimSuffix(name, entrySuffix)
-	if len(hex) != 16 {
-		return 0, false
-	}
-	key, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return key, true
-}
 
 // entryPath returns the sharded path for a key (shard = top byte).
 func (s *Store) entryPath(key uint64) string {
@@ -113,8 +98,7 @@ type manifest struct {
 // opener to win the writer flock may publish and evict; later openers on
 // the same directory — and Options.ReadOnly ones — degrade to read-only.
 // Open fails only on hard I/O errors against the directory itself; a
-// corrupt journal or manifest is repaired (writer) or tolerated (reader),
-// never fatal.
+// corrupt manifest is repaired (writer) or tolerated (reader), never fatal.
 func Open(dir string, o Options) (*Store, error) {
 	if err := fault(o.FaultHook, SiteOpen); err != nil {
 		return nil, err
@@ -140,19 +124,19 @@ func Open(dir string, o Options) (*Store, error) {
 
 	// Identity check. A writer finding a skewed or corrupt manifest owns the
 	// directory now: clear the incompatible entries and restamp. A reader
-	// can repair nothing — it opens with an empty view (every Get misses)
-	// rather than failing, since its engine must run regardless.
+	// can repair nothing and opens anyway, since its engine must run
+	// regardless: every entry still carries its own schema and build ID, so
+	// each skewed one misses on its own Get.
+	if !s.writer {
+		return s, nil
+	}
 	manifestPath := filepath.Join(dir, "MANIFEST")
 	ok, err := checkManifest(manifestPath, o.BuildID)
-	if err != nil && s.writer {
+	if err != nil {
+		releaseWriterLock(s.lockF)
 		return nil, err
 	}
 	if !ok {
-		if !s.writer {
-			s.index = map[uint64]int64{}
-			s.metrics.Entries.Set(0)
-			return s, nil
-		}
 		if err := s.clearAll(); err != nil {
 			releaseWriterLock(s.lockF)
 			return nil, err
@@ -162,34 +146,10 @@ func Open(dir string, o Options) (*Store, error) {
 			return nil, err
 		}
 	}
-
-	// Index: replay the journal, tolerate its torn tail, and cross-check
-	// against reality with a directory scan when the journal is useless.
-	index, goodLen, jerr := replayJournal(filepath.Join(dir, "journal"))
-	if jerr != nil || len(index) == 0 {
-		if scanned := scanObjects(objDir); len(scanned) > 0 || jerr != nil {
-			index = scanned
-			goodLen = 0 // journal unusable: writer rewrites it below
-		}
-	}
-	s.index = index
-	if s.writer {
-		sweepTemps(objDir)
-		jf, err := openJournalForAppend(filepath.Join(dir, "journal"), goodLen)
-		if err != nil {
-			releaseWriterLock(s.lockF)
-			return nil, err
-		}
-		s.journal = jf
-		if goodLen == 0 && len(index) > 0 {
-			// Rebuilt from scan: re-seed the journal so the next Open is a
-			// pure replay again.
-			for key, size := range index {
-				appendJournal(jf, journalRec{op: journalOpPut, key: key, size: size})
-			}
-		}
-	}
-	s.metrics.Entries.Set(int64(len(s.index)))
+	// Directories written before the entries became the only record also
+	// hold a publish/evict journal; nothing reads it any more.
+	os.Remove(filepath.Join(dir, "journal"))
+	sweepTemps(objDir)
 	return s, nil
 }
 
@@ -223,15 +183,39 @@ func writeManifest(path, buildID string) error {
 	return err
 }
 
-// clearAll removes every entry and the journal — the writer's response to a
+// clearAll removes every entry — the writer's response to a
 // whole-directory schema skew.
 func (s *Store) clearAll() error {
 	objDir := filepath.Join(s.dir, "objects")
 	if err := os.RemoveAll(objDir); err != nil {
 		return err
 	}
-	os.Remove(filepath.Join(s.dir, "journal"))
 	return os.MkdirAll(objDir, 0o755)
+}
+
+// sweepTemps removes abandoned temp files (kill -9 between temp write and
+// rename) under the sharded objects tree, skipping whatever it cannot read.
+// Only the writer calls it.
+func sweepTemps(objDir string) {
+	shards, err := os.ReadDir(objDir)
+	if err != nil {
+		return
+	}
+	for _, sh := range shards {
+		if !sh.IsDir() {
+			continue
+		}
+		shDir := filepath.Join(objDir, sh.Name())
+		files, err := os.ReadDir(shDir)
+		if err != nil {
+			continue
+		}
+		for _, f := range files {
+			if strings.HasPrefix(f.Name(), tempPattern) {
+				os.Remove(filepath.Join(shDir, f.Name()))
+			}
+		}
+	}
 }
 
 // Dir returns the store's directory.
@@ -240,13 +224,6 @@ func (s *Store) Dir() string { return s.dir }
 // ReadOnly reports whether the store degraded to read-only (writer lock
 // held elsewhere, or Options.ReadOnly).
 func (s *Store) ReadOnly() bool { return !s.writer }
-
-// Len returns the number of live entries in the index.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
 
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
@@ -258,7 +235,6 @@ func (s *Store) Stats() Stats {
 		Fallbacks:      s.fallbacks.Load(),
 		BytesRead:      s.bytesRead.Load(),
 		BytesWritten:   s.bytesWritten.Load(),
-		Entries:        s.Len(),
 		ReadOnly:       s.ReadOnly(),
 	}
 }
@@ -294,7 +270,7 @@ func (s *Store) Get(key uint64) (*Entry, error) {
 	s.metrics.BytesRead.Add(uint64(n))
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrSchemaSkew) {
-			s.evict(key, path)
+			s.evict(path)
 		} else {
 			s.Fallback()
 		}
@@ -303,24 +279,23 @@ func (s *Store) Get(key uint64) (*Entry, error) {
 	}
 	if payload == nil {
 		s.miss()
-		s.dropIndexed(key)
 		return nil, nil
 	}
 	e, err := decodeEntry(payload)
 	if err != nil {
-		s.evict(key, path)
+		s.evict(path)
 		s.miss()
 		return nil, err
 	}
 	// The checksum proved the bytes are what the writer published; these
 	// checks prove the writer published something sane for THIS key.
 	if e.Key != key {
-		s.evict(key, path)
+		s.evict(path)
 		s.miss()
 		return nil, fmt.Errorf("%w: entry key %016x under name %016x", ErrCorrupt, e.Key, key)
 	}
 	if err := e.Object.Validate(); err != nil {
-		s.evict(key, path)
+		s.evict(path)
 		s.miss()
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -351,13 +326,12 @@ func (s *Store) Put(key uint64, e *Entry) error {
 		s.Fallback()
 		return ErrReadOnly
 	}
-	if _, dup := s.index[key]; dup {
-		// Content-addressed: an indexed key already holds these bytes.
-		s.mu.Unlock()
+	s.mu.Unlock()
+	path := s.entryPath(key)
+	if _, err := os.Stat(path); err == nil {
+		// Content-addressed: an existing name already holds these bytes.
 		return nil
 	}
-	s.mu.Unlock()
-
 	if e.Object == nil {
 		s.Fallback()
 		return fmt.Errorf("persist: refusing to store entry %016x without an object", key)
@@ -368,7 +342,6 @@ func (s *Store) Put(key uint64, e *Entry) error {
 	}
 	e.Key = key
 	payload := encodeEntry(e)
-	path := s.entryPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		s.Fallback()
 		return err
@@ -382,24 +355,13 @@ func (s *Store) Put(key uint64, e *Entry) error {
 	s.metrics.BytesWritten.Add(uint64(n))
 	s.stores.Add(1)
 	s.metrics.Stores.Inc()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		// Lost the race with Close after the entry landed: the entry is
-		// valid on disk and will be rediscovered by the next Open's scan;
-		// only this journal record is skipped.
-		return nil
-	}
-	s.index[key] = int64(n)
-	s.metrics.Entries.Set(int64(len(s.index)))
-	appendJournal(s.journal, journalRec{op: journalOpPut, key: key, size: int64(n)})
 	return nil
 }
 
 // evict removes a corrupt or skewed entry on detection. Read-only stores
-// cannot unlink; they still count the detection and forget the key.
-func (s *Store) evict(key uint64, path string) {
+// cannot unlink; they only count the detection, and the entry keeps missing
+// on every Get until a writer evicts it.
+func (s *Store) evict(path string) {
 	s.corrupt.Add(1)
 	s.metrics.CorruptEvicted.Inc()
 	if ferr := fault(s.hook, SiteEvict); ferr != nil {
@@ -410,31 +372,13 @@ func (s *Store) evict(key uint64, path string) {
 	defer s.mu.Unlock()
 	if s.writer && !s.closed {
 		os.Remove(path)
-		appendJournal(s.journal, journalRec{op: journalOpDel, key: key})
-	}
-	delete(s.index, key)
-	s.metrics.Entries.Set(int64(len(s.index)))
-}
-
-// dropIndexed forgets a key whose file vanished underneath the index (an
-// external cleanup); the journal records the deletion so the next Open
-// agrees.
-func (s *Store) dropIndexed(key uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[key]; !ok {
-		return
-	}
-	delete(s.index, key)
-	s.metrics.Entries.Set(int64(len(s.index)))
-	if s.writer && !s.closed {
-		appendJournal(s.journal, journalRec{op: journalOpDel, key: key})
 	}
 }
 
-// Close flushes the journal and releases the writer lock. It is idempotent
-// and safe to call concurrently with in-flight Gets and Puts: operations
-// that lose the race fail with ErrClosed and are counted fallbacks.
+// Close releases the writer lock. It is idempotent and safe to call
+// concurrently with in-flight Gets and Puts: operations that lose the race
+// fail with ErrClosed and are counted fallbacks, and a Put that already
+// passed the check still lands a complete, verifiable entry.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -442,17 +386,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var err error
-	if s.journal != nil {
-		if serr := s.journal.Sync(); serr != nil {
-			err = serr
-		}
-		if cerr := s.journal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		s.journal = nil
-	}
 	releaseWriterLock(s.lockF)
 	s.lockF = nil
-	return err
+	return nil
 }

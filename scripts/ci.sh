@@ -41,6 +41,16 @@ echo "== fuzz: toggle history (10s) =="
 # moment, whichever cache generation or tier served each fragment.
 go test -run xxx -fuzz FuzzToggleHistory -fuzztime 10s ./internal/core
 
+echo "== fuzz: persist decoders (3 x 10s) =="
+# The entry files, the state snapshot and the probe journal's log are the
+# only records of what they hold, so their decoders must take any bytes:
+# arbitrary entry and snapshot payloads (bare and inside a blob) decode or
+# fail as corrupt or skewed, never panic, and a decoded value survives a
+# re-encode; a log replay keeps exactly the prefix its records reframe to.
+go test -run xxx -fuzz '^FuzzDecodeEntry$' -fuzztime 10s ./internal/persist
+go test -run xxx -fuzz '^FuzzDecodeState$' -fuzztime 10s ./internal/persist
+go test -run xxx -fuzz '^FuzzLogStream$' -fuzztime 10s ./internal/persist
+
 echo "== supervisor soak (-race, ~30s) =="
 # Bounded concurrent-supervisor soak: 8 goroutines of random probe toggles
 # against a fault-injecting engine under the race detector. The test asserts
