@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	odin-bench [-experiment all|fig3|fig8|fig9|fig10|fig11|fig12|headline|ablation|codegen]
+//	odin-bench [-experiment all|fig3|fig8|fig9|fig10|fig11|fig12|headline|ablation]
 //	           [-campaign N] [-programs a,b,c] [-json] [-metrics-addr HOST:PORT]
 //	           [-verify off|boundaries|all]
 //
@@ -38,7 +38,7 @@ import (
 )
 
 // experiments are the values -experiment accepts.
-var experiments = []string{"all", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "headline", "ablation", "codegen"}
+var experiments = []string{"all", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "headline", "ablation"}
 
 func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run: "+strings.Join(experiments, ", "))
@@ -185,15 +185,6 @@ func run(experiment string, campaign int, programs string, jsonOut bool, metrics
 		}
 		report["ablation"] = rows
 		bench.PrintAblation(w, rows)
-		fmt.Fprintln(w)
-	}
-	if show("codegen") {
-		rows, err := bench.RunCodegenAblation(progs)
-		if err != nil {
-			return err
-		}
-		report["codegen"] = rows
-		bench.PrintCodegenAblation(w, rows)
 		fmt.Fprintln(w)
 	}
 	if show("headline") {

@@ -298,26 +298,3 @@ func TestAblationShape(t *testing.T) {
 	PrintAblation(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }
-
-// TestCodegenAblation: the register cache speeds the baseline up, and the
-// blind-partitioning penalty survives (is not an artifact of) the naive
-// back end.
-func TestCodegenAblation(t *testing.T) {
-	pds := prepSmall(t, "harfbuzz", "woff2")
-	rows, err := RunCodegenAblation(pds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.CachedCycles >= r.PlainCycles {
-			t.Errorf("%s: register cache no win: %d -> %d", r.Program, r.PlainCycles, r.CachedCycles)
-		}
-		if r.MaxRatioCached < 1.01 && r.MaxRatioPlain > 1.05 {
-			t.Errorf("%s: MaxPartition penalty vanished under the better back end: %.3f -> %.3f",
-				r.Program, r.MaxRatioPlain, r.MaxRatioCached)
-		}
-	}
-	var buf bytes.Buffer
-	PrintCodegenAblation(&buf, rows)
-	t.Logf("\n%s", buf.String())
-}

@@ -16,17 +16,8 @@ import (
 	"odin/internal/obj"
 )
 
-// Options selects code-generation strategies.
+// Options carries the compile's fault hook.
 type Options struct {
-	// RegCache enables store-through local register allocation: every
-	// result is still written to its frame slot (so memory is always
-	// up to date and correctness is unconditional), but values also live
-	// in callee-pool registers (r6-r11) for the rest of their basic
-	// block, turning repeat reads from 3-cycle loads into 1-cycle moves.
-	// The cache is invalidated at block boundaries and across calls
-	// (callees clobber registers freely in this ABI). Off by default;
-	// the codegen-quality ablation experiment measures its effect.
-	RegCache bool
 	// FaultHook, when non-nil, is called at site "codegen:module" before
 	// lowering and at "codegen:<func>" before each function is compiled; a
 	// returned error fails the compile. The faultinject package provides
@@ -35,8 +26,8 @@ type Options struct {
 	FaultHook func(site string) error
 }
 
-// CompileModule lowers every defined symbol of m into an object file using
-// default options.
+// CompileModule lowers every defined symbol of m into an object file
+// without a fault hook.
 func CompileModule(m *ir.Module) (*obj.Object, error) {
 	return CompileModuleOpts(m, Options{})
 }
@@ -72,7 +63,7 @@ func CompileModuleOpts(m *ir.Module, opts Options) (*obj.Object, error) {
 				return nil, fmt.Errorf("codegen: @%s: %w", f.Name, err)
 			}
 		}
-		fs, err := compileFunc(f, opts)
+		fs, err := compileFunc(f)
 		if err != nil {
 			return nil, fmt.Errorf("codegen: @%s: %w", f.Name, err)
 		}
@@ -133,45 +124,13 @@ type fnCompiler struct {
 	tempBase int64
 	// allocaOff maps each alloca to its reserved frame area.
 	allocaOff map[*ir.Instr]int64
-
-	// Store-through register cache (Options.RegCache). cache maps SSA
-	// values to the pool register currently holding them; owner is the
-	// inverse. SSA values are immutable, so memory stores never
-	// invalidate entries — only calls (register clobber) and block
-	// boundaries (register state is path-dependent) do.
-	regCache bool
-	// segUses counts operand references per value within each call-free
-	// segment of each block — the cache's profitability signal. A cached
-	// value only pays off until the next call (register clobber) or the
-	// block end, so uses beyond either are irrelevant.
-	segUses  map[*ir.Block][]map[ir.Value]int
-	curBlock *ir.Block
-	curSeg   int
-	cache    map[ir.Value]mir.Reg
-	owner    map[mir.Reg]ir.Value
-	rotate   int
-	// inStub suppresses cache writes while emitting edge stubs: a stub's
-	// register writes happen only on its own edge, so recording them
-	// would poison the state other stubs of the same block rely on.
-	inStub bool
 }
 
-// Register-cache pool: r6..r11. Lowering scratch (r0-r2) and argument
-// registers (r0-r5) never overlap it.
-const (
-	cachePoolLo = mir.R6
-	cachePoolHi = mir.R11
-)
-
-func compileFunc(f *ir.Func, opts Options) (*obj.FuncSym, error) {
+func compileFunc(f *ir.Func) (*obj.FuncSym, error) {
 	c := &fnCompiler{
 		f:        f,
 		slots:    make(map[ir.Value]int64),
 		blockIdx: make(map[*ir.Block]int),
-		regCache: opts.RegCache,
-	}
-	if c.regCache {
-		c.segUses = countSegmentUses(f)
 	}
 	if len(f.Params) > mir.MaxRegArgs {
 		return nil, fmt.Errorf("%d params exceed the %d register-argument ABI", len(f.Params), mir.MaxRegArgs)
@@ -191,14 +150,10 @@ func compileFunc(f *ir.Func, opts Options) (*obj.FuncSym, error) {
 
 	for bi, b := range f.Blocks {
 		c.starts = append(c.starts, len(c.code))
-		c.clearCache()
-		c.curBlock = b
-		c.curSeg = 0
 		if err := c.emitBlock(bi, b); err != nil {
 			return nil, err
 		}
 	}
-	c.curBlock = nil
 	// Emit edge stubs and record their entry points.
 	stubStart := make([]int, len(c.stubs))
 	for i, s := range c.stubs {
@@ -279,92 +234,17 @@ func (c *fnCompiler) emit(in mir.Inst) {
 	c.code = append(c.code, in)
 }
 
-// clearCache drops all register-cache state (block boundary, call).
-func (c *fnCompiler) clearCache() {
-	if !c.regCache {
-		return
-	}
-	c.cache = make(map[ir.Value]mir.Reg)
-	c.owner = make(map[mir.Reg]ir.Value)
-}
-
-// cacheValue records that v now lives in src and copies it into a pool
-// register, provided v has at least minUses operand uses (otherwise the
-// copy cannot pay for itself).
-func (c *fnCompiler) cacheValue(v ir.Value, src mir.Reg, minUses int) {
-	if !c.regCache || c.inStub || c.curBlock == nil {
-		return
-	}
-	segs := c.segUses[c.curBlock]
-	if c.curSeg >= len(segs) || segs[c.curSeg][v] < minUses {
-		return
-	}
-	var reg mir.Reg
-	found := false
-	for r := cachePoolLo; r <= cachePoolHi; r++ {
-		if _, taken := c.owner[r]; !taken {
-			reg = r
-			found = true
-			break
-		}
-	}
-	if !found {
-		// Rotate-evict: overwrite a pool register round-robin.
-		span := int(cachePoolHi-cachePoolLo) + 1
-		reg = cachePoolLo + mir.Reg(c.rotate%span)
-		c.rotate++
-		delete(c.cache, c.owner[reg])
-	}
-	c.owner[reg] = v
-	c.cache[v] = reg
-	c.emit(mir.Inst{Op: mir.MovReg, Rd: reg, Rs1: src})
-}
-
-// countSegmentUses tallies operand references per value within each
-// call-free segment of each block. Call arguments are evaluated before the
-// registers are clobbered, so an OpCall's own operands belong to the
-// segment it ends.
-func countSegmentUses(f *ir.Func) map[*ir.Block][]map[ir.Value]int {
-	uses := make(map[*ir.Block][]map[ir.Value]int, len(f.Blocks))
-	for _, b := range f.Blocks {
-		segs := []map[ir.Value]int{make(map[ir.Value]int)}
-		for _, in := range b.Instrs {
-			cur := segs[len(segs)-1]
-			for _, op := range in.Operands {
-				switch op.(type) {
-				case *ir.Instr, *ir.Param:
-					cur[op]++
-				}
-			}
-			if in.Op == ir.OpCall {
-				segs = append(segs, make(map[ir.Value]int))
-			}
-		}
-		uses[b] = segs
-	}
-	return uses
-}
-
 // evalTo materializes an IR operand value into register r.
 func (c *fnCompiler) evalTo(r mir.Reg, v ir.Value) error {
 	switch x := v.(type) {
 	case *ir.ConstInt:
 		c.emit(mir.Inst{Op: mir.MovImm, Rd: r, Imm: x.Val})
 	case *ir.Param, *ir.Instr:
-		if c.regCache {
-			if p, ok := c.cache[v]; ok {
-				c.emit(mir.Inst{Op: mir.MovReg, Rd: r, Rs1: p})
-				return nil
-			}
-		}
 		slot, ok := c.slots[v]
 		if !ok {
 			return fmt.Errorf("operand %s has no slot", v.Ref())
 		}
 		c.emit(mir.Inst{Op: mir.Load, Rd: r, Rs1: mir.SP, Imm: slot, Size: 8})
-		// Loaded values with further uses in this block are worth
-		// keeping around (one use is being consumed right now).
-		c.cacheValue(v, r, 2)
 	case ir.Global:
 		c.emit(mir.Inst{Op: mir.Lea, Rd: r, Sym: x.GlobalName()})
 	default:
@@ -373,15 +253,9 @@ func (c *fnCompiler) evalTo(r mir.Reg, v ir.Value) error {
 	return nil
 }
 
-// storeResult writes register r into the slot of instruction in (store-
-// through) and, under the register cache, keeps the value in a pool
-// register for later uses within the block.
+// storeResult writes register r into the slot of instruction in.
 func (c *fnCompiler) storeResult(in *ir.Instr, r mir.Reg) {
 	c.emit(mir.Inst{Op: mir.Store, Rs1: mir.SP, Imm: c.slots[in], Rs2: r, Size: 8})
-	// Only multi-use results are cached: a single-use result is already
-	// handled optimally by the peephole's store-to-load forwarding, which
-	// an interleaved cache copy would defeat.
-	c.cacheValue(in, r, 2)
 }
 
 // branchTo records a pending branch at the current emission point. If the
@@ -392,14 +266,9 @@ func (c *fnCompiler) branchTarget(from *ir.Block, to *ir.Block) (fixKind, int, e
 		return toBlock, c.blockIdx[to], nil
 	}
 	// Build the parallel-copy stub: read all sources into the temp area,
-	// then move temps into the phi slots. The stub may READ the register
-	// cache (its registers hold the same values as at the terminator) but
-	// must not extend it: writes would happen on this edge only.
-	var code []mir.Inst
+	// then move temps into the phi slots.
 	saved := c.code
 	c.code = nil
-	c.inStub = true
-	defer func() { c.inStub = false }()
 	for i, phi := range phis {
 		src := phiIncoming(phi, from)
 		if src == nil {
@@ -414,7 +283,7 @@ func (c *fnCompiler) branchTarget(from *ir.Block, to *ir.Block) (fixKind, int, e
 		c.emit(mir.Inst{Op: mir.Load, Rd: mir.R0, Rs1: mir.SP, Imm: c.tempBase + int64(i)*8, Size: 8})
 		c.emit(mir.Inst{Op: mir.Store, Rs1: mir.SP, Imm: c.slots[phi], Rs2: mir.R0, Size: 8})
 	}
-	code = c.code
+	code := c.code
 	c.code = saved
 	c.stubs = append(c.stubs, stub{code: code, dstBlock: c.blockIdx[to]})
 	return toStub, len(c.stubs) - 1, nil
@@ -550,10 +419,6 @@ func (c *fnCompiler) emitBlock(bi int, b *ir.Block) error {
 				}
 			}
 			c.emit(mir.Inst{Op: mir.Call, Sym: in.Callee})
-			// Callees clobber registers freely in this ABI; the result
-			// (and anything after) belongs to the next segment.
-			c.clearCache()
-			c.curSeg++
 			if in.HasResult() {
 				c.storeResult(in, mir.R0)
 			}

@@ -578,7 +578,7 @@ func (e *Engine) compileAttempt(id int, fm *ir.Module, spec attemptSpec, fc *Fra
 	var o *obj.Object
 	err = capture(func() error {
 		var cerr error
-		o, cerr = codegen.CompileModuleOpts(fm, e.opts.Codegen)
+		o, cerr = codegen.CompileModuleOpts(fm, codegen.Options{FaultHook: e.opts.FaultHook})
 		return cerr
 	})
 	dCG := time.Since(tc)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"odin/internal/codegen"
 	"odin/internal/ir"
 	"odin/internal/link"
 	"odin/internal/obj"
@@ -24,8 +23,6 @@ type Options struct {
 	// ExtraBuiltins lists instrumentation hook symbols the linker may
 	// bind calls to (e.g. "__odin_cov_hit").
 	ExtraBuiltins []string
-	// Codegen selects back-end strategies for fragment compilation.
-	Codegen codegen.Options
 	// Workers bounds the recompilation worker pool. Fragments are
 	// independent compilation units by construction, so affected fragments
 	// compile concurrently; 0 means runtime.GOMAXPROCS(0), and 1 recovers
@@ -369,11 +366,6 @@ func New(m *ir.Module, opts Options) (*Engine, error) {
 	// Wrap the fault hook with injection counters before fanning it out to
 	// the back end and linker, so every site's faults are counted once.
 	opts.FaultHook = wrapFaultHook(opts.Telemetry, opts.FaultHook)
-	if opts.FaultHook != nil && opts.Codegen.FaultHook == nil {
-		// Thread the engine's fault hook through to the back end; the
-		// optimizer receives it per-compile in compileAttempt.
-		opts.Codegen.FaultHook = opts.FaultHook
-	}
 	// The input module is checked once regardless of tier (it is outside
 	// the rebuild path): the base structural check always, the strict
 	// upgrade (dominance-based SSA + full type checking) below, after the

@@ -53,16 +53,13 @@ func (o Options) persistOptions() persist.Options {
 }
 
 // persistKey derives an entry's store key from a fragment's content hash and
-// the cache-relevant compile configuration: the same instrumented IR compiled
-// at a different opt level or codegen strategy is a different artifact.
+// the opt level: the same instrumented IR compiled at a different level is a
+// different artifact. The trailing 0 once named the code generator; it stays
+// folded so keys, and the cache directories written under them, carry over.
 func (e *Engine) persistKey(hash uint64) uint64 {
 	h := ir.HashFold(ir.HashSeed, hash)
 	h = ir.HashFold(h, uint64(e.opts.OptLevel))
-	var cg uint64
-	if e.opts.Codegen.RegCache {
-		cg = 1
-	}
-	return ir.HashFold(h, cg)
+	return ir.HashFold(h, 0)
 }
 
 // moduleFingerprint folds per-symbol fingerprints over the pristine module

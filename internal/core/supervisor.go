@@ -25,6 +25,13 @@ var (
 	// ErrSupervisorClosed reports that Close or Drain stopped admission;
 	// tickets still queued at Close time resolve with this error.
 	ErrSupervisorClosed = errors.New("core: supervisor closed")
+	// ErrEngineUnhealthy reports that a failed generation's control
+	// rebuild — the already-committed probe set, with the batch rolled
+	// back — failed too: the engine, not the batch, is at fault. Every
+	// request of the generation resolves with it, wrapped around the
+	// generation's own error; none is quarantined, and a retry may
+	// commit once the engine recovers.
+	ErrEngineUnhealthy = errors.New("core: engine failed its control rebuild")
 )
 
 // ProbeQuarantinedError reports that poison-probe bisection isolated this
@@ -71,9 +78,9 @@ type SupervisorOptions struct {
 	// non-blocking requests fail with ErrQueueFull; blocking variants wait
 	// for space or context cancellation.
 	QueueDepth int
-	// BreakerThreshold is K: consecutive whole-generation failures (no
-	// request in the batch could be committed, even alone) before the
-	// breaker opens (default 3).
+	// BreakerThreshold is K: consecutive generations whose control rebuild
+	// failed (the engine could not rebuild even the committed probe set)
+	// before the breaker opens (default 3).
 	BreakerThreshold int
 	// BreakerBackoff is the initial open interval before a half-open
 	// trial (default 100ms). A failed trial reopens with the backoff
@@ -81,11 +88,6 @@ type SupervisorOptions struct {
 	BreakerBackoff time.Duration
 	// BreakerMaxBackoff caps the exponential reopen backoff (default 5s).
 	BreakerMaxBackoff time.Duration
-	// Apply, when non-nil, runs the caller's patch logic against every
-	// generation's schedule before Rebuild — the hook for probes that do
-	// not implement Instrumenter. It runs on the supervisor's rebuild
-	// goroutine under panic isolation.
-	Apply func(*Sched) error
 }
 
 func (o SupervisorOptions) withDefaults() SupervisorOptions {
@@ -124,7 +126,8 @@ type TicketResult struct {
 	// request committed through poison-probe bisection.
 	Salvaged bool
 	// Err is nil when the request committed; otherwise the shutdown
-	// error, a *ProbeQuarantinedError, or the generation failure.
+	// error, a *ProbeQuarantinedError, an ErrEngineUnhealthy wrapping the
+	// generation failure, or (for Sync) the generation failure.
 	Err error
 }
 
@@ -199,11 +202,13 @@ type request struct {
 // rebuild loop, making the engine safe for many concurrent — possibly
 // hostile — callers. Requests enter a bounded admission queue; the loop
 // drains and coalesces everything pending into one rebuild generation
-// (N probe toggles → 1 rebuild); a circuit breaker fails requests fast
-// after K consecutive dead generations; and when a generation fails,
-// poison-probe bisection isolates and quarantines the offending probes so
-// the co-batched healthy requests still commit — the degradation ladder of
-// PR 2 extended from fragments to probes.
+// (N probe toggles → 1 rebuild); when a generation fails, a control
+// rebuild of the committed probe set tells a sick engine (fail the batch as
+// retryable, charge the circuit breaker, which fails requests fast after K
+// such generations) from a poison batch (bisection isolates and
+// quarantines the offending probes so the co-batched healthy requests still
+// commit) — the engine's degradation ladder extended from fragments to
+// probes.
 //
 // While a Supervisor owns an engine, all probe changes must go through it;
 // calling Engine.Schedule/Rebuild or mutating the PatchManager directly
@@ -662,10 +667,10 @@ func (s *Supervisor) resolveTicket(r *request, res TicketResult) {
 }
 
 // runGenerationSafe shields the rebuild loop from a panicking generation:
-// tryRebuild and the Apply hook already run under capture, but a panic
-// anywhere else in the generation path (apply/rollback bookkeeping, a
-// corrupted engine) would otherwise kill the loop goroutine and wedge every
-// queued ticket forever. The recover fails the batch, counts the panic for
+// tryRebuild already runs its hooks under capture, but a panic anywhere
+// else in the generation path (apply/rollback bookkeeping, a corrupted
+// engine) would otherwise kill the loop goroutine and wedge every queued
+// ticket forever. The recover fails the batch, counts the panic for
 // Health, and charges the breaker — the watchdog's signal to escalate.
 func (s *Supervisor) runGenerationSafe(batch []*request) {
 	defer func() {
@@ -681,7 +686,8 @@ func (s *Supervisor) runGenerationSafe(batch []*request) {
 }
 
 // runGeneration applies the whole batch, rebuilds once, and on failure
-// rolls back and bisects to isolate the poison requests.
+// rolls back, asks a control rebuild whether the engine or the batch is at
+// fault, and in the batch's case bisects to isolate the poison requests.
 func (s *Supervisor) runGeneration(batch []*request) {
 	start := time.Now()
 	s.mu.Lock()
@@ -709,26 +715,35 @@ func (s *Supervisor) runGeneration(batch []*request) {
 
 	// The generation failed whole. Roll every request back (reverse order
 	// restores the pre-generation probe state even under conflicting
-	// toggles of the same probe), then bisect contiguous halves — bisection
-	// preserves the batch's relative order, so the committed subsequence is
-	// one a serial caller could have produced.
+	// toggles of the same probe).
 	s.nGenFailures.Add(1)
 	for i := len(batch) - 1; i >= 0; i-- {
 		s.unapplyReq(batch[i])
 	}
-	committed := s.bisect(batch, err, gen)
-	if committed > 0 {
-		s.breakerSuccess()
-	} else {
+	// The control rebuild of the already-committed probe set separates
+	// "the engine failed" from "the batch failed". An engine that cannot
+	// rebuild what it already runs charges the breaker and fails every
+	// request as retryable, quarantining nobody; poison is contained by
+	// quarantine, never by the breaker every caller shares.
+	if _, _, cerr := s.tryRebuild(); cerr != nil {
+		for _, r := range batch {
+			s.resolveTicket(r, TicketResult{Gen: gen, Exe: s.eng.Executable(),
+				Err: fmt.Errorf("%w: %w", ErrEngineUnhealthy, err)})
+		}
 		s.breakerFailure()
+		return
 	}
+	s.breakerSuccess()
+	// Bisect contiguous halves: bisection preserves the batch's relative
+	// order, so the committed subsequence is one a serial caller could have
+	// produced.
+	s.bisect(batch, err, gen)
 }
 
 // bisect isolates the poison requests of a failed generation: subsets that
 // rebuild cleanly commit (and resolve their tickets), single requests that
-// still fail are quarantined. Returns how many requests committed.
-func (s *Supervisor) bisect(reqs []*request, genErr error, gen uint64) int {
-	committed := 0
+// still fail are quarantined.
+func (s *Supervisor) bisect(reqs []*request, genErr error, gen uint64) {
 	var rec func(sub []*request, known error)
 	rec = func(sub []*request, known error) {
 		if len(sub) == 0 {
@@ -745,7 +760,6 @@ func (s *Supervisor) bisect(reqs []*request, genErr error, gen uint64) int {
 					s.commitCleanup(r)
 					s.resolveTicket(r, TicketResult{Gen: gen, Exe: exe, Stats: st, Coalesced: len(sub), Salvaged: true})
 				}
-				committed += len(sub)
 				return
 			}
 			for i := len(sub) - 1; i >= 0; i-- {
@@ -762,7 +776,6 @@ func (s *Supervisor) bisect(reqs []*request, genErr error, gen uint64) int {
 		rec(sub[mid:], nil)
 	}
 	rec(reqs, genErr)
-	return committed
 }
 
 // quarantineReq records a poison probe and resolves its ticket with a
@@ -842,17 +855,12 @@ func (s *Supervisor) tryRebuild() (*link.Executable, *RebuildStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if s.opts.Apply != nil {
-		if err := capture(func() error { return s.opts.Apply(sched) }); err != nil {
-			return nil, nil, stageError(-1, StageInstrument, "", err)
-		}
-	}
 	return sched.Rebuild()
 }
 
-// Breaker bookkeeping. A generation "succeeds" for the breaker when at
-// least one of its requests committed — possibly after bisection — and
-// "fails" when none did.
+// Breaker bookkeeping. A generation "succeeds" for the breaker when it
+// committed whole or its control rebuild passed, and "fails" when the
+// control rebuild failed too (or the generation panicked).
 
 func (s *Supervisor) breakerSuccess() {
 	s.lastCommitNS.Store(time.Now().UnixNano())

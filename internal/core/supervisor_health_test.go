@@ -16,17 +16,16 @@ var errHealthInjected = errors.New("injected commit failure")
 // generation surfaces as an in-flight generation with growing queue age, and
 // commit recency resets once the block clears.
 func TestSupervisorHealthSnapshot(t *testing.T) {
-	e, _ := supEngine(t, 4, 2)
+	e, box := supEngine(t, 4, 2)
 	gate := make(chan struct{})
 	var block atomic.Bool
-	s := Supervise(e, SupervisorOptions{
-		Apply: func(*Sched) error {
-			if block.Load() {
-				<-gate
-			}
-			return nil
-		},
-	})
+	box.fn = func(site string) error {
+		if site == "supervisor:commit" && block.Load() {
+			<-gate
+		}
+		return nil
+	}
+	s := Supervise(e, SupervisorOptions{})
 	defer s.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -51,7 +50,7 @@ func TestSupervisorHealthSnapshot(t *testing.T) {
 		t.Fatalf("idle queue reads non-empty: %+v", h)
 	}
 
-	// Block the next generation inside the Apply hook and pile a second
+	// Block the next generation at its commit site and pile a second
 	// request behind it: Health must show the generation in flight and the
 	// queued request aging.
 	block.Store(true)

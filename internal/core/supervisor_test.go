@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,9 +355,10 @@ func waitBreaker(t *testing.T, s *Supervisor, want BreakerState) {
 }
 
 // TestSupervisorBreaker drives the circuit breaker through its whole state
-// machine: K consecutive dead generations open it, admission fails fast, a
-// failed half-open trial reopens it with doubled backoff, and a clean trial
-// closes it.
+// machine: K consecutive generations whose control rebuild fails open it,
+// admission fails fast, a failed half-open trial reopens it with doubled
+// backoff, and a clean trial closes it. The requests are probe enables, so
+// the test also pins that an engine failure quarantines nobody.
 func TestSupervisorBreaker(t *testing.T) {
 	e, box := supEngine(t, 4, 2)
 	inj := faultinject.New(3).
@@ -368,38 +370,43 @@ func TestSupervisorBreaker(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	// Sync requests carry no probe, so dead generations here exercise the
-	// breaker without polluting the quarantine set.
-	for i := 0; i < 2; i++ {
-		tk, err := s.Sync()
+	// add enqueues a probe on fn and waits for its ticket.
+	add := func(fn string) (int, TicketResult) {
+		t.Helper()
+		id, tk, err := s.AddProbe(&supProbe{fnName: fn, id: int64(fn[1] - '0')})
 		if err != nil {
-			t.Fatalf("sync %d rejected: %v", i, err)
+			t.Fatalf("add %s rejected: %v", fn, err)
 		}
 		res, err := tk.Wait(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !faultinject.IsInjected(res.Err) {
-			t.Fatalf("sync %d: %v, want injected failure", i, res.Err)
+		return id, res
+	}
+	requireEngineFailure := func(what string, res TicketResult) {
+		t.Helper()
+		if !errors.Is(res.Err, ErrEngineUnhealthy) || !faultinject.IsInjected(res.Err) {
+			t.Fatalf("%s: %v, want ErrEngineUnhealthy wrapping the injected failure", what, res.Err)
 		}
 	}
+	var ids []int
+	for i := 0; i < 2; i++ {
+		id, res := add(fmt.Sprintf("f%d", i))
+		requireEngineFailure(fmt.Sprintf("add %d", i), res)
+		ids = append(ids, id)
+	}
 	waitBreaker(t, s, BreakerOpen)
-	if _, err := s.Sync(); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := s.EnableProbe(ids[0]); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open breaker admitted a request: %v", err)
 	}
 
 	// After the backoff a request is admitted as the half-open trial; still
 	// armed, it fails and the breaker reopens with the backoff doubled.
 	time.Sleep(backoff + 20*time.Millisecond)
-	tk, err := s.Sync()
-	if err != nil {
-		t.Fatalf("half-open trial rejected: %v", err)
-	}
-	if res, _ := tk.Wait(ctx); !faultinject.IsInjected(res.Err) {
-		t.Fatalf("trial: %v, want injected failure", res.Err)
-	}
+	_, res := add("f2")
+	requireEngineFailure("trial", res)
 	waitBreaker(t, s, BreakerOpen)
-	if _, err := s.Sync(); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := s.EnableProbe(ids[0]); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("reopened breaker admitted a request: %v", err)
 	}
 
@@ -407,11 +414,7 @@ func TestSupervisorBreaker(t *testing.T) {
 	// and the breaker closes.
 	box.fn = nil
 	time.Sleep(2*backoff + 40*time.Millisecond)
-	tk, err = s.Sync()
-	if err != nil {
-		t.Fatalf("recovery trial rejected: %v", err)
-	}
-	if res, _ := tk.Wait(ctx); res.Err != nil {
+	if _, res := add("f3"); res.Err != nil {
 		t.Fatalf("recovery trial failed: %v", res.Err)
 	}
 	waitBreaker(t, s, BreakerClosed)
@@ -424,8 +427,137 @@ func TestSupervisorBreaker(t *testing.T) {
 		t.Fatalf("transitions = %d, want >= 5", st.BreakerTransitions)
 	}
 	if len(st.QuarantinedProbes) != 0 {
-		t.Fatalf("sync failures must not quarantine: %v", st.QuarantinedProbes)
+		t.Fatalf("engine failures must not quarantine: %v", st.QuarantinedProbes)
 	}
+}
+
+// TestSupervisorPoisonKeepsBreakerClosed: K+2 generations that carry nothing
+// but a poison probe fail whole, but each control rebuild passes, so the
+// poison is quarantined and the breaker stays closed for everyone else.
+func TestSupervisorPoisonKeepsBreakerClosed(t *testing.T) {
+	e, box := supEngine(t, 8, 2)
+	box.fn = func(site string) error {
+		if site == "instrument:f3" {
+			return errHealthInjected
+		}
+		return nil
+	}
+	const k = 2
+	s := Supervise(e, SupervisorOptions{BreakerThreshold: k})
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for i := 0; i < k+2; i++ {
+		_, tk, err := s.AddProbe(&supProbe{fnName: "f3", id: 3})
+		if err != nil {
+			t.Fatalf("poison add %d rejected: %v", i, err)
+		}
+		res, err := tk.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qerr *ProbeQuarantinedError
+		if !errors.As(res.Err, &qerr) || errors.Is(res.Err, ErrEngineUnhealthy) {
+			t.Fatalf("poison add %d: %v, want quarantine", i, res.Err)
+		}
+		if b := s.Breaker(); b != BreakerClosed {
+			t.Fatalf("breaker %v after %d poison-only generations", b, i+1)
+		}
+	}
+	_, tk, err := s.AddProbe(&supProbe{fnName: "f1", id: 1})
+	if err != nil {
+		t.Fatalf("healthy add rejected: %v", err)
+	}
+	if res, err := tk.Wait(ctx); err != nil || res.Err != nil {
+		t.Fatalf("healthy add: %v / %v", err, res.Err)
+	}
+	if q := s.QuarantinedProbes(); len(q) != k+2 {
+		t.Fatalf("quarantined %v, want the %d poison probes", q, k+2)
+	}
+	requireBehavior(t, e, "after poison storm")
+}
+
+// TestSupervisorEngineFailureQuarantinesNobody: while every rebuild fails
+// at supervisor:commit, N co-batched enables are all failed as retryable,
+// none is quarantined, and the breaker opens after K generations. Once the
+// fault clears, all N commit.
+func TestSupervisorEngineFailureQuarantinesNobody(t *testing.T) {
+	e, box := supEngine(t, 8, 2)
+	var failing atomic.Bool
+	failing.Store(true)
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var held atomic.Bool
+	box.fn = func(site string) error {
+		if site != "supervisor:commit" || !failing.Load() {
+			return nil
+		}
+		// Hold the first generation so the N enables coalesce behind it.
+		if held.CompareAndSwap(false, true) {
+			entered <- struct{}{}
+			<-release
+		}
+		return errHealthInjected
+	}
+	const n, k, backoff = 6, 2, 50 * time.Millisecond
+	s := Supervise(e, SupervisorOptions{BreakerThreshold: k, BreakerBackoff: backoff})
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	first, err := s.Sync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	ids := make([]int, n)
+	tks := make([]*Ticket, n)
+	for i := range ids {
+		if ids[i], tks[i], err = s.AddProbe(&supProbe{fnName: fmt.Sprintf("f%d", i), id: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	if res, _ := first.Wait(ctx); !errors.Is(res.Err, ErrEngineUnhealthy) {
+		t.Fatalf("first generation: %v, want ErrEngineUnhealthy", res.Err)
+	}
+	for i, tk := range tks {
+		res, err := tk.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(res.Err, ErrEngineUnhealthy) || !errors.Is(res.Err, errHealthInjected) {
+			t.Fatalf("enable %d: %v, want ErrEngineUnhealthy wrapping the fault", i, res.Err)
+		}
+		if res.Gen != 2 {
+			t.Fatalf("enable %d resolved by generation %d, want the coalesced generation 2", i, res.Gen)
+		}
+	}
+	waitBreaker(t, s, BreakerOpen)
+	if q := s.QuarantinedProbes(); len(q) != 0 {
+		t.Fatalf("engine failure quarantined %v", q)
+	}
+
+	// Clear the fault and wait out the backoff: the retried enables all
+	// commit, the first of them as the half-open trial.
+	failing.Store(false)
+	time.Sleep(backoff + 20*time.Millisecond)
+	retry := make([]*Ticket, n)
+	for i, id := range ids {
+		if retry[i], err = s.EnableProbe(id); err != nil {
+			t.Fatalf("retry %d rejected: %v", i, err)
+		}
+	}
+	for i, tk := range retry {
+		if res, err := tk.Wait(ctx); err != nil || res.Err != nil {
+			t.Fatalf("retry %d: %v / %v", i, err, res.Err)
+		}
+	}
+	waitBreaker(t, s, BreakerClosed)
+	if got := len(e.Manager.Active()); got != n {
+		t.Fatalf("%d probes active, want %d", got, n)
+	}
+	requireBehavior(t, e, "after engine recovery")
 }
 
 // TestSupervisorAbandon: Abandon returns while the loop is stuck inside a

@@ -18,15 +18,22 @@
 //	codegen:<func>       before lowering one function of a fragment module
 //	link:incremental     before an incremental relink
 //	link:full            before a from-scratch link
-//	supervisor:commit    before a supervisor rebuild generation schedules
-//	                     (fails the whole generation without touching
-//	                     engine state — breaker and bisection testing)
+//	supervisor:commit    before every supervisor rebuild schedules: the
+//	                     generation's, its control rebuild's, and each
+//	                     bisection subset's (fails the rebuild without
+//	                     touching engine state — breaker and bisection
+//	                     testing)
 //	persist:open         before opening the persistent artifact store
 //	persist:load         before each persistent-cache load
 //	persist:store        before each atomic publish to the store
 //	persist:evict        before evicting a corrupt or skewed entry
 //	persist:snapshot-save before writing an engine state snapshot
 //	persist:snapshot-load before reading an engine state snapshot
+//	persist:log-open     before opening an append-only log (the serve
+//	                     probe journal)
+//	persist:log-append   before each log append
+//	persist:log-close    in place of the closing flush of a log (the file
+//	                     is still closed)
 //
 // Every persist:* fault degrades to a counted cold compile or fallback —
 // the persistence layer's verify-or-degrade contract — so a Rule with
@@ -40,6 +47,7 @@
 package faultinject
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -85,16 +93,8 @@ func IsInjected(v any) bool {
 	case *InjectedError:
 		return true
 	case error:
-		for err := x; err != nil; {
-			if _, ok := err.(*InjectedError); ok {
-				return true
-			}
-			u, ok := err.(interface{ Unwrap() error })
-			if !ok {
-				return false
-			}
-			err = u.Unwrap()
-		}
+		var ie *InjectedError
+		return errors.As(x, &ie)
 	}
 	return false
 }

@@ -43,6 +43,7 @@ type Log struct {
 const (
 	SiteLogOpen   = "persist:log-open"
 	SiteLogAppend = "persist:log-append"
+	SiteLogClose  = "persist:log-close"
 )
 
 // frameLogRecord returns payload in the on-disk framing.
@@ -140,7 +141,9 @@ func (l *Log) Records() int {
 }
 
 // Close syncs and closes the log file, returning the Sync error if the
-// flush failed and the Close error otherwise. Idempotent.
+// flush failed and the Close error otherwise. The persist:log-close fault
+// site stands in for a failed flush; the file is closed either way.
+// Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -148,7 +151,10 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	serr := l.f.Sync()
+	serr := fault(l.hook, SiteLogClose)
+	if serr == nil {
+		serr = l.f.Sync()
+	}
 	if cerr := l.f.Close(); serr == nil {
 		return cerr
 	}

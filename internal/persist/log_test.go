@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -85,5 +86,41 @@ func TestLogFaultSites(t *testing.T) {
 	l.Close()
 	if _, _, err := OpenLog(path, Options{FaultHook: func(string) error { return boom }}); err == nil {
 		t.Fatal("open survived injected fault")
+	}
+}
+
+// TestLogCloseFault: a fault at persist:log-close is Close's error, the file
+// is closed all the same, and the records appended before it replay.
+func TestLogCloseFault(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "probe.log")
+	boom := errors.New("injected")
+	l, _, err := OpenLog(path, Options{FaultHook: func(site string) error {
+		if site == SiteLogClose {
+			return boom
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the injected fault", err)
+	}
+	if _, err := l.f.Write([]byte("y")); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("file still open after a faulted Close: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
+	}
+	l, recs, err := OpenLog(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if len(recs) != 1 || string(recs[0]) != "x" {
+		t.Fatalf("replay = %q, want [x]", recs)
 	}
 }

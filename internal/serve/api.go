@@ -103,14 +103,19 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, sh *shard, slot *engine
 }
 
 // writeTicketError maps a committed generation's failure — the ticket
-// resolved, but against this request.
+// resolved, but against this request. An engine that failed its control
+// rebuild answers 503 + Retry-After: the request was not at fault, and a
+// retry may commit.
 func writeTicketError(w http.ResponseWriter, err error) {
 	var qe *core.ProbeQuarantinedError
-	if errors.As(err, &qe) {
+	switch {
+	case errors.As(err, &qe):
 		writeError(w, http.StatusUnprocessableEntity, "quarantined", err.Error(), 0)
-		return
+	case errors.Is(err, core.ErrEngineUnhealthy):
+		writeError(w, http.StatusServiceUnavailable, "engine_failed", err.Error(), time.Second)
+	default:
+		writeError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 	}
-	writeError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 }
 
 // retryableFailover reports whether an operation that failed with err
@@ -215,7 +220,11 @@ func (s *Server) handleProbeAdd(w http.ResponseWriter, r *http.Request) {
 		if retryableFailover(sh, slot, res.Err) {
 			continue
 		}
-		s.adm.report(tenant, res.Err == nil)
+		// An engine failure is not the tenant's fault: it stays out of the
+		// tenant's breaker.
+		if !errors.Is(res.Err, core.ErrEngineUnhealthy) {
+			s.adm.report(tenant, res.Err == nil)
+		}
 		if res.Err != nil {
 			writeTicketError(w, res.Err)
 			return
@@ -310,7 +319,11 @@ func (s *Server) handleProbeAction(w http.ResponseWriter, r *http.Request) {
 		if retryableFailover(sh, slot, res.Err) {
 			continue
 		}
-		s.adm.report(tenant, res.Err == nil)
+		// An engine failure is not the tenant's fault: it stays out of the
+		// tenant's breaker.
+		if !errors.Is(res.Err, core.ErrEngineUnhealthy) {
+			s.adm.report(tenant, res.Err == nil)
+		}
 		if res.Err != nil {
 			writeTicketError(w, res.Err)
 			return

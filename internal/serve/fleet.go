@@ -84,7 +84,8 @@ type ProbeResult struct {
 type apiError struct {
 	Error string `json:"error"`
 	// Code is a stable machine-readable discriminator: bad_request,
-	// not_found, quarantined, shed, breaker_open, closed, dead, internal.
+	// not_found, quarantined, shed, breaker_open, engine_failed, closed,
+	// dead, internal.
 	Code string `json:"code"`
 	// RetryAfterS mirrors the Retry-After header for JSON-only clients.
 	RetryAfterS float64 `json:"retry_after_s,omitempty"`

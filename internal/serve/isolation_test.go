@@ -2,8 +2,10 @@ package serve
 
 import (
 	"errors"
+	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -18,12 +20,12 @@ import (
 //
 // It runs under two admission ladders. "tuned" sets the tenant breaker's
 // threshold below the shard breaker's, so the tenant breaker trips first.
-// "default" keeps the default threshold, equal to the shard breaker's, so
-// the two race; its generous bucket and short breaker windows let the
-// hostile tenant spray as hard as the breakers allow. When the shard
-// breaker wins, poison-only generations hold it open for every tenant on
-// the shard and healthy tickets drop: a known defect of the breaker, which
-// this case exposes in a few percent of runs.
+// "default" keeps the default threshold, equal to the shard breaker's; its
+// generous bucket and short breaker windows let the hostile tenant spray as
+// hard as the breakers allow. The shard breaker judges the engine, not the
+// probes (a failed generation's control rebuild passes when only poison
+// broke it), so however the scheduler interleaves the two, poison-only
+// generations never open it for the healthy tenants.
 func TestTenantIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-tenant storm")
@@ -177,4 +179,72 @@ func tenantIsolation(t *testing.T, admission AdmissionOptions, shedPause time.Du
 		}
 	}
 	t.Logf("hostile: shed %d times, breaker trips %d", hostileShed, evil.BreakerTrips)
+}
+
+// TestPoisonOnlyGenerationsKeepShardBreakerClosed: more poison-only
+// generations than the shard breaker's threshold quarantine their probes
+// and leave the shard breaker closed, so a healthy tenant on the same shard
+// never sees a 503. The tenant breaker is off: containment here is the
+// shard breaker judging the engine, not the tenant ladder racing it.
+func TestPoisonOnlyGenerationsKeepShardBreakerClosed(t *testing.T) {
+	srv, _, client := newTestServer(t, Options{
+		Shards:    []ShardSpec{{Name: "alpha", Module: testModule(t, 6)}},
+		Admission: AdmissionOptions{TenantRPS: -1, FailThreshold: -1},
+	})
+	evil, good := client("evil"), client("good")
+	const k = 3 // the supervisor's default breaker threshold
+	for i := 0; i < k+2; i++ {
+		_, err := evil.AddProbe("alpha", ProbeSpec{Func: "f0", Kind: KindPoison})
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Code != "quarantined" {
+			t.Fatalf("poison add %d: %v, want quarantined", i, err)
+		}
+		res, err := good.AddProbe("alpha", ProbeSpec{Func: "f1"})
+		if err != nil {
+			t.Fatalf("healthy add after %d poison generations: %v", i+1, err)
+		}
+		if _, err := good.ProbeAction("alpha", res.ID, "remove"); err != nil {
+			t.Fatalf("healthy remove after %d poison generations: %v", i+1, err)
+		}
+	}
+	if b := srv.Fleet().Shards[0].Supervisor.Breaker; b != "closed" {
+		t.Fatalf("shard breaker %s after %d poison-only generations", b, k+2)
+	}
+}
+
+// TestEngineFailureIsRetryable: when the engine fails its control rebuild,
+// a probe add answers 503 engine_failed with a Retry-After, and the failure
+// is not charged to the tenant's breaker. Once the engine recovers, the
+// retry commits.
+func TestEngineFailureIsRetryable(t *testing.T) {
+	var failing atomic.Bool
+	srv, _, client := newTestServer(t, Options{
+		Shards: []ShardSpec{{
+			Name: "alpha", Module: testModule(t, 4),
+			FaultHook: func(site string) error {
+				if site == "supervisor:commit" && failing.Load() {
+					return errors.New("injected engine failure")
+				}
+				return nil
+			},
+			Watchdog: WatchdogOptions{Disable: true},
+		}},
+		Admission: AdmissionOptions{TenantRPS: -1, FailThreshold: 1},
+	})
+	c := client("acme")
+	failing.Store(true)
+	_, err := c.AddProbe("alpha", ProbeSpec{Func: "f0"})
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || ae.Code != "engine_failed" || ae.RetryAfter <= 0 {
+		t.Fatalf("add on a failing engine: %v, want 503 engine_failed with Retry-After", err)
+	}
+	for _, ts := range srv.Fleet().Tenants {
+		if ts.Tenant == "acme" && (ts.Failed != 0 || ts.BreakerTrips != 0) {
+			t.Fatalf("engine failure charged to the tenant: %+v", ts)
+		}
+	}
+	failing.Store(false)
+	if _, err := c.AddProbe("alpha", ProbeSpec{Func: "f0"}); err != nil {
+		t.Fatalf("retry after recovery: %v", err)
+	}
 }

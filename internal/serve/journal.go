@@ -99,10 +99,13 @@ func (j *probeJournal) dropped() uint64 {
 	return j.drops.Load()
 }
 
-func (j *probeJournal) close() {
-	if j != nil {
-		j.log.Close()
+// close flushes and closes the journal, returning the flush's error: the
+// last committed ops are durable only if it is nil.
+func (j *probeJournal) close() error {
+	if j == nil {
+		return nil
 	}
+	return j.log.Close()
 }
 
 // probeState is the reduction of a journal to one probe's final state.

@@ -156,7 +156,7 @@ func newShardMetrics(reg *telemetry.Registry) *shardMetrics {
 	reg.Describe(MetricFailoverSeconds, "Unavailability window of each failover swap.")
 	reg.Describe(MetricParked, "Requests parked on the shard gate during a failover swap.")
 	reg.Describe(MetricJournalAppends, "Probe operations appended to the tenant-probe journal.")
-	reg.Describe(MetricJournalFallbacks, "Journal opens or appends abandoned after persistent failure.")
+	reg.Describe(MetricJournalFallbacks, "Journal opens or appends abandoned after persistent failure, and journal closes whose flush failed.")
 	return &shardMetrics{
 		restarts:         reg.Counter(MetricRestarts),
 		failoverSeconds:  reg.Histogram(MetricFailoverSeconds, nil),

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"odin/internal/ir"
+	"odin/internal/persist"
 )
 
 // fastWatchdog is a watchdog tuned for tests: tight sampling and deadlines
@@ -336,5 +338,59 @@ func TestParkedRequestsReadmit(t *testing.T) {
 	}
 	if got := sh.metrics.parked.Value(); got == 0 {
 		t.Fatalf("parked counter = 0, want > 0")
+	}
+}
+
+// TestJournalCloseErrorReported: a failed flush of the probe journal at
+// shutdown surfaces in Server.Close instead of vanishing, and the ops
+// written before it still replay on the next boot.
+func TestJournalCloseErrorReported(t *testing.T) {
+	dataDir := t.TempDir()
+	boom := errors.New("injected journal flush failure")
+	var failClose atomic.Bool
+	boot := func() *Server {
+		srv, err := New(Options{
+			DataDir: dataDir,
+			Shards: []ShardSpec{{
+				Name: "alpha", Module: testModule(t, 4),
+				Watchdog: WatchdogOptions{Disable: true},
+				FaultHook: func(site string) error {
+					if site == persist.SiteLogClose && failClose.Load() {
+						return boom
+					}
+					return nil
+				},
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	closeSrv := func(srv *Server) error {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		return srv.Close(ctx)
+	}
+
+	srv := boot()
+	hs, client := startTest(t, srv)
+	res, err := client("acme").AddProbe("alpha", ProbeSpec{Func: "f0"})
+	if err != nil {
+		t.Fatalf("AddProbe: %v", err)
+	}
+	hs.Close()
+	failClose.Store(true)
+	if err := closeSrv(srv); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the journal's flush failure", err)
+	}
+
+	failClose.Store(false)
+	srv2 := boot()
+	defer closeSrv(srv2)
+	hs2, client2 := startTest(t, srv2)
+	defer hs2.Close()
+	if _, err := client2("acme").ProbeAction("alpha", res.ID, "remove"); err != nil {
+		t.Fatalf("probe %d lost with the failed flush: %v", res.ID, err)
 	}
 }

@@ -15,10 +15,10 @@ import (
 type Options struct {
 	// Shards declares the hosted engines. At least one is required.
 	Shards []ShardSpec
-	// DataDir, when set, lays each shard's persist cache and snapshot out
-	// under DataDir/shards/<name>/ (persist.ShardLayout), giving every
-	// shard an independent warm-start. Shard specs with explicit
-	// CacheDir/SnapshotPath keep them.
+	// DataDir, when set, lays each shard's persist cache, snapshot and
+	// probe journal out under DataDir/shards/<name>/ (persist.ShardLayout),
+	// giving every shard an independent warm-start. Empty means no shard
+	// persists anything.
 	DataDir string
 	// Admission tunes the fleet admission ladder.
 	Admission AdmissionOptions
@@ -69,17 +69,15 @@ func New(opts Options) (*Server, error) {
 			s.teardown()
 			return nil, fmt.Errorf("serve: duplicate shard name %q", spec.Name)
 		}
-		if opts.DataDir != "" && spec.CacheDir == "" && spec.SnapshotPath == "" {
-			paths, err := persist.ShardLayout(opts.DataDir, spec.Name)
-			if err != nil {
+		var paths persist.ShardPaths
+		if opts.DataDir != "" {
+			var err error
+			if paths, err = persist.ShardLayout(opts.DataDir, spec.Name); err != nil {
 				s.teardown()
 				return nil, err
 			}
-			spec.CacheDir = paths.CacheDir
-			spec.SnapshotPath = paths.SnapshotPath
-			spec.JournalPath = paths.JournalPath
 		}
-		sh, err := newShard(spec)
+		sh, err := newShard(spec, paths)
 		if err != nil {
 			s.teardown()
 			return nil, err

@@ -37,13 +37,6 @@ type ShardSpec struct {
 	Program string
 	// Module hosts an explicit IR module instead of a generated profile.
 	Module *ir.Module
-	// CacheDir, SnapshotPath, and JournalPath place the shard's persist
-	// tier. Normally derived from the server's DataDir via
-	// persist.ShardLayout; explicit values override. Empty means no
-	// persistence (and no journal: probe state dies with the engine).
-	CacheDir     string
-	SnapshotPath string
-	JournalPath  string
 	// Workers sets the shard engine's compile pool size (0 = engine
 	// default).
 	Workers int
@@ -84,6 +77,10 @@ type shard struct {
 	name    string
 	program string
 	spec    ShardSpec
+	// paths places the shard's persist tier: derived from the server's
+	// DataDir through persist.ShardLayout, or zero for no persistence (and
+	// no journal: probe state dies with the engine).
+	paths persist.ShardPaths
 	// module is the pristine hosted module, retained (never adopted by an
 	// engine) so restarts can boot new engines from it.
 	module *ir.Module
@@ -139,8 +136,8 @@ func (sh *shard) bootEngine(ctx context.Context) (*engineSlot, error) {
 		Telemetry:     sh.reg,
 		ExtraBuiltins: []string{HitBuiltin},
 		Workers:       sh.spec.Workers,
-		CacheDir:      sh.spec.CacheDir,
-		SnapshotPath:  sh.spec.SnapshotPath,
+		CacheDir:      sh.paths.CacheDir,
+		SnapshotPath:  sh.paths.SnapshotPath,
 		FaultHook:     sh.spec.FaultHook,
 	})
 	if err != nil {
@@ -214,8 +211,8 @@ func replayInto(ctx context.Context, slot *engineSlot, states []probeState, site
 
 // newShard builds the shard's first engine slot, replays the tenant-probe
 // journal so probes survive process restarts, and starts the health
-// watchdog.
-func newShard(spec ShardSpec) (*shard, error) {
+// watchdog. Zero paths mean the shard persists nothing.
+func newShard(spec ShardSpec, paths persist.ShardPaths) (*shard, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("serve: shard needs a name")
 	}
@@ -234,6 +231,7 @@ func newShard(spec ShardSpec) (*shard, error) {
 		name:    spec.Name,
 		program: program,
 		spec:    spec,
+		paths:   paths,
 		module:  m,
 		reg:     telemetry.NewRegistry(),
 		probes:  map[int64]*probeRec{},
@@ -246,8 +244,8 @@ func newShard(spec ShardSpec) (*shard, error) {
 	}
 
 	var replayOps []journalOp
-	if spec.JournalPath != "" {
-		j, ops, err := openProbeJournal(spec.JournalPath, spec.FaultHook)
+	if paths.JournalPath != "" {
+		j, ops, err := openProbeJournal(paths.JournalPath, spec.FaultHook)
 		if err != nil {
 			// A broken journal must not keep the shard down: serve without
 			// one (probe state won't survive the next restart) and count it.
@@ -262,16 +260,14 @@ func newShard(spec ShardSpec) (*shard, error) {
 	defer cancel()
 	slot, err := sh.bootEngine(ctx)
 	if err != nil {
-		sh.journal.close()
-		return nil, err
+		return nil, errors.Join(err, sh.journal.close())
 	}
 	if states := reduceJournal(replayOps); len(states) > 0 {
 		engIDs, rerr := replayInto(ctx, slot, states, &sh.site)
 		if rerr != nil {
 			slot.sup.Close()
 			slot.eng.Close()
-			sh.journal.close()
-			return nil, fmt.Errorf("serve: shard %s journal replay: %w", spec.Name, rerr)
+			return nil, errors.Join(fmt.Errorf("serve: shard %s journal replay: %w", spec.Name, rerr), sh.journal.close())
 		}
 		for _, st := range states {
 			sh.probes[st.ID] = &probeRec{Tenant: st.Tenant, Spec: st.Spec, EngID: engIDs[st.ID], Active: st.Active, gen: 1}
@@ -560,7 +556,9 @@ func (sh *shard) quickClose() {
 		slot.sup.Close()
 		slot.eng.Close()
 	}
-	sh.journal.close()
+	if sh.journal.close() != nil {
+		sh.metrics.journalFallbacks.Inc()
+	}
 }
 
 // close stops the watchdog, drains the serving supervisor
@@ -573,14 +571,11 @@ func (sh *shard) close(ctx context.Context) error {
 	if sh.lc != nil {
 		sh.lc.stopWatchdog()
 	}
-	slot := sh.current()
-	defer sh.journal.close()
-	if slot == nil {
-		return nil
+	var err error
+	if slot := sh.current(); slot != nil {
+		if err = slot.sup.Drain(ctx); err == nil {
+			slot.eng.Close()
+		}
 	}
-	if err := slot.sup.Drain(ctx); err != nil {
-		return err
-	}
-	slot.eng.Close()
-	return nil
+	return errors.Join(err, sh.journal.close())
 }

@@ -38,18 +38,13 @@ type StageTimes struct {
 
 // Build optimizes m in place at the given level, compiles, and links it.
 func Build(m *ir.Module, level int, extraBuiltins ...string) (*link.Executable, *StageTimes, error) {
-	return BuildOpts(m, level, codegen.Options{}, extraBuiltins...)
-}
-
-// BuildOpts is Build with explicit code-generation options.
-func BuildOpts(m *ir.Module, level int, cg codegen.Options, extraBuiltins ...string) (*link.Executable, *StageTimes, error) {
 	st := &StageTimes{}
 	t0 := time.Now()
 	opt.Optimize(m, &opt.Options{Level: level})
 	st.Optimize = time.Since(t0)
 
 	t1 := time.Now()
-	o, err := codegen.CompileModuleOpts(m, cg)
+	o, err := codegen.CompileModule(m)
 	if err != nil {
 		return nil, st, err
 	}

@@ -51,6 +51,19 @@ go test -run xxx -fuzz '^FuzzDecodeEntry$' -fuzztime 10s ./internal/persist
 go test -run xxx -fuzz '^FuzzDecodeState$' -fuzztime 10s ./internal/persist
 go test -run xxx -fuzz '^FuzzLogStream$' -fuzztime 10s ./internal/persist
 
+echo "== fuzz: codegen differential (10s) =="
+# Generated loop/phi/call programs (long reuse-heavy chains carried around a
+# back edge, sometimes broken by a call), optimized at -O0 and -O2: the
+# frame-slot code on the vm must return what the interpreter returns.
+go test -run xxx -fuzz FuzzCodegenDifferential -fuzztime 10s ./internal/codegen
+
+echo "== tenant isolation x50 =="
+# The shard breaker judges the engine, not the probes: a hostile tenant's
+# poison-only generations must never open it for the healthy tenants. One
+# tier-1 run of the storm can miss a regression that only shows under an
+# unlucky interleaving; fifty take a few seconds.
+go test ./internal/serve -run 'TestTenantIsolation' -count=50
+
 echo "== supervisor soak (-race, ~30s) =="
 # Bounded concurrent-supervisor soak: 8 goroutines of random probe toggles
 # against a fault-injecting engine under the race detector. The test asserts
