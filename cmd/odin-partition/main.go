@@ -88,7 +88,6 @@ type snapDump struct {
 	Deferred      int    `json:"deferred"`
 	VerifiedFuncs int    `json:"verified_funcs"`
 	HasSurvey     bool   `json:"has_survey"`
-	HasSupervisor bool   `json:"has_supervisor"`
 	// PlanMatch reports that the snapshot's variant and fragment count agree
 	// with the plan this invocation computed — the cheap two of the engine's
 	// identity guards (the module hash is only comparable in-engine).
@@ -133,7 +132,6 @@ func inspectPersist(cacheDir, snapshot string, plan *core.Plan) *persistDump {
 				Deferred:      len(es.Deferred),
 				VerifiedFuncs: len(es.VerifiedFuncs),
 				HasSurvey:     es.Survey != nil,
-				HasSupervisor: es.Supervisor != nil,
 				PlanMatch: es.Variant == plan.Variant.String() &&
 					es.Fragments == len(plan.Fragments),
 			}
@@ -159,8 +157,8 @@ func printPersist(d *persistDump) {
 		s := d.Snapshot
 		fmt.Printf("  snapshot %s: module %s, variant %s, O%d, %d fragments, verify tier %d\n",
 			d.SnapshotPath, s.ModuleHash, s.Variant, s.OptLevel, s.Fragments, s.VerifyTier)
-		fmt.Printf("    %d fragment hashes, %d quarantined, %d deferred, %d verified funcs, survey=%v, supervisor=%v\n",
-			s.FragHashes, s.Quarantined, s.Deferred, s.VerifiedFuncs, s.HasSurvey, s.HasSupervisor)
+		fmt.Printf("    %d fragment hashes, %d quarantined, %d deferred, %d verified funcs, survey=%v\n",
+			s.FragHashes, s.Quarantined, s.Deferred, s.VerifiedFuncs, s.HasSurvey)
 		if s.PlanMatch {
 			fmt.Printf("    matches this plan (variant + fragment count); module hash checked at engine start\n")
 		} else {

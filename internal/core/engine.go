@@ -67,9 +67,9 @@ type Options struct {
 	CacheDir string
 	// SnapshotPath, when non-empty, names the engine state snapshot file:
 	// New restores matching state from it (fingerprints, quarantined passes,
-	// deferred fragments, supervisor breaker state) and Close — plus
-	// Supervisor.Drain — atomically rewrites it. A corrupt or mismatched
-	// snapshot degrades to a cold start.
+	// deferred fragments, survey, verified functions) and Close atomically
+	// rewrites it. A corrupt, skewed or mismatched snapshot degrades to a
+	// cold start.
 	SnapshotPath string
 	// AdoptModule transfers ownership of the input module to the engine: New
 	// uses it directly as the pristine module instead of defensively cloning
@@ -342,12 +342,6 @@ type Engine struct {
 	// aliases the pristine module (BuildAll, no probes) reuses it instead of
 	// re-fingerprinting every symbol.
 	pristineHashes tempHashes
-	// supMu guards the supervisor state hooks: restoredSup carries a
-	// snapshot's supervisor state to the first Supervise call, and supState
-	// is the live supervisor's state-capture callback for SaveSnapshot.
-	supMu       sync.Mutex
-	restoredSup *persist.SupervisorState
-	supState    func() *persist.SupervisorState
 	// rebuilds counts committed rebuilds and lastRebuild is the most recent
 	// one's statistics, both published under mu at commit. A long-running
 	// daemon keeps only these; callers that want every rebuild's statistics

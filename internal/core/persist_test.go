@@ -2,7 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,15 +91,73 @@ func TestWarmStartByteIdentity(t *testing.T) {
 	}
 }
 
-// TestWarmStartIgnoresFuncHashes: store entries and snapshots written by
-// earlier versions carry per-function hashes (Entry.FuncHashes,
-// EngineState.FuncMeta). Written that way, they still warm-start every
-// fragment from disk to the cold image, and the snapshot the engine writes
-// back carries none.
+// writeLayout1Snapshot writes st to path as earlier versions framed and
+// encoded it, in state layout 1: after the fragment hashes comes a
+// function-cache metadata section (funcHashes, per fragment), and after the
+// verified functions the supervisor's breaker and probe quarantine, here an
+// open breaker with an hour's backoff and engine probe 0 quarantined.
+func writeLayout1Snapshot(t *testing.T, path, buildID string, st *persist.EngineState, funcHashes map[int]map[string]uint64) {
+	t.Helper()
+	p := []byte{1}
+	u := func(v uint64) { p = binary.AppendUvarint(p, v) }
+	i := func(v int64) { p = binary.AppendVarint(p, v) }
+	str := func(s string) { u(uint64(len(s))); p = append(p, s...) }
+	u(st.ModuleHash)
+	str(st.Variant)
+	i(int64(st.OptLevel))
+	i(int64(st.VerifyTier))
+	i(int64(st.Fragments))
+	u(uint64(len(st.Hashes)))
+	for id, h := range st.Hashes {
+		i(int64(id))
+		u(h)
+	}
+	u(uint64(len(funcHashes)))
+	for id, hashes := range funcHashes {
+		i(int64(id))
+		i(int64(st.OptLevel))
+		u(uint64(len(hashes)))
+		for name, h := range hashes {
+			str(name)
+			u(h)
+		}
+	}
+	u(0)             // pass quarantine
+	u(0)             // deferred fragments
+	p = append(p, 0) // no survey
+	u(0)             // verified functions
+	p = append(p, 1) // supervisor state
+	i(int64(BreakerOpen))
+	i(3)
+	i(int64(time.Hour))
+	u(1)
+	i(0)
+	str("boom")
+
+	blob := append([]byte(nil), persist.MagicSnapshot[:]...)
+	blob = binary.BigEndian.AppendUint32(blob, persist.Schema)
+	blob = binary.BigEndian.AppendUint16(blob, uint16(len(buildID)))
+	blob = append(blob, buildID...)
+	blob = binary.BigEndian.AppendUint64(blob, uint64(len(p)))
+	sum := sha256.Sum256(p)
+	blob = append(blob, sum[:]...)
+	if err := os.WriteFile(path, append(blob, p...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmStartIgnoresFuncHashes: a cache directory and snapshot as earlier
+// versions wrote them — entries carrying per-function hashes, a layout-1
+// snapshot carrying function metadata and an open breaker over a
+// quarantined probe — boot cleanly. The snapshot is refused as skew and
+// removed, every fragment still warm-starts from the store to the cold
+// image, a supervisor over the engine starts closed and admits probe 0, and
+// the snapshot the engine writes back restores.
 func TestWarmStartIgnoresFuncHashes(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "engine.snap")
-	cold := persistEngine(t, 6, Options{})
+	opts := Options{ExtraBuiltins: []string{"__test_hit"}}
+	cold := persistEngine(t, 6, opts)
 	exeCold, _, err := cold.BuildAll()
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +169,7 @@ func TestWarmStartIgnoresFuncHashes(t *testing.T) {
 	}
 	st := cold.buildState()
 	st.ModuleHash, _ = moduleFingerprint(cold.Pristine)
-	st.FuncMeta = map[int]persist.FuncMeta{}
+	funcHashes := map[int]map[string]uint64{}
 	for id, fs := range cold.frags {
 		hashes := map[string]uint64{}
 		for _, s := range cold.Plan.Fragments[id].Members {
@@ -122,18 +181,20 @@ func TestWarmStartIgnoresFuncHashes(t *testing.T) {
 		if err := store.Put(cold.persistKey(fs.hash), &persist.Entry{Object: fs.obj, Level: level, FuncHashes: hashes}); err != nil {
 			t.Fatal(err)
 		}
-		st.FuncMeta[id] = persist.FuncMeta{Level: level, FuncHashes: hashes}
+		funcHashes[id] = hashes
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := persist.SaveState(snap, st, po); err != nil {
-		t.Fatal(err)
-	}
+	writeLayout1Snapshot(t, snap, po.BuildID, st, funcHashes)
 
-	warm := persistEngine(t, 6, Options{CacheDir: dir, SnapshotPath: snap})
-	if !warm.SnapshotRestored() {
-		t.Fatal("snapshot with function metadata not restored")
+	opts.CacheDir, opts.SnapshotPath = dir, snap
+	warm := persistEngine(t, 6, opts)
+	if warm.SnapshotRestored() {
+		t.Fatal("layout-1 snapshot restored")
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Fatal("skewed snapshot not removed")
 	}
 	exeWarm, stWarm, err := warm.BuildAll()
 	if err != nil {
@@ -145,6 +206,18 @@ func TestWarmStartIgnoresFuncHashes(t *testing.T) {
 	if !reflect.DeepEqual(exeWarm.Funcs, exeCold.Funcs) || !reflect.DeepEqual(exeWarm.Data, exeCold.Data) {
 		t.Fatal("warm image not byte-identical to cold image")
 	}
+	s := Supervise(warm, SupervisorOptions{})
+	if b, q := s.Breaker(), s.QuarantinedProbes(); b != BreakerClosed || len(q) != 0 {
+		t.Fatalf("supervisor over the warm engine: breaker %v, quarantined %v; want closed, none", b, q)
+	}
+	id, tk, err := s.AddProbe(&supProbe{fnName: "f0", id: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := tk.Wait(context.Background()); res.Err != nil || id != 0 {
+		t.Fatalf("probe %d add: %v", id, res.Err)
+	}
+	s.Close()
 	if err := warm.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +225,9 @@ func TestWarmStartIgnoresFuncHashes(t *testing.T) {
 	if err != nil || back == nil {
 		t.Fatalf("reload snapshot: %v", err)
 	}
-	if len(back.FuncMeta) != 0 {
-		t.Fatalf("engine wrote function metadata for %d fragments", len(back.FuncMeta))
+	again := persistEngine(t, 6, opts)
+	if !again.SnapshotRestored() {
+		t.Fatal("snapshot written after the skewed one not restored")
 	}
 }
 
@@ -458,65 +532,6 @@ func TestSnapshotCarriesVerifiedClean(t *testing.T) {
 	}
 	if hits, misses := e2.VerifyCacheStats(); misses != 0 || hits == 0 {
 		t.Fatalf("restarted build: %d hits, %d misses, want every function carried clean", hits, misses)
-	}
-}
-
-// TestSupervisorStateSurvivesRestart: an open breaker must stay open across
-// an engine+supervisor restart via Drain's snapshot.
-func TestSupervisorStateSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "engine.snap")
-	mkEngine := func() (*Engine, *hookBox) {
-		box := &hookBox{}
-		m := irtext.MustParse("m", manyFuncSrc(4))
-		e, err := New(m, Options{
-			Variant: VariantMax, FaultHook: box.at,
-			SnapshotPath: snap,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, box
-	}
-
-	e, box := mkEngine()
-	if _, _, err := e.BuildAll(); err != nil {
-		t.Fatal(err)
-	}
-	inj := faultinject.New(3).
-		Arm(faultinject.Rule{Site: "supervisor:commit", Kind: faultinject.KindError, Rate: 1})
-	box.fn = inj.At
-	s := Supervise(e, SupervisorOptions{BreakerThreshold: 2, BreakerBackoff: 500 * time.Millisecond})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	for i := 0; i < 2; i++ {
-		tk, err := s.Sync()
-		if err != nil {
-			t.Fatalf("sync %d: %v", i, err)
-		}
-		if res, _ := tk.Wait(ctx); res.Err == nil {
-			t.Fatalf("sync %d committed under injected faults", i)
-		}
-	}
-	waitBreaker(t, s, BreakerOpen)
-	if err := s.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-
-	// Restart: the breaker must come back open, still rejecting.
-	e2, _ := mkEngine()
-	defer e2.Close()
-	if !e2.SnapshotRestored() {
-		t.Fatal("snapshot not restored")
-	}
-	s2 := Supervise(e2, SupervisorOptions{BreakerThreshold: 2, BreakerBackoff: 500 * time.Millisecond})
-	defer s2.Close()
-	if got := s2.Breaker(); got != BreakerOpen {
-		t.Fatalf("restored breaker = %v, want open", got)
-	}
-	if _, err := s2.Sync(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("restored open breaker admitted a request: %v", err)
 	}
 }
 

@@ -12,9 +12,10 @@ package core
 // quarantined objects never reach disk — so a warm-served object is always
 // byte-identical to what the cold pipeline would produce. Publication is
 // write-behind: a generation commits before its objects reach the disk.
-// Entries and snapshots written by earlier versions may carry per-function
-// hashes (persist.Entry.FuncHashes, EngineState.FuncMeta); the engine ignores
-// them and writes them empty. Every persistence failure, from a missing
+// Entries written by earlier versions may carry per-function hashes
+// (persist.Entry.FuncHashes); the engine ignores them and writes them empty.
+// The snapshot holds engine state only: no supervisor state crosses a
+// restart (see Supervise). Every persistence failure, from a missing
 // directory to a bit-flipped entry to an injected persist:* fault, degrades
 // to a counted cold compile; the rebuild pipeline never sees an error from
 // this layer.
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"odin/internal/ir"
 	"odin/internal/persist"
@@ -191,9 +191,8 @@ func (e *Engine) openPersistence(moduleHash uint64, pm *persist.Metrics, st *per
 
 // applySnapshot restores engine state from a preloaded, identity-checked
 // snapshot: per fragment the committed fingerprint (effective once the
-// object warm-loads from the store), quarantined passes and deferral; the
-// verified-clean function hashes; and the supervisor state held for the next
-// Supervise call.
+// object warm-loads from the store), quarantined passes and deferral; and the
+// verified-clean function hashes.
 func (e *Engine) applySnapshot(st *persist.EngineState) {
 	if st.Fragments != len(e.frags) {
 		// The identity fields matched but the partition disagrees — only
@@ -221,7 +220,6 @@ func (e *Engine) applySnapshot(st *persist.EngineState) {
 	for name, h := range st.VerifiedFuncs {
 		e.verified.clean[name] = [2]uint64{h}
 	}
-	e.restoredSup = st.Supervisor
 	e.snapRestored = true
 }
 
@@ -370,97 +368,16 @@ func (e *Engine) buildState() *persist.EngineState {
 
 // SaveSnapshot drains the write-behind queue, so the objects the snapshot
 // names are on disk, then atomically writes the engine's state snapshot to
-// Options.SnapshotPath (a no-op without one), including the supervisor's
-// breaker state when a Supervisor owns this engine. Safe to call
-// concurrently with rebuilds; the snapshot is a consistent view taken under
-// the engine lock.
+// Options.SnapshotPath (a no-op without one). Safe to call concurrently with
+// rebuilds; the snapshot is a consistent view taken under the engine lock.
 func (e *Engine) SaveSnapshot() error {
 	e.wb.flush(false)
 	if e.opts.SnapshotPath == "" {
 		return nil
 	}
-	st := e.buildState()
-	e.supMu.Lock()
-	supState := e.supState
-	e.supMu.Unlock()
-	if supState != nil {
-		st.Supervisor = supState()
-	} else {
-		// No live supervisor: carry the restored state forward so breaker
-		// history survives engine-only restarts too.
-		st.Supervisor = e.restoredSup
-	}
-	if err := persist.SaveState(e.opts.SnapshotPath, st, e.opts.persistOptions()); err != nil {
+	if err := persist.SaveState(e.opts.SnapshotPath, e.buildState(), e.opts.persistOptions()); err != nil {
 		e.persistMetrics.Fallbacks.Inc()
 		return err
 	}
 	return nil
-}
-
-// registerSupervisorState installs the supervisor's state-capture callback,
-// consulted by SaveSnapshot.
-func (e *Engine) registerSupervisorState(fn func() *persist.SupervisorState) {
-	e.supMu.Lock()
-	e.supState = fn
-	e.supMu.Unlock()
-}
-
-// takeRestoredSupervisor hands the snapshot's supervisor state to the first
-// Supervise call on this engine.
-func (e *Engine) takeRestoredSupervisor() *persist.SupervisorState {
-	e.supMu.Lock()
-	defer e.supMu.Unlock()
-	st := e.restoredSup
-	return st
-}
-
-// persistState captures the supervisor's breaker and quarantine state for a
-// snapshot. Probe IDs are process-local (probes re-register after restart),
-// so quarantine restoration is best-effort by construction; the breaker and
-// its backoff are what must survive.
-func (s *Supervisor) persistState() *persist.SupervisorState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := &persist.SupervisorState{
-		Breaker:     int(s.state),
-		ConsecFails: s.consecFails,
-		BackoffNS:   int64(s.backoff),
-	}
-	if len(s.quarantined) > 0 {
-		st.Quarantined = make(map[int]string, len(s.quarantined))
-		for id, err := range s.quarantined {
-			st.Quarantined[id] = err.Error()
-		}
-	}
-	return st
-}
-
-// restoreSupervisorState seeds a fresh supervisor from a snapshot's state:
-// an open breaker stays open (with its grown backoff) across the restart
-// rather than being re-trusted just because the process bounced.
-func (s *Supervisor) restoreSupervisorState(st *persist.SupervisorState) {
-	if st == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st.Breaker >= int(BreakerClosed) && st.Breaker <= int(BreakerOpen) {
-		s.state = BreakerState(st.Breaker)
-	}
-	if st.ConsecFails > 0 {
-		s.consecFails = st.ConsecFails
-	}
-	if st.BackoffNS > 0 {
-		s.backoff = time.Duration(st.BackoffNS)
-		if s.backoff > s.opts.BreakerMaxBackoff {
-			s.backoff = s.opts.BreakerMaxBackoff
-		}
-	}
-	if s.state == BreakerOpen {
-		s.reopenAt = time.Now().Add(s.backoff)
-		s.openSince = time.Now()
-	}
-	for id, msg := range st.Quarantined {
-		s.quarantined[id] = fmt.Errorf("restored from snapshot: %s", msg)
-	}
 }

@@ -271,7 +271,11 @@ type Supervisor struct {
 
 // Supervise wraps the engine in a new Supervisor and starts its rebuild
 // loop. The supervisor registers its telemetry families on the engine's
-// registry (a no-op when telemetry is off).
+// registry (a no-op when telemetry is off). It starts with a closed breaker
+// and an empty probe quarantine, also over an engine warm-started from a
+// snapshot: probe IDs are handed out afresh by every engine, and the first
+// generation's rebuild of the committed probe set is itself the health check
+// the breaker's verdict stands for.
 func Supervise(e *Engine, opts SupervisorOptions) *Supervisor {
 	opts = opts.withDefaults()
 	s := &Supervisor{
@@ -283,11 +287,6 @@ func Supervise(e *Engine, opts SupervisorOptions) *Supervisor {
 		backoff:     opts.BreakerBackoff,
 		quarantined: map[int]error{},
 	}
-	// Seed the breaker and quarantine from a restored engine snapshot (if
-	// any) before the loop starts, and register the state-capture callback
-	// so Engine.SaveSnapshot includes live supervisor state from now on.
-	s.restoreSupervisorState(e.takeRestoredSupervisor())
-	e.registerSupervisorState(s.persistState)
 	s.sm = newSupervisorMetrics(e.Telemetry(), s)
 	go s.loop()
 	return s
@@ -493,9 +492,6 @@ func (s *Supervisor) BreakerRetryAfter() time.Duration {
 func (s *Supervisor) Close() error {
 	s.shutdown(false)
 	<-s.loopDone
-	// Best-effort state persistence: breaker and quarantine survive the
-	// restart when the engine has a snapshot path configured.
-	s.eng.SaveSnapshot()
 	return nil
 }
 
@@ -509,10 +505,6 @@ func (s *Supervisor) Drain(ctx context.Context) error {
 	s.shutdown(true)
 	select {
 	case <-s.loopDone:
-		// The queue is fully processed: persist breaker and quarantine
-		// state before reporting the drain complete, so a restart sees the
-		// supervisor exactly as it ended.
-		s.eng.SaveSnapshot()
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -521,8 +513,8 @@ func (s *Supervisor) Drain(ctx context.Context) error {
 
 // Abandon stops admission and returns without waiting on the loop: the
 // in-flight generation finishes (or stays stuck) on its own, and queued
-// tickets then resolve with ErrSupervisorClosed. Unlike Close it never
-// saves a snapshot — the recovery path for a loop already judged wedged.
+// tickets then resolve with ErrSupervisorClosed — the recovery path for a
+// loop already judged wedged.
 func (s *Supervisor) Abandon() {
 	s.shutdown(false)
 }
@@ -676,8 +668,8 @@ func (s *Supervisor) runGenerationSafe(batch []*request) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.nLoopPanics.Add(1)
-			s.failBatch(batch, fmt.Errorf("core: supervisor generation panic: %v", r))
 			s.breakerFailure()
+			s.failBatch(batch, fmt.Errorf("core: supervisor generation panic: %v", r))
 		}
 		s.genStartNS.Store(0)
 	}()
@@ -703,13 +695,15 @@ func (s *Supervisor) runGeneration(batch []*request) {
 	for _, r := range batch {
 		s.applyReq(r)
 	}
+	// The breaker is updated before any ticket resolves, so a caller woken
+	// by its ticket reads the breaker as this generation left it.
 	exe, st, err := s.tryRebuild()
 	if err == nil {
+		s.breakerSuccess()
 		for _, r := range batch {
 			s.commitCleanup(r)
 			s.resolveTicket(r, TicketResult{Gen: gen, Exe: exe, Stats: st, Coalesced: len(batch)})
 		}
-		s.breakerSuccess()
 		return
 	}
 
@@ -726,11 +720,11 @@ func (s *Supervisor) runGeneration(batch []*request) {
 	// request as retryable, quarantining nobody; poison is contained by
 	// quarantine, never by the breaker every caller shares.
 	if _, _, cerr := s.tryRebuild(); cerr != nil {
+		s.breakerFailure()
 		for _, r := range batch {
 			s.resolveTicket(r, TicketResult{Gen: gen, Exe: s.eng.Executable(),
 				Err: fmt.Errorf("%w: %w", ErrEngineUnhealthy, err)})
 		}
-		s.breakerFailure()
 		return
 	}
 	s.breakerSuccess()

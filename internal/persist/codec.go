@@ -15,9 +15,11 @@ import (
 // the engine can serve its first executable), and gob's reflective setup
 // cost dominated warm loads. The layout is a flat field-order walk of Entry
 // and obj.Object — the same explicit-field discipline as the blob header.
-// Bumping any struct here means bumping Schema; there is no tag-based
-// evolution, by design: skewed payloads are evicted and recompiled, never
-// migrated.
+// Each payload opens with a layout version byte: changing Entry or
+// obj.Object means bumping Schema, changing EngineState means bumping
+// stateCodecVersion. There is no tag-based evolution, by design: skewed
+// payloads are evicted and recompiled (or, for a snapshot, re-derived),
+// never migrated.
 //
 // Decoding is corruption-tolerant: every length is bounds-checked against
 // the remaining input before allocation, and any violation returns
@@ -28,6 +30,13 @@ import (
 // blob; it changes together with Schema but catches encoder/decoder drift
 // within a development cycle.
 const entryCodecVersion = 1
+
+// stateCodecVersion guards the snapshot payload layout. It moves on its own
+// so that a snapshot change leaves the entry format, and every cache
+// directory written under it, loadable. Version 1 carried a function-cache
+// metadata section and the supervisor's breaker and probe quarantine; a
+// version-1 snapshot is refused as skew, and the engine starts without it.
+const stateCodecVersion = 2
 
 type encoder struct{ buf []byte }
 
@@ -353,7 +362,7 @@ func decodeEntry(payload []byte) (*Entry, error) {
 // warm restart, where gob's reflective setup cost was measurable.
 func encodeState(st *EngineState) []byte {
 	e := &encoder{buf: make([]byte, 0, 512)}
-	e.byte(entryCodecVersion)
+	e.byte(stateCodecVersion)
 	e.u64(st.ModuleHash)
 	e.str(st.Variant)
 	e.i64(int64(st.OptLevel))
@@ -363,16 +372,6 @@ func encodeState(st *EngineState) []byte {
 	for id, h := range st.Hashes {
 		e.i64(int64(id))
 		e.u64(h)
-	}
-	e.u64(uint64(len(st.FuncMeta)))
-	for id, fm := range st.FuncMeta {
-		e.i64(int64(id))
-		e.i64(int64(fm.Level))
-		e.u64(uint64(len(fm.FuncHashes)))
-		for name, h := range fm.FuncHashes {
-			e.str(name)
-			e.u64(h)
-		}
 	}
 	e.u64(uint64(len(st.Quarantine)))
 	for id, passes := range st.Quarantine {
@@ -409,17 +408,6 @@ func encodeState(st *EngineState) []byte {
 		e.str(name)
 		e.u64(h)
 	}
-	e.bool(st.Supervisor != nil)
-	if s := st.Supervisor; s != nil {
-		e.i64(int64(s.Breaker))
-		e.i64(int64(s.ConsecFails))
-		e.i64(s.BackoffNS)
-		e.u64(uint64(len(s.Quarantined)))
-		for id, msg := range s.Quarantined {
-			e.i64(int64(id))
-			e.str(msg)
-		}
-	}
 	return e.buf
 }
 
@@ -435,8 +423,8 @@ func encodePairs(e *encoder, pairs [][2]string) {
 // violation returns ErrCorrupt.
 func decodeState(payload []byte) (*EngineState, error) {
 	d := &decoder{buf: payload}
-	if v := d.byte(); d.err == nil && v != entryCodecVersion {
-		return nil, fmt.Errorf("%w: state codec version %d, want %d", ErrSchemaSkew, v, entryCodecVersion)
+	if v := d.byte(); d.err == nil && v != stateCodecVersion {
+		return nil, fmt.Errorf("%w: state codec version %d, want %d", ErrSchemaSkew, v, stateCodecVersion)
 	}
 	st := &EngineState{
 		ModuleHash: d.u64(),
@@ -450,21 +438,6 @@ func decodeState(payload []byte) (*EngineState, error) {
 		for i := 0; i < n && d.err == nil; i++ {
 			id := d.int()
 			st.Hashes[id] = d.u64()
-		}
-	}
-	if n := d.count(); d.err == nil && n > 0 {
-		st.FuncMeta = make(map[int]FuncMeta, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			id := d.int()
-			fm := FuncMeta{Level: d.int()}
-			if nh := d.count(); d.err == nil && nh > 0 {
-				fm.FuncHashes = make(map[string]uint64, nh)
-				for j := 0; j < nh && d.err == nil; j++ {
-					name := d.str()
-					fm.FuncHashes[name] = d.u64()
-				}
-			}
-			st.FuncMeta[id] = fm
 		}
 	}
 	if n := d.count(); d.err == nil && n > 0 {
@@ -516,21 +489,6 @@ func decodeState(payload []byte) (*EngineState, error) {
 			name := d.str()
 			st.VerifiedFuncs[name] = d.u64()
 		}
-	}
-	if d.bool() && d.err == nil {
-		s := &SupervisorState{
-			Breaker:     d.int(),
-			ConsecFails: d.int(),
-			BackoffNS:   d.i64(),
-		}
-		if n := d.count(); d.err == nil && n > 0 {
-			s.Quarantined = make(map[int]string, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				id := d.int()
-				s.Quarantined[id] = d.str()
-			}
-		}
-		st.Supervisor = s
 	}
 	if d.err != nil {
 		return nil, d.err

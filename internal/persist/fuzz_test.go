@@ -71,12 +71,10 @@ func FuzzDecodeState(f *testing.F) {
 		OptLevel:      2,
 		Fragments:     4,
 		Hashes:        map[int]uint64{0: 1, 1: 2},
-		FuncMeta:      map[int]FuncMeta{0: {Level: 2, FuncHashes: map[string]uint64{"f": 9}}},
 		Quarantine:    map[int][]string{3: {"licm"}},
 		Deferred:      []int{2},
 		Survey:        &SurveyState{Cat: map[string]int{"f": 1}, BondPairs: [][2]string{{"f", "g"}}, CopyUsers: map[string][]string{"g": {"f"}}},
 		VerifiedFuncs: map[string]uint64{"f": 7},
-		Supervisor:    &SupervisorState{Breaker: 1, ConsecFails: 3, BackoffNS: 1e6, Quarantined: map[int]string{3: "boom"}},
 	})
 	seedMutations(f, payload)
 	seedMutations(f, encodeBlob(MagicSnapshot, testBuildID, payload))

@@ -41,9 +41,10 @@ import (
 )
 
 // Schema is the on-disk format version, stamped into every blob header.
-// Bump it when the blob layout or a payload shape (the entry codec or the
-// gob-encoded snapshot structs) changes incompatibly; skewed entries are
-// evicted on load.
+// Bump it when the blob layout or the entry payload changes incompatibly;
+// skewed entries are evicted on load. The snapshot payload carries its own
+// layout version (stateCodecVersion, codec.go), so a snapshot-only change
+// leaves every cache directory loadable.
 //
 // History: 1 = gob entry payloads; 2 = varint entry codec (codec.go) and
 // snapshot survey/verification carryover.

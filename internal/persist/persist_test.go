@@ -441,10 +441,8 @@ func TestStateRoundTrip(t *testing.T) {
 		OptLevel:   2,
 		Fragments:  4,
 		Hashes:     map[int]uint64{0: 1, 1: 2},
-		FuncMeta:   map[int]FuncMeta{0: {Level: 2, FuncHashes: map[string]uint64{"f": 9}}},
 		Quarantine: map[int][]string{3: {"licm"}},
 		Deferred:   []int{2},
-		Supervisor: &SupervisorState{Breaker: 1, ConsecFails: 3, BackoffNS: 1e6, Quarantined: map[int]string{3: "boom"}},
 	}
 	if err := SaveState(path, want, o); err != nil {
 		t.Fatalf("SaveState: %v", err)
@@ -486,6 +484,58 @@ func TestStateMissingAndCorrupt(t *testing.T) {
 	}
 	if st, err := LoadState(path, o); st != nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("entry-magic snapshot: (%v, %v), want ErrCorrupt", st, err)
+	}
+}
+
+// layout1StatePayload encodes a snapshot payload in state layout 1, which
+// carried a function-cache metadata section and the supervisor's breaker and
+// probe quarantine: here an open breaker and a quarantined probe 3.
+func layout1StatePayload() []byte {
+	e := &encoder{}
+	e.byte(1)
+	e.u64(0xfeed)
+	e.str("callgraph")
+	e.i64(2) // opt level
+	e.i64(0) // verify tier
+	e.i64(4) // fragments
+	e.u64(1) // hashes
+	e.i64(0)
+	e.u64(1)
+	e.u64(1) // function-cache metadata: fragment 0, level 2, one function
+	e.i64(0)
+	e.i64(2)
+	e.u64(1)
+	e.str("f")
+	e.u64(9)
+	e.u64(0)      // pass quarantine
+	e.u64(0)      // deferred
+	e.bool(false) // survey
+	e.u64(0)      // verified functions
+	e.bool(true)  // supervisor: open, 3 failures, 1ms backoff, probe 3
+	e.i64(2)
+	e.i64(3)
+	e.i64(1e6)
+	e.u64(1)
+	e.i64(3)
+	e.str("boom")
+	return e.buf
+}
+
+// TestStateRefusesLayout1: a snapshot in the older state layout is version
+// skew, never misparsed into a current EngineState, and is removed so the
+// next save writes the current layout.
+func TestStateRefusesLayout1(t *testing.T) {
+	o := testOptions()
+	path := filepath.Join(t.TempDir(), "engine.snap")
+	if _, err := writeBlobAtomic(path, MagicSnapshot, o.BuildID, layout1StatePayload()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadState(path, o)
+	if st != nil || !errors.Is(err, ErrSchemaSkew) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("layout-1 snapshot: (%+v, %v), want ErrSchemaSkew", st, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("skewed snapshot not removed")
 	}
 }
 

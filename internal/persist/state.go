@@ -7,10 +7,13 @@ import (
 )
 
 // EngineState is the persisted form of an engine's warm-start metadata: the
-// cache keys and function hashes that let a restarted engine recognize its
-// persisted artifacts, plus the degradation state (quarantine, deferrals,
-// breaker) that must survive a restart so a crashing pass or a tripped
-// breaker is not re-trusted just because the process bounced.
+// committed fragment hashes that let a restarted engine recognize its
+// persisted artifacts, plus the per-fragment degradation state (pass
+// quarantine, deferrals) that must survive a restart so a crashing pass is
+// not re-trusted just because the process bounced. Every fact in it is keyed
+// by fragment ID or symbol name, which an identical module partitions to
+// identically; nothing keyed by a process-local ID (probe IDs, supervisor
+// generations) belongs here.
 type EngineState struct {
 	// ModuleHash fingerprints the pristine module the snapshot was taken
 	// against. A restore against a different module is version skew: every
@@ -30,8 +33,6 @@ type EngineState struct {
 	VerifyTier int
 	// Hashes are the committed per-fragment content hashes.
 	Hashes map[int]uint64
-	// FuncMeta is the per-fragment function-granular cache metadata.
-	FuncMeta map[int]FuncMeta
 	// Quarantine maps fragment ID to the pass names quarantined for it.
 	Quarantine map[int][]string
 	// Deferred lists fragment IDs whose last compile deferred to the cached
@@ -49,8 +50,6 @@ type EngineState struct {
 	// re-verifying a function whose hash still matches — the same rule the
 	// in-memory verification cache applies within a session.
 	VerifiedFuncs map[string]uint64
-	// Supervisor, when non-nil, is the supervisor's breaker state.
-	Supervisor *SupervisorState
 }
 
 // SurveyState is the persisted form of the partitioner's classification
@@ -66,26 +65,6 @@ type SurveyState struct {
 	CopyUsers map[string][]string
 }
 
-// FuncMeta is the persisted form of a fragment's function-cache metadata.
-type FuncMeta struct {
-	Level      int
-	FuncHashes map[string]uint64
-}
-
-// SupervisorState is the persisted form of a rebuild supervisor's breaker
-// and quarantine state.
-type SupervisorState struct {
-	// Breaker is the circuit state (core.BreakerState's integer value).
-	Breaker int
-	// ConsecFails is the consecutive-failure count feeding the breaker.
-	ConsecFails int
-	// BackoffNS is the current half-open backoff, in nanoseconds.
-	BackoffNS int64
-	// Quarantined maps fragment ID to the failure message that quarantined
-	// it from supervised rebuilds.
-	Quarantined map[int]string
-}
-
 // SaveState atomically writes an engine state snapshot to path, framed and
 // checksummed like every other persisted artifact.
 func SaveState(path string, st *EngineState, o Options) error {
@@ -98,8 +77,9 @@ func SaveState(path string, st *EngineState, o Options) error {
 
 // LoadState reads and verifies an engine state snapshot. A missing file
 // returns (nil, nil) — the ordinary cold start. A corrupt or skewed snapshot
-// is removed (it can never become loadable) and returns an error the caller
-// degrades into a cold start.
+// (including a payload in an older state layout) is removed (it can never
+// become loadable) and returns an error, classified ErrCorrupt or
+// ErrSchemaSkew, that the caller degrades into a cold start.
 func LoadState(path string, o Options) (*EngineState, error) {
 	if err := fault(o.FaultHook, SiteSnapshotLoad); err != nil {
 		return nil, err
@@ -119,7 +99,7 @@ func LoadState(path string, o Options) (*EngineState, error) {
 		if !o.ReadOnly {
 			os.Remove(path)
 		}
-		return nil, fmt.Errorf("%w: undecodable snapshot: %v", ErrCorrupt, derr)
+		return nil, fmt.Errorf("undecodable snapshot: %w", derr)
 	}
 	return st, nil
 }

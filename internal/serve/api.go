@@ -77,11 +77,16 @@ func writeAcquireError(w http.ResponseWriter, sh *shard, err error) {
 		"request expired waiting for shard: "+err.Error(), 0)
 }
 
+// errNoProbe reports a probe ID missing from the shard's ledger.
+var errNoProbe = errors.New("no probe")
+
 // writeSubmitError maps supervisor admission errors — the ones returned
 // before a ticket exists.
 func (s *Server) writeSubmitError(w http.ResponseWriter, sh *shard, slot *engineSlot, err error) {
 	var qe *core.ProbeQuarantinedError
 	switch {
+	case errors.Is(err, errNoProbe):
+		writeError(w, http.StatusNotFound, "not_found", err.Error(), 0)
 	case errors.Is(err, core.ErrCircuitOpen):
 		writeError(w, http.StatusServiceUnavailable, "breaker_open",
 			fmt.Sprintf("shard %s circuit breaker open", sh.name), slot.sup.BreakerRetryAfter())
@@ -167,9 +172,9 @@ func (s *Server) shardOf(w http.ResponseWriter, r *http.Request) *shard {
 
 // handleProbeAdd is POST /v1/shards/{shard}/probes: admit, register the
 // probe, wait out its activation generation, and attribute the outcome to
-// the tenant's failure breaker. The committed op is journaled. A request
-// that lands in a failover window parks on the shard gate and is
-// re-admitted against the new slot — delayed, not dropped.
+// the tenant's failure breaker. Only a committed add gets a serve-level ID
+// and a ledger record, and its op is journaled: a failed add leaves nothing
+// for a restart to replay.
 func (s *Server) handleProbeAdd(w http.ResponseWriter, r *http.Request) {
 	sh := s.shardOf(w, r)
 	if sh == nil {
@@ -195,46 +200,20 @@ func (s *Server) handleProbeAdd(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	id := sh.nextProbeID()
-	for {
-		slot, err := sh.acquire(ctx)
-		if err != nil {
-			writeAcquireError(w, sh, err)
-			return
-		}
-		engID, tk, err := slot.sup.AddProbeCtx(ctx, buildProbe(spec, sh.site.Add(1)))
-		if err != nil {
-			if retryableFailover(sh, slot, err) {
-				continue
-			}
-			s.writeSubmitError(w, sh, slot, err)
-			return
-		}
-		sh.record(slot, id, engID, tenant, spec)
-		res, err := tk.Wait(ctx)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "closed",
-				"timed out waiting for generation: "+err.Error(), 0)
-			return
-		}
-		if retryableFailover(sh, slot, res.Err) {
-			continue
-		}
-		// An engine failure is not the tenant's fault: it stays out of the
-		// tenant's breaker.
-		if !errors.Is(res.Err, core.ErrEngineUnhealthy) {
-			s.adm.report(tenant, res.Err == nil)
-		}
-		if res.Err != nil {
-			writeTicketError(w, res.Err)
-			return
-		}
-		sh.committed(slot, journalOp{Op: jopAdd, ID: id, Tenant: tenant, Spec: &spec})
-		writeJSON(w, http.StatusOK, ProbeResult{
-			ID: id, Gen: res.Gen, Coalesced: res.Coalesced, Salvaged: res.Salvaged,
-		})
+	var engID int
+	slot, res, ok := s.request(ctx, w, sh, tenant, func(slot *engineSlot) (tk *core.Ticket, err error) {
+		engID, tk, err = slot.sup.AddProbeCtx(ctx, buildProbe(spec, sh.site.Add(1)))
+		return tk, err
+	})
+	if !ok {
 		return
 	}
+	id := sh.nextProbeID()
+	sh.record(slot, id, engID, tenant, spec)
+	sh.committed(slot, journalOp{Op: jopAdd, ID: id, Tenant: tenant, Spec: &spec})
+	writeJSON(w, http.StatusOK, ProbeResult{
+		ID: id, Gen: res.Gen, Coalesced: res.Coalesced, Salvaged: res.Salvaged,
+	})
 }
 
 // handleProbeAction is POST /v1/shards/{shard}/probes/{id}/{action} with
@@ -252,14 +231,8 @@ func (s *Server) handleProbeAction(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	action := r.PathValue("action")
-	var jop string
 	switch action {
-	case "enable":
-		jop = jopEnable
-	case "remove":
-		jop = jopRemove
-	case "change":
-		jop = jopChange
+	case jopEnable, jopRemove, jopChange:
 	default:
 		writeError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("unknown action %q (want enable, remove, or change)", action), 0)
@@ -281,59 +254,21 @@ func (s *Server) handleProbeAction(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	for {
-		slot, err := sh.acquire(ctx)
-		if err != nil {
-			writeAcquireError(w, sh, err)
-			return
-		}
+	slot, res, ok := s.request(ctx, w, sh, tenant, func(slot *engineSlot) (*core.Ticket, error) {
 		// Re-resolve the engine ID each attempt: a failover rewrites it.
 		rec, ok := sh.lookupProbe(id)
 		if !ok {
-			writeError(w, http.StatusNotFound, "not_found",
-				fmt.Sprintf("no probe %d on shard %s", id, sh.name), 0)
-			return
+			return nil, fmt.Errorf("%w %d on shard %s", errNoProbe, id, sh.name)
 		}
-		var tk *core.Ticket
-		switch action {
-		case "enable":
-			tk, err = slot.sup.EnableProbeCtx(ctx, rec.EngID)
-		case "remove":
-			tk, err = slot.sup.RemoveProbeCtx(ctx, rec.EngID)
-		case "change":
-			tk, err = slot.sup.MarkChangedCtx(ctx, rec.EngID)
-		}
-		if err != nil {
-			if retryableFailover(sh, slot, err) {
-				continue
-			}
-			s.writeSubmitError(w, sh, slot, err)
-			return
-		}
-		res, err := tk.Wait(ctx)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "closed",
-				"timed out waiting for generation: "+err.Error(), 0)
-			return
-		}
-		if retryableFailover(sh, slot, res.Err) {
-			continue
-		}
-		// An engine failure is not the tenant's fault: it stays out of the
-		// tenant's breaker.
-		if !errors.Is(res.Err, core.ErrEngineUnhealthy) {
-			s.adm.report(tenant, res.Err == nil)
-		}
-		if res.Err != nil {
-			writeTicketError(w, res.Err)
-			return
-		}
-		sh.committed(slot, journalOp{Op: jop, ID: id, Tenant: tenant})
-		writeJSON(w, http.StatusOK, ProbeResult{
-			ID: id, Gen: res.Gen, Coalesced: res.Coalesced, Salvaged: res.Salvaged,
-		})
+		return submitOp(ctx, slot.sup, action, rec.EngID)
+	})
+	if !ok {
 		return
 	}
+	sh.committed(slot, journalOp{Op: action, ID: id, Tenant: tenant})
+	writeJSON(w, http.StatusOK, ProbeResult{
+		ID: id, Gen: res.Gen, Coalesced: res.Coalesced, Salvaged: res.Salvaged,
+	})
 }
 
 // handleSync is POST /v1/shards/{shard}/sync: a generation barrier over
@@ -354,34 +289,67 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
+	_, res, ok := s.request(ctx, w, sh, "", func(slot *engineSlot) (*core.Ticket, error) {
+		return slot.sup.SyncCtx(ctx)
+	})
+	if ok {
+		writeJSON(w, http.StatusOK, ProbeResult{Gen: res.Gen, Coalesced: res.Coalesced})
+	}
+}
+
+// request drives one supervisor request to its resolution: acquire the
+// serving slot, submit, and wait out the generation. A request that lands
+// in a failover window parks on the shard gate and is re-admitted against
+// the new slot — delayed, not dropped. A non-empty tenant has the outcome
+// attributed to its failure breaker, unless the engine rather than the
+// request failed. Every failure is written to w; ok reports that the
+// request committed on slot.
+func (s *Server) request(ctx context.Context, w http.ResponseWriter, sh *shard, tenant string,
+	submit func(*engineSlot) (*core.Ticket, error)) (*engineSlot, core.TicketResult, bool) {
 	for {
 		slot, err := sh.acquire(ctx)
 		if err != nil {
 			writeAcquireError(w, sh, err)
-			return
+			return nil, core.TicketResult{}, false
 		}
-		tk, err := slot.sup.SyncCtx(ctx)
+		tk, err := submit(slot)
 		if err != nil {
 			if retryableFailover(sh, slot, err) {
 				continue
 			}
 			s.writeSubmitError(w, sh, slot, err)
-			return
+			return nil, core.TicketResult{}, false
 		}
 		res, err := tk.Wait(ctx)
 		if err != nil {
 			writeError(w, http.StatusServiceUnavailable, "closed",
 				"timed out waiting for generation: "+err.Error(), 0)
-			return
+			return nil, res, false
 		}
 		if retryableFailover(sh, slot, res.Err) {
 			continue
 		}
+		if tenant != "" && !errors.Is(res.Err, core.ErrEngineUnhealthy) {
+			s.adm.report(tenant, res.Err == nil)
+		}
 		if res.Err != nil {
 			writeTicketError(w, res.Err)
-			return
+			return nil, res, false
 		}
-		writeJSON(w, http.StatusOK, ProbeResult{Gen: res.Gen, Coalesced: res.Coalesced})
-		return
+		return slot, res, true
 	}
+}
+
+// submitOp enqueues the supervisor request behind a probe action (enable,
+// remove or change) on engine probe engID.
+func submitOp(ctx context.Context, sup *core.Supervisor, op string, engID int) (*core.Ticket, error) {
+	switch op {
+	case jopEnable:
+		return sup.EnableProbeCtx(ctx, engID)
+	case jopRemove:
+		return sup.RemoveProbeCtx(ctx, engID)
+	case jopChange:
+		return sup.MarkChangedCtx(ctx, engID)
+	}
+	return nil, fmt.Errorf("serve: %q is not a probe action", op)
 }

@@ -347,9 +347,8 @@ func (lc *lifecycle) restartInPlace(cause string) error {
 	}()
 
 	if old := sh.current(); old != nil {
-		// Abandon, not Close or Drain: both wait on the wedged loop, and
-		// Close would also rewrite the snapshot after the replacement owns
-		// it. Queued tickets resolve with ErrSupervisorClosed once the loop
+		// Abandon, not Close or Drain: both wait on the wedged loop.
+		// Queued tickets resolve with ErrSupervisorClosed once the loop
 		// unsticks and re-admit against the new slot; a late commit from the
 		// abandoned generation is re-applied by shard.committed.
 		old.sup.Abandon()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"odin/internal/core"
 	"odin/internal/ir"
 	"odin/internal/persist"
 )
@@ -393,4 +394,143 @@ func TestJournalCloseErrorReported(t *testing.T) {
 	if _, err := client2("acme").ProbeAction("alpha", res.ID, "remove"); err != nil {
 		t.Fatalf("probe %d lost with the failed flush: %v", res.ID, err)
 	}
+}
+
+// requireActive asserts that each committed serve-level probe is in the
+// ledger as active and is active on the serving slot's engine, and that the
+// engine runs no other probe.
+func requireActive(t *testing.T, sh *shard, ids ...int64) {
+	t.Helper()
+	slot := sh.current()
+	if slot == nil {
+		t.Fatal("no serving slot")
+	}
+	for _, id := range ids {
+		rec, ok := sh.lookupProbe(id)
+		if !ok || !rec.Active || rec.gen != slot.gen || !slot.eng.Manager.IsActive(rec.EngID) {
+			t.Fatalf("committed probe %d not active on the serving slot (record %+v, found %v)", id, rec, ok)
+		}
+	}
+	if n := slot.eng.Manager.NumActive(); n != len(ids) {
+		t.Fatalf("engine runs %d active probes, want %d", n, len(ids))
+	}
+}
+
+// addPoison adds a poison probe and asserts it is quarantined.
+func addPoison(t *testing.T, c *Client, shard, fn string) {
+	t.Helper()
+	_, err := c.AddProbe(shard, ProbeSpec{Func: fn, Kind: KindPoison})
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Code != "quarantined" {
+		t.Fatalf("poison add on %s: %v, want quarantined", fn, err)
+	}
+}
+
+// TestRestartAfterQuarantinedAdd: a quarantined add, then a committed one,
+// then a clean shutdown; a new server on the same data dir must boot, with
+// the committed probe active. The quarantine is the old engine's: engine
+// probe IDs start again from 0, so the replayed probe must not inherit it.
+func TestRestartAfterQuarantinedAdd(t *testing.T) {
+	dataDir := t.TempDir()
+	mod := testModule(t, 4)
+	boot := func() *Server {
+		clone, _ := ir.CloneModule(mod)
+		srv, err := New(Options{
+			DataDir:   dataDir,
+			Shards:    []ShardSpec{{Name: "alpha", Module: clone, Watchdog: WatchdogOptions{Disable: true}}},
+			Admission: AdmissionOptions{FailThreshold: -1},
+		})
+		if err != nil {
+			t.Fatalf("boot: %v", err)
+		}
+		return srv
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	srv := boot()
+	hs, client := startTest(t, srv)
+	c := client("acme")
+	addPoison(t, c, "alpha", "f0")
+	res, err := c.AddProbe("alpha", ProbeSpec{Func: "f1"})
+	if err != nil {
+		t.Fatalf("healthy add: %v", err)
+	}
+	hs.Close()
+	if err := srv.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	srv2 := boot()
+	defer srv2.Close(ctx)
+	requireActive(t, srv2.byName["alpha"], res.ID)
+}
+
+// TestRestartInPlaceWithOpenBreaker: a shard whose breaker opened on engine
+// failures restarts in place once the fault clears — the recovery the
+// watchdog runs for a breaker pinned open — and keeps its committed probe.
+func TestRestartInPlaceWithOpenBreaker(t *testing.T) {
+	var failing atomic.Bool
+	srv, _, client := newTestServer(t, Options{
+		DataDir: t.TempDir(),
+		Shards: []ShardSpec{{
+			Name:   "alpha",
+			Module: testModule(t, 4),
+			FaultHook: func(site string) error {
+				if site == "supervisor:commit" && failing.Load() {
+					return errors.New("injected engine failure")
+				}
+				return nil
+			},
+			Watchdog: WatchdogOptions{Disable: true},
+		}},
+	})
+	c := client("acme")
+	res, err := c.AddProbe("alpha", ProbeSpec{Func: "f0"})
+	if err != nil {
+		t.Fatalf("add: %v", err)
+	}
+	sh := srv.byName["alpha"]
+	failing.Store(true)
+	for sh.current().sup.Breaker() != core.BreakerOpen {
+		var ae *APIError
+		if _, err := c.Sync("alpha"); !errors.As(err, &ae) || (ae.Code != "engine_failed" && ae.Code != "breaker_open") {
+			t.Fatalf("sync under engine failure: %v", err)
+		}
+	}
+	failing.Store(false)
+	if err := sh.lc.restartInPlace("breaker open"); err != nil {
+		t.Fatalf("restart in place: %v", err)
+	}
+	if b := sh.current().sup.Breaker(); b != core.BreakerClosed {
+		t.Fatalf("restarted breaker %v, want closed", b)
+	}
+	requireActive(t, sh, res.ID)
+}
+
+// TestRestartInPlaceSkipsFailedAdds: quarantined adds leave nothing in the
+// ledger, so a restart in place replays only the committed probe — no
+// poison generation, no bisection, no quarantine on the new slot.
+func TestRestartInPlaceSkipsFailedAdds(t *testing.T) {
+	srv, _, client := newTestServer(t, Options{
+		DataDir:   t.TempDir(),
+		Shards:    []ShardSpec{{Name: "alpha", Module: testModule(t, 4), Watchdog: WatchdogOptions{Disable: true}}},
+		Admission: AdmissionOptions{FailThreshold: -1},
+	})
+	c := client("acme")
+	for _, fn := range []string{"f0", "f1", "f2"} {
+		addPoison(t, c, "alpha", fn)
+	}
+	res, err := c.AddProbe("alpha", ProbeSpec{Func: "f3"})
+	if err != nil {
+		t.Fatalf("healthy add: %v", err)
+	}
+	sh := srv.byName["alpha"]
+	if err := sh.lc.restartInPlace("test"); err != nil {
+		t.Fatalf("restart in place: %v", err)
+	}
+	if st := sh.current().sup.Stats(); len(st.QuarantinedProbes) != 0 || st.BisectRebuilds != 0 {
+		t.Fatalf("new slot: quarantined %v, %d bisect rebuilds; want none", st.QuarantinedProbes, st.BisectRebuilds)
+	}
+	requireActive(t, sh, res.ID)
 }

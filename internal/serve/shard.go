@@ -389,12 +389,13 @@ func (sh *shard) markDead(cause error) {
 // nextProbeID allocates a serve-level probe ID.
 func (sh *shard) nextProbeID() int64 { return sh.nextID.Add(1) }
 
-// record remembers a freshly admitted probe before its activation commits,
-// so quarantine attribution works even when the activation fails. slot is
-// the slot the probe was registered on.
+// record enters a committed add into the ledger as active, tagged with the
+// generation of the slot it committed on: a swap that read the ledger
+// afterwards replays it active, and if a swap has replaced that slot
+// without it, committed re-adds the probe to the new one.
 func (sh *shard) record(slot *engineSlot, id int64, engID int, tenant string, spec ProbeSpec) {
 	sh.mu.Lock()
-	sh.probes[id] = &probeRec{Tenant: tenant, Spec: spec, EngID: engID, gen: slot.gen}
+	sh.probes[id] = &probeRec{Tenant: tenant, Spec: spec, EngID: engID, Active: true, gen: slot.gen}
 	sh.mu.Unlock()
 }
 
@@ -468,44 +469,29 @@ func (sh *shard) applyOp(ctx context.Context, op journalOp) {
 	engID := rec.EngID
 	spec := rec.Spec
 	sh.mu.Unlock()
-	switch op.Op {
-	case jopAdd:
-		if current {
-			return
-		}
-		newID, tk, err := slot.sup.AddProbeCtx(ctx, buildProbe(spec, sh.site.Add(1)))
-		if err != nil {
-			return
-		}
-		sh.mu.Lock()
-		if r := sh.probes[op.ID]; r != nil {
-			r.EngID = newID
-			r.gen = slot.gen
-		}
-		sh.mu.Unlock()
-		tk.Wait(ctx)
-	case jopEnable:
+	if op.Op != jopAdd {
 		if !current {
 			return
 		}
-		if tk, err := slot.sup.EnableProbeCtx(ctx, engID); err == nil {
+		if tk, err := submitOp(ctx, slot.sup, op.Op, engID); err == nil {
 			tk.Wait(ctx)
 		}
-	case jopRemove:
-		if !current {
-			return
-		}
-		if tk, err := slot.sup.RemoveProbeCtx(ctx, engID); err == nil {
-			tk.Wait(ctx)
-		}
-	case jopChange:
-		if !current {
-			return
-		}
-		if tk, err := slot.sup.MarkChangedCtx(ctx, engID); err == nil {
-			tk.Wait(ctx)
-		}
+		return
 	}
+	if current {
+		return
+	}
+	newID, tk, err := slot.sup.AddProbeCtx(ctx, buildProbe(spec, sh.site.Add(1)))
+	if err != nil {
+		return
+	}
+	sh.mu.Lock()
+	if r := sh.probes[op.ID]; r != nil {
+		r.EngID = newID
+		r.gen = slot.gen
+	}
+	sh.mu.Unlock()
+	tk.Wait(ctx)
 }
 
 // ledgerStates reduces the in-memory probe ledger to replayable states (the
@@ -562,9 +548,9 @@ func (sh *shard) quickClose() {
 }
 
 // close stops the watchdog, drains the serving supervisor
-// (bounded by ctx), and closes the engine. Draining rather than closing
-// means already-admitted tickets still commit, and the supervisor snapshot
-// lands before engine teardown. If ctx expires the drain keeps running in
+// (bounded by ctx), and closes the engine, which writes the snapshot.
+// Draining rather than closing means already-admitted tickets still commit
+// before the snapshot is taken. If ctx expires the drain keeps running in
 // the background and the engine is deliberately left open — tearing it down
 // under an active rebuild would race; the exiting process reclaims it.
 func (sh *shard) close(ctx context.Context) error {

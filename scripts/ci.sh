@@ -164,57 +164,74 @@ fi
 rm -rf "$pdir"
 echo "crash-restart smoke: ok ($warm fragments warm, image $img unchanged)"
 
-echo "== serve control-plane smoke (2 shards, kill -9, warm restart) =="
-# The probe-control plane end to end, at process granularity: boot a
-# two-shard odin-serve daemon with a persist root, drive probe traffic into
-# both shards through odin-ctl, SIGKILL the daemon (no drain, no snapshot
-# rewrite — only the kill-9-tolerant object store survives), then restart on
-# the same -data root and assert both shards report warm hits > 0 on their
+echo "== serve control-plane smoke (2 shards, clean restart, kill -9, warm restart) =="
+# The probe-control plane end to end, at process granularity. Clean leg:
+# boot a two-shard odin-serve daemon with a persist root, add one poison
+# probe (quarantined: a 422) and one healthy probe through odin-ctl, SIGTERM
+# the daemon (the drain writes every shard's snapshot), and restart on the
+# same -data root: the restart must boot — a quarantine is the old engine's
+# and must not follow the snapshot — and warm-start both shards. Kill -9
+# leg: drive probe traffic into both shards, SIGKILL the daemon (no drain,
+# no snapshot rewrite — only the kill-9-tolerant object store survives),
+# then restart again and assert both shards report warm hits > 0 on their
 # boot builds. Warm-starting through an unclean death is the property the
 # per-shard persist layout exists to provide.
 sdir="$(mktemp -d)"
 go build -o "$sdir/odin-serve" ./cmd/odin-serve
 go build -o "$sdir/odin-ctl" ./cmd/odin-ctl
-serve_log="$sdir/serve1.log"
-"$sdir/odin-serve" -shard a=json -shard b=woff2 -data "$sdir/data" \
-	-addr 127.0.0.1:0 >/dev/null 2>"$serve_log" &
-serve_pid=$!
-saddr=""
-for _ in $(seq 1 300); do
-	saddr="$(sed -n 's/^odin-serve: listening on //p' "$serve_log")"
-	[ -n "$saddr" ] && break
-	sleep 0.1
-done
-if [ -z "$saddr" ]; then
+# start_serve LOG boots the daemon on $sdir/data, logging to LOG, and waits
+# until it listens: serve_pid and saddr are set, or the smoke fails.
+start_serve() {
+	"$sdir/odin-serve" -shard a=json -shard b=woff2 -data "$sdir/data" \
+		-addr 127.0.0.1:0 >/dev/null 2>"$1" &
+	serve_pid=$!
+	saddr=""
+	for _ in $(seq 1 300); do
+		saddr="$(sed -n 's/^odin-serve: listening on //p' "$1")"
+		[ -n "$saddr" ] && return 0
+		kill -0 "$serve_pid" 2>/dev/null || break
+		sleep 0.1
+	done
 	echo "serve smoke: daemon never came up; stderr:"
-	cat "$serve_log"
+	cat "$1"
+	kill "$serve_pid" 2>/dev/null || true
+	exit 1
+}
+# check_warm LOG WHEN asserts that both shards booted with warm hits.
+check_warm() {
+	for shard in a b; do
+		warm="$(sed -n "s/^odin-serve: shard $shard hosting [^,]*, warm hits //p" "$1")"
+		if [ -z "$warm" ] || [ "$warm" -eq 0 ]; then
+			echo "serve smoke: shard $shard restarted cold after $2 (warm hits: ${warm:-none}):"
+			cat "$1"
+			exit 1
+		fi
+		echo "serve smoke: shard $shard warm hits $warm after $2"
+	done
+}
+start_serve "$sdir/serve1.log"
+fn="$("$sdir/odin-ctl" -addr "http://$saddr" funcs a | head -n 1)"
+if "$sdir/odin-ctl" -addr "http://$saddr" -tenant ci probe-add a "$fn" poison \
+	>/dev/null 2>"$sdir/poison.err" || ! grep -q ' 422 quarantined' "$sdir/poison.err"; then
+	echo "serve smoke: poison probe-add on $fn was not quarantined:"
+	cat "$sdir/poison.err"
 	kill "$serve_pid" 2>/dev/null || true
 	exit 1
 fi
+"$sdir/odin-ctl" -addr "http://$saddr" -tenant ci probe-add a "$fn" >/dev/null
+kill -TERM "$serve_pid"
+wait "$serve_pid"
+start_serve "$sdir/serve2.log"
+check_warm "$sdir/serve2.log" "a clean restart"
 "$sdir/odin-ctl" -addr "http://$saddr" -tenant ci storm a 10 >/dev/null
 "$sdir/odin-ctl" -addr "http://$saddr" -tenant ci storm b 10 >/dev/null
 "$sdir/odin-ctl" -addr "http://$saddr" fleet >/dev/null
 kill -9 "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
-serve_log2="$sdir/serve2.log"
-"$sdir/odin-serve" -shard a=json -shard b=woff2 -data "$sdir/data" \
-	-addr 127.0.0.1:0 >/dev/null 2>"$serve_log2" &
-serve_pid=$!
-for _ in $(seq 1 300); do
-	grep -q '^odin-serve: listening on ' "$serve_log2" && break
-	sleep 0.1
-done
+start_serve "$sdir/serve3.log"
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
-for shard in a b; do
-	warm="$(sed -n "s/^odin-serve: shard $shard hosting [^,]*, warm hits //p" "$serve_log2")"
-	if [ -z "$warm" ] || [ "$warm" -eq 0 ]; then
-		echo "serve smoke: shard $shard restarted cold after kill -9 (warm hits: ${warm:-none}):"
-		cat "$serve_log2"
-		exit 1
-	fi
-	echo "serve smoke: shard $shard warm hits $warm after kill -9 restart"
-done
+check_warm "$sdir/serve3.log" "kill -9"
 rm -rf "$sdir"
 echo "serve smoke: ok"
 
