@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -45,6 +46,9 @@ type probeEntry struct {
 type PatchManager struct {
 	mu     sync.Mutex
 	probes map[int]*probeEntry
+	// active holds the IDs of the active probes, sorted, so that Active and
+	// NumActive cost what is live and not every probe ever added.
+	active []int
 	nextID int
 	// dirtySymbols maps each patch target whose instrumentation state
 	// changed since the last rebuild to the epoch at which it was last
@@ -76,6 +80,7 @@ func (pm *PatchManager) Add(p Probe) int {
 	id := pm.nextID
 	pm.nextID++
 	pm.probes[id] = &probeEntry{id: id, probe: p, active: true, ever: true}
+	pm.active = append(pm.active, id) // the largest ID yet: still sorted
 	pm.mark(p.PatchTarget())
 	return id
 }
@@ -97,7 +102,7 @@ func (pm *PatchManager) AddInactive(p Probe) int {
 // discard forgets a never-activated probe registered with AddInactive whose
 // admission was rejected (queue full, breaker open). It is a no-op for any
 // probe that was ever active, so it can never drop live or re-enableable
-// instrumentation.
+// instrumentation, and never changes the active set.
 func (pm *PatchManager) discard(id int) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -135,8 +140,12 @@ func (pm *PatchManager) setActive(id int, active bool) (bool, error) {
 		return false, nil
 	}
 	e.active = active
+	i, _ := slices.BinarySearch(pm.active, id)
 	if active {
 		e.ever = true
+		pm.active = slices.Insert(pm.active, i, id)
+	} else {
+		pm.active = slices.Delete(pm.active, i, i+1)
 	}
 	pm.mark(e.probe.PatchTarget())
 	return true, nil
@@ -179,27 +188,14 @@ func (pm *PatchManager) IsActive(id int) bool {
 func (pm *PatchManager) Active() []int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	var out []int
-	for id, e := range pm.probes {
-		if e.active {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return append([]int(nil), pm.active...)
 }
 
 // NumActive returns the count of active probes.
 func (pm *PatchManager) NumActive() int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	n := 0
-	for _, e := range pm.probes {
-		if e.active {
-			n++
-		}
-	}
-	return n
+	return len(pm.active)
 }
 
 // dirtySnapshot returns the changed symbol set, sorted, plus the epoch the

@@ -179,10 +179,9 @@ func (in Inst) String() string {
 	}
 }
 
-// Cycles returns the cost of executing the instruction once. Taken branches
-// and calls have additional costs applied by the execution engine. The
-// receiver is a pointer because the execution engine asks once per executed
-// instruction and an Inst is about 100 bytes to copy.
+// Cycles returns the cost of executing the instruction once. The execution
+// engine asks when it decodes an image, and adds taken-branch and builtin-call
+// costs as it runs.
 func (in *Inst) Cycles() int64 {
 	switch in.Op {
 	case Nop:

@@ -170,44 +170,47 @@ func (e *Env) CheckAddr(addr int64, n int64) error {
 
 // Load reads a size-byte little-endian value at addr, sign-extended.
 func (e *Env) Load(addr int64, size int64) (int64, error) {
-	if err := e.CheckAddr(addr, size); err != nil {
-		return 0, err
+	if addr >= NullGuard && addr <= int64(len(e.mem))-size {
+		switch size {
+		case 8:
+			return int64(binary.LittleEndian.Uint64(e.mem[addr:])), nil
+		case 4:
+			return int64(int32(binary.LittleEndian.Uint32(e.mem[addr:]))), nil
+		case 1:
+			return int64(int8(e.mem[addr])), nil
+		case 2:
+			return int64(int16(binary.LittleEndian.Uint16(e.mem[addr:]))), nil
+		}
 	}
-	switch size {
-	case 1:
-		return int64(int8(e.mem[addr])), nil
-	case 2:
-		return int64(int16(binary.LittleEndian.Uint16(e.mem[addr:]))), nil
-	case 4:
-		return int64(int32(binary.LittleEndian.Uint32(e.mem[addr:]))), nil
-	case 8:
-		return int64(binary.LittleEndian.Uint64(e.mem[addr:])), nil
-	}
-	return 0, Trapf("bad load size %d", size)
+	return 0, e.accessTrap("load", addr, size)
 }
 
 // Store writes a size-byte little-endian value at addr.
 func (e *Env) Store(addr int64, size int64, v int64) error {
+	if addr < NullGuard || addr > int64(len(e.mem))-size || size != 8 && size != 4 && size != 1 && size != 2 {
+		return e.accessTrap("store", addr, size)
+	}
+	e.touch(addr, size)
+	switch size {
+	case 8:
+		binary.LittleEndian.PutUint64(e.mem[addr:], uint64(v))
+	case 4:
+		binary.LittleEndian.PutUint32(e.mem[addr:], uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(e.mem[addr:], uint16(v))
+	default:
+		e.mem[addr] = byte(v)
+	}
+	return nil
+}
+
+// accessTrap builds, out of line, the trap of a Load or Store that is out of
+// bounds or not of 1, 2, 4 or 8 bytes: an in-bounds access calls only touch.
+func (e *Env) accessTrap(op string, addr, size int64) error {
 	if err := e.CheckAddr(addr, size); err != nil {
 		return err
 	}
-	switch size {
-	case 1:
-		e.touch(addr, 1)
-		e.mem[addr] = byte(v)
-	case 2:
-		e.touch(addr, 2)
-		binary.LittleEndian.PutUint16(e.mem[addr:], uint16(v))
-	case 4:
-		e.touch(addr, 4)
-		binary.LittleEndian.PutUint32(e.mem[addr:], uint32(v))
-	case 8:
-		e.touch(addr, 8)
-		binary.LittleEndian.PutUint64(e.mem[addr:], uint64(v))
-	default:
-		return Trapf("bad store size %d", size)
-	}
-	return nil
+	return Trapf("bad %s size %d", op, size)
 }
 
 // ReadMem copies len(dst) bytes of memory at addr into dst. It is the host's

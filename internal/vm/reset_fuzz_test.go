@@ -9,6 +9,7 @@ import (
 	"odin/internal/ir"
 	"odin/internal/link"
 	"odin/internal/mir"
+	"odin/internal/obj"
 	"odin/internal/rt"
 )
 
@@ -20,16 +21,16 @@ import (
 // never would.
 
 const (
-	opStore1 = iota
-	opStore2
-	opStore4
-	opStore8
-	opMemset // memset(a, b, n)
-	opMemcpy // memcpy(a, b, n)
-	opProbe  // counter bump at a
-	opCall   // n nested calls, each with a one-page frame it stores b into
-	opTrap
-	opSpin // jump to self: ends in the step limit
+	ropStore1 = iota
+	ropStore2
+	ropStore4
+	ropStore8
+	ropMemset // memset(a, b, n)
+	ropMemcpy // memcpy(a, b, n)
+	ropProbe  // counter bump at a
+	ropCall   // n nested calls, each with a one-page frame it stores b into
+	ropTrap
+	ropSpin // jump to self: ends in the step limit
 	numResetOps
 
 	// inMem reduces a and b into memory, so the fuzzer need not guess 23-bit
@@ -50,13 +51,22 @@ func resetOp(kind byte, a, b int64, n int16) []byte {
 }
 
 // resetHeader sizes the two images' data segments, in units of 5 bytes so
-// that 16 bits reach past 300 KiB.
+// that 15 bits reach past 160 KiB. With relink set in data2, the second
+// image is an incremental relink of the first instead: the second size is
+// ignored.
 func resetHeader(data1, data2 uint16) []byte {
 	return binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(nil, data1), data2)
 }
 
-// resetImages decodes prog into two images of one program: the second has
-// the ops in reverse order and a data segment of its own length and bytes.
+const relink = 0x8000
+
+// resetImages decodes prog into two images of one program, each linked from
+// three objects: main holds fuzz_target, which runs the ops, lib holds the
+// deep function, and data the data segment. The second image runs the ops
+// in reverse order, over data bytes of its own: a full link with a data
+// segment of its own length, or, with relink set, an incremental relink of
+// the first image in which main and the data changed, so that it shares
+// lib's code and its fuzz_target is as long as the first's.
 func resetImages(prog []byte) (exe1, exe2 *link.Executable) {
 	var hdr [4]byte
 	copy(hdr[:], prog)
@@ -73,27 +83,27 @@ func resetImages(prog []byte) (exe1, exe2 *link.Executable) {
 		movi := func(r mir.Reg, v int64) mir.Inst { return mir.Inst{Op: mir.MovImm, Rd: r, Imm: v} }
 		k := (kind &^ inMem) % numResetOps
 		switch k {
-		case opStore1, opStore2, opStore4, opStore8:
+		case ropStore1, ropStore2, ropStore4, ropStore8:
 			size := int64(1) << k
 			ops = append(ops, []mir.Inst{movi(mir.R6, a), movi(mir.R7, b),
 				{Op: mir.Store, Rs1: mir.R6, Rs2: mir.R7, Size: size}})
-		case opMemset:
+		case ropMemset:
 			ops = append(ops, []mir.Inst{movi(mir.R0, a), movi(mir.R1, b), movi(mir.R2, n*3),
-				{Op: mir.Call, FuncIdx: -(1 + 1)}})
-		case opMemcpy:
+				{Op: mir.Call, Sym: "memset"}})
+		case ropMemcpy:
 			ops = append(ops, []mir.Inst{movi(mir.R0, a), movi(mir.R1, b), movi(mir.R2, n*3),
-				{Op: mir.Call, FuncIdx: -(0 + 1)}})
-		case opProbe:
+				{Op: mir.Call, Sym: "memcpy"}})
+		case ropProbe:
 			ops = append(ops, []mir.Inst{{Op: mir.Probe, ProbeAddr: a}})
-		case opCall:
-			ops = append(ops, []mir.Inst{movi(mir.R0, n), movi(mir.R1, b), {Op: mir.Call, FuncIdx: 1}})
-		case opTrap:
+		case ropCall:
+			ops = append(ops, []mir.Inst{movi(mir.R0, n), movi(mir.R1, b), {Op: mir.Call, Sym: "deep"}})
+		case ropTrap:
 			ops = append(ops, []mir.Inst{{Op: mir.Trap}})
-		case opSpin:
+		case ropSpin:
 			ops = append(ops, nil) // the jump needs its own index: see below
 		}
 	}
-	image := func(ops [][]mir.Inst, dataLen int, salt byte) *link.Executable {
+	mainObj := func(ops [][]mir.Inst) *obj.Object {
 		var code []mir.Inst
 		for _, op := range ops {
 			if op == nil {
@@ -102,38 +112,50 @@ func resetImages(prog []byte) (exe1, exe2 *link.Executable) {
 			code = append(code, op...)
 		}
 		code = append(code, mir.Inst{Op: mir.MovImm, Rd: mir.R0, Imm: 7}, mir.Inst{Op: mir.Ret})
-		data := make([]byte, dataLen)
+		return &obj.Object{Name: "main", Funcs: []obj.FuncSym{{Name: "fuzz_target", Linkage: mir.Global, Code: code}}}
+	}
+	lib := &obj.Object{Name: "lib", Funcs: []obj.FuncSym{{
+		// deep(depth, v) stores v at the base of a one-page frame and across
+		// the page boundary below it, then recurses depth times.
+		Name: "deep", Linkage: mir.Global, Code: []mir.Inst{
+			{Op: mir.Enter, Imm: rt.PageSize},
+			{Op: mir.Store, Rs1: mir.SP, Rs2: mir.R1, Size: 8},
+			{Op: mir.Store, Rs1: mir.SP, Imm: -4, Rs2: mir.R1, Size: 8},
+			{Op: mir.JmpIf, Rs1: mir.R0, Target: 5},
+			{Op: mir.Jmp, Target: 7},
+			{Op: mir.ALUImm, ALUOp: ir.OpSub, Width: ir.I64, Rd: mir.R0, Rs1: mir.R0, Imm: 1},
+			{Op: mir.Call, Sym: "deep"},
+			{Op: mir.Leave, Imm: rt.PageSize},
+			{Op: mir.Ret},
+		}}}}
+	dataObj := func(n int, salt byte) *obj.Object {
+		data := make([]byte, n)
 		for i := range data {
 			data[i] = byte(i)*7 + salt | 1 // never zero: a lost re-copy shows
 		}
-		return &link.Executable{
-			Funcs: []link.Func{
-				{Name: "fuzz_target", Code: code},
-				// deep(depth, v) stores v at the base of a one-page frame and
-				// across the page boundary below it, then recurses depth times.
-				{Name: "deep", Code: []mir.Inst{
-					{Op: mir.Enter, Imm: rt.PageSize},
-					{Op: mir.Store, Rs1: mir.SP, Rs2: mir.R1, Size: 8},
-					{Op: mir.Store, Rs1: mir.SP, Imm: -4, Rs2: mir.R1, Size: 8},
-					{Op: mir.JmpIf, Rs1: mir.R0, Target: 5},
-					{Op: mir.Jmp, Target: 7},
-					{Op: mir.ALUImm, ALUOp: ir.OpSub, Width: ir.I64, Rd: mir.R0, Rs1: mir.R0, Imm: 1},
-					{Op: mir.Call, FuncIdx: 1},
-					{Op: mir.Leave, Imm: rt.PageSize},
-					{Op: mir.Ret},
-				}},
-			},
-			FuncIdx:  map[string]int{"fuzz_target": 0},
-			Data:     data,
-			Builtins: []string{"memcpy", "memset"},
-		}
+		return &obj.Object{Name: "data", Datas: []obj.DataSym{{Name: "seg", Size: int64(n), Init: data}}}
 	}
 	rev := make([][]mir.Inst, len(ops))
 	for i, op := range ops {
 		rev[len(ops)-1-i] = op
 	}
-	return image(ops, 5*int(binary.LittleEndian.Uint16(hdr[:])), 1),
-		image(rev, 5*int(binary.LittleEndian.Uint16(hdr[2:])), 2)
+	builtins := []string{"memcpy", "memset"}
+	inc := link.NewIncremental()
+	n1, n2 := 5*int(binary.LittleEndian.Uint16(hdr[:])), binary.LittleEndian.Uint16(hdr[2:])
+	exe1, _, err := inc.Link([]*obj.Object{mainObj(ops), lib, dataObj(n1, 1)}, builtins)
+	if err == nil && n2&relink != 0 {
+		var incremental bool
+		exe2, incremental, err = inc.Link([]*obj.Object{mainObj(rev), lib, dataObj(n1, 2)}, builtins)
+		if err == nil && !incremental {
+			err = fmt.Errorf("the relink took the full path")
+		}
+	} else if err == nil {
+		exe2, err = link.Link([]*obj.Object{mainObj(rev), lib, dataObj(5*int(n2), 2)}, builtins)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return exe1, exe2
 }
 
 // memDiff compares an environment's whole memory with what want fills in
@@ -199,43 +221,53 @@ func FuzzResetEquivalence(f *testing.F) {
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	// Wild stores: the first and last storable bytes, then past every edge.
 	f.Add(join(resetHeader(40, 9000),
-		resetOp(opStore1, rt.NullGuard, 0x5a, 0),
-		resetOp(opStore8, rt.MemSize-8, -1, 0),
-		resetOp(opStore4, rt.StackTop-4, 0x01020304, 0),
-		resetOp(opStore8, 0x7ffffffffffffff9, 1, 0)), []byte("in"))
-	f.Add(join(resetHeader(0, 0), resetOp(opStore8, -8, 1, 0)), []byte{})
-	f.Add(join(resetHeader(0, 1), resetOp(opStore2, rt.NullGuard-1, 1, 0)), []byte{})
-	f.Add(join(resetHeader(1, 0), resetOp(opStore8, rt.MemSize-7, 1, 0)), []byte{})
+		resetOp(ropStore1, rt.NullGuard, 0x5a, 0),
+		resetOp(ropStore8, rt.MemSize-8, -1, 0),
+		resetOp(ropStore4, rt.StackTop-4, 0x01020304, 0),
+		resetOp(ropStore8, 0x7ffffffffffffff9, 1, 0)), []byte("in"))
+	f.Add(join(resetHeader(0, 0), resetOp(ropStore8, -8, 1, 0)), []byte{})
+	f.Add(join(resetHeader(0, 1), resetOp(ropStore2, rt.NullGuard-1, 1, 0)), []byte{})
+	f.Add(join(resetHeader(1, 0), resetOp(ropStore8, rt.MemSize-7, 1, 0)), []byte{})
 	// 2-, 4- and 8-byte stores straddling a page boundary: inside the data
 	// segment, at its end, in the input, on the stack.
 	f.Add(join(resetHeader(2000, 100),
-		resetOp(opStore2, rt.GlobalBase+page-1, 0x1111, 0),
-		resetOp(opStore4, rt.GlobalBase+2*page-3, 0x22222222, 0),
-		resetOp(opStore8, rt.GlobalBase+3*page-5, 0x3333333333333333, 0),
-		resetOp(opStore8, rt.GlobalBase+5*2000-4, -1, 0),
-		resetOp(opStore8, rt.InputBase+page-1, -1, 0),
-		resetOp(opStore4, rt.StackTop-page-2, -1, 0)), bytes.Repeat([]byte{9}, 5000))
+		resetOp(ropStore2, rt.GlobalBase+page-1, 0x1111, 0),
+		resetOp(ropStore4, rt.GlobalBase+2*page-3, 0x22222222, 0),
+		resetOp(ropStore8, rt.GlobalBase+3*page-5, 0x3333333333333333, 0),
+		resetOp(ropStore8, rt.GlobalBase+5*2000-4, -1, 0),
+		resetOp(ropStore8, rt.InputBase+page-1, -1, 0),
+		resetOp(ropStore4, rt.StackTop-page-2, -1, 0)), bytes.Repeat([]byte{9}, 5000))
 	// memset and memcpy across several pages, empty and negative lengths.
 	f.Add(join(resetHeader(3000, 3000),
-		resetOp(opMemset, rt.GlobalBase+100, 0xaa, 5*page/3),
-		resetOp(opMemcpy, rt.InputBase-100, rt.GlobalBase, 4*page/3),
-		resetOp(opMemcpy, rt.GlobalBase+7, rt.InputBase, 3*page/3),
-		resetOp(opMemset, rt.MemSize, 1, 0),
-		resetOp(opMemset, rt.MemSize-10, 1, 4),
-		resetOp(opMemcpy, rt.GlobalBase, rt.GlobalBase+1, 0x7fff),
-		resetOp(opMemset, rt.GlobalBase, 1, -1)), []byte("abcdefgh"))
+		resetOp(ropMemset, rt.GlobalBase+100, 0xaa, 5*page/3),
+		resetOp(ropMemcpy, rt.InputBase-100, rt.GlobalBase, 4*page/3),
+		resetOp(ropMemcpy, rt.GlobalBase+7, rt.InputBase, 3*page/3),
+		resetOp(ropMemset, rt.MemSize, 1, 0),
+		resetOp(ropMemset, rt.MemSize-10, 1, 4),
+		resetOp(ropMemcpy, rt.GlobalBase, rt.GlobalBase+1, 0x7fff),
+		resetOp(ropMemset, rt.GlobalBase, 1, -1)), []byte("abcdefgh"))
 	// Probe bumps: in the data segment, in the null guard, at both edges.
 	f.Add(join(resetHeader(10, 20),
-		resetOp(opProbe, rt.GlobalBase+5, 0, 0), resetOp(opProbe, rt.GlobalBase+5, 0, 0),
-		resetOp(opProbe, 1, 0, 0), resetOp(opProbe, rt.MemSize-1, 0, 0),
-		resetOp(opProbe, rt.MemSize, 0, 0), resetOp(opProbe, 0, 0, 0), resetOp(opProbe, -5, 0, 0)), []byte{})
+		resetOp(ropProbe, rt.GlobalBase+5, 0, 0), resetOp(ropProbe, rt.GlobalBase+5, 0, 0),
+		resetOp(ropProbe, 1, 0, 0), resetOp(ropProbe, rt.MemSize-1, 0, 0),
+		resetOp(ropProbe, rt.MemSize, 0, 0), resetOp(ropProbe, 0, 0, 0), resetOp(ropProbe, -5, 0, 0)), []byte{})
 	// A trap mid-execution, a step-limit abort, and frames on the stack.
 	f.Add(join(resetHeader(100, 50),
-		resetOp(opStore8, rt.GlobalBase+8, 1, 0), resetOp(opTrap, 0, 0, 0),
-		resetOp(opStore8, rt.GlobalBase+16, 2, 0)), []byte("x"))
+		resetOp(ropStore8, rt.GlobalBase+8, 1, 0), resetOp(ropTrap, 0, 0, 0),
+		resetOp(ropStore8, rt.GlobalBase+16, 2, 0)), []byte("x"))
 	f.Add(join(resetHeader(100, 50),
-		resetOp(opCall, 0, 77, 40), resetOp(opCall, 0, 78, 600), resetOp(opStore1|inMem, 123456789, 1, 0),
-		resetOp(opSpin, 0, 0, 0)), []byte("x"))
+		resetOp(ropCall, 0, 77, 40), resetOp(ropCall, 0, 78, 600), resetOp(ropStore1|inMem, 123456789, 1, 0),
+		resetOp(ropSpin, 0, 0, 0)), []byte("x"))
+	// Incremental relinks: the second fuzz_target is as long as the first
+	// and shares deep with it, so only the code's identity tells a machine
+	// that it must decode fuzz_target again. Each reversal changes what the
+	// run leaves in memory, or where it traps.
+	f.Add(join(resetHeader(30, relink),
+		resetOp(ropStore8, rt.GlobalBase+8, 1, 0), resetOp(ropCall, 0, 5, 3),
+		resetOp(ropStore8, rt.GlobalBase+8, 2, 0)), []byte("y"))
+	f.Add(join(resetHeader(30, relink),
+		resetOp(ropStore4, rt.GlobalBase+16, 3, 0), resetOp(ropTrap, 0, 0, 0),
+		resetOp(ropMemset, rt.GlobalBase, 0x55, 40)), []byte{})
 
 	f.Fuzz(func(t *testing.T, prog, input []byte) {
 		if len(input) > rt.InputMax {

@@ -4,6 +4,8 @@
 package vm
 
 import (
+	"math"
+
 	"odin/internal/interp"
 	"odin/internal/ir"
 	"odin/internal/link"
@@ -27,7 +29,10 @@ type Machine struct {
 	// Cycles is the accumulated cycle count across Run calls.
 	Cycles int64
 
-	regs [mir.NumRegs]int64
+	regs [zeroReg + 1]int64
+	// funcs is Exe's code in the form the dispatch loop runs, one entry
+	// per function, built by Rebind.
+	funcs []decoded
 	// stack, builtins and args are exec's scratch, kept between runs so a
 	// steady-state execution allocates nothing.
 	stack    []frame
@@ -45,8 +50,19 @@ func New(exe *link.Executable) *Machine {
 // Rebind points the machine at another image of the program, typically the
 // one a rebuild just produced. Memory, output and counters are what
 // New(exe) would hold; the Env itself, the builtins installed into it and
-// its hit vector are kept.
+// its hit vector are kept. Only functions whose code slice is not the one
+// the previous image ran are decoded again (link.Incremental shares
+// unchanged objects' code), so an image's code must not change while bound.
 func (m *Machine) Rebind(exe *link.Executable) {
+	prev := m.funcs
+	m.funcs = make([]decoded, len(exe.Funcs))
+	for i, f := range exe.Funcs {
+		if i < len(prev) && sameCode(prev[i].src, f.Code) {
+			m.funcs[i] = prev[i]
+		} else {
+			m.funcs[i] = decode(f.Code)
+		}
+	}
 	m.Exe = exe
 	m.Env.LoadImage(exe.Data)
 	m.Reset()
@@ -108,143 +124,136 @@ func (m *Machine) Run(name string, args ...int64) (int64, error) {
 
 const maxCallDepth = 400
 
-func (m *Machine) exec(entry int) (int64, error) {
-	env := m.Env
-	m.stack = m.stack[:0]
-	fn := entry
-	pc := 0
-	code := m.Exe.Funcs[fn].Code
-
+// exec runs the decoded code from entry. The cycle and step counters live in
+// locals, written back before a builtin runs and when exec returns;
+// Env.StepLimit is read once per run.
+func (m *Machine) exec(entry int) (ret int64, err error) {
+	env, regs := m.Env, &m.regs
+	stack := m.stack[:0]
+	fn, pc := entry, 0
+	code := m.funcs[fn].code
+	cycles, steps, limit := m.Cycles, env.Steps, env.StepLimit
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+loop:
 	for {
-		if pc < 0 || pc >= len(code) {
-			return 0, rt.Trapf("pc %d out of range in %s", pc, m.Exe.Funcs[fn].Name)
+		d := &code[pc]
+		cycles += d.cycles
+		if steps++; steps > limit && d.op != opBadPC {
+			err = rt.Trapf("step limit %d exceeded", env.StepLimit)
+			break
 		}
-		in := &code[pc]
-		m.Cycles += in.Cycles()
-		if err := env.Step(); err != nil {
-			return 0, err
-		}
-
-		switch in.Op {
-		case mir.Nop:
-			pc++
-		case mir.MovReg:
-			m.regs[in.Rd] = m.regs[in.Rs1]
-			pc++
-		case mir.MovImm:
-			m.regs[in.Rd] = in.Imm
-			pc++
-		case mir.ALU:
-			v, err := interp.EvalBinOp(in.ALUOp, m.regs[in.Rs1], m.regs[in.Rs2], in.Width)
-			if err != nil {
-				return 0, err
+		switch d.op {
+		case opNop:
+		case opMov:
+			regs[d.rd] = regs[d.rs1]
+		case opMovImm:
+			regs[d.rd] = d.imm
+		case opAdd:
+			regs[d.rd] = trunc(regs[d.rs1]+(regs[d.rs2]+d.imm), d.aux)
+		case opSub:
+			regs[d.rd] = trunc(regs[d.rs1]-(regs[d.rs2]+d.imm), d.aux)
+		case opMul:
+			regs[d.rd] = trunc(regs[d.rs1]*(regs[d.rs2]+d.imm), d.aux)
+		case opAnd:
+			regs[d.rd] = trunc(regs[d.rs1]&(regs[d.rs2]+d.imm), d.aux)
+		case opOr:
+			regs[d.rd] = trunc(regs[d.rs1]|(regs[d.rs2]+d.imm), d.aux)
+		case opXor:
+			regs[d.rd] = trunc(regs[d.rs1]^(regs[d.rs2]+d.imm), d.aux)
+		case opALU:
+			// Division traps and shifts mask: the source instruction says how.
+			in := &m.funcs[fn].src[pc]
+			if regs[d.rd], err = interp.EvalBinOp(in.ALUOp, regs[d.rs1], regs[d.rs2]+d.imm, in.Width); err != nil {
+				break loop
 			}
-			m.regs[in.Rd] = v
-			pc++
-		case mir.ALUImm:
-			v, err := interp.EvalBinOp(in.ALUOp, m.regs[in.Rs1], in.Imm, in.Width)
-			if err != nil {
-				return 0, err
+		case opCmpSet:
+			var v int64
+			if ir.EvalPred(ir.Pred(d.imm), regs[d.rs1], regs[d.rs2], ir.ScalarType(d.aux)) {
+				v = 1
 			}
-			m.regs[in.Rd] = v
-			pc++
-		case mir.CmpSet:
-			if ir.EvalPred(in.Pred, m.regs[in.Rs1], m.regs[in.Rs2], in.Width) {
-				m.regs[in.Rd] = 1
-			} else {
-				m.regs[in.Rd] = 0
+			regs[d.rd] = v
+		case opZext:
+			regs[d.rd] = int64(ir.ZeroExtend(regs[d.rs1], ir.ScalarType(d.aux)))
+		case opTrunc:
+			regs[d.rd] = ir.TruncToWidth(regs[d.rs1], ir.ScalarType(d.aux))
+		case opLoad:
+			if regs[d.rd], err = env.Load(regs[d.rs1]+d.imm, d.aux); err != nil {
+				break loop
 			}
-			pc++
-		case mir.Ext:
-			if in.SignExt {
-				m.regs[in.Rd] = m.regs[in.Rs1]
-			} else {
-				m.regs[in.Rd] = int64(ir.ZeroExtend(m.regs[in.Rs1], in.Width))
+		case opStore:
+			if err = env.Store(regs[d.rs1]+d.imm, d.aux, regs[d.rs2]); err != nil {
+				break loop
 			}
-			pc++
-		case mir.TruncW:
-			m.regs[in.Rd] = ir.TruncToWidth(m.regs[in.Rs1], in.Width)
-			pc++
-		case mir.Load:
-			v, err := env.Load(m.regs[in.Rs1]+in.Imm, in.Size)
-			if err != nil {
-				return 0, err
-			}
-			m.regs[in.Rd] = v
-			pc++
-		case mir.Store:
-			if err := env.Store(m.regs[in.Rs1]+in.Imm, in.Size, m.regs[in.Rs2]); err != nil {
-				return 0, err
-			}
-			pc++
-		case mir.Lea:
-			m.regs[in.Rd] = in.Imm
-			pc++
-		case mir.Jmp:
-			pc = in.Target
-			m.Cycles += TakenBranchPenalty
-		case mir.JmpIf:
-			if m.regs[in.Rs1] != 0 {
-				pc = in.Target
-				m.Cycles += TakenBranchPenalty
-			} else {
-				pc++
-			}
-		case mir.Call:
-			if in.FuncIdx < 0 {
-				bi := -(in.FuncIdx + 1)
-				fnB := m.builtins[bi]
-				if fnB == nil {
-					return 0, rt.Trapf("builtin %q not registered", m.Exe.Builtins[bi])
-				}
-				m.Cycles += BuiltinCallCost
-				copy(m.args[:], m.regs[:mir.MaxRegArgs])
-				r, err := fnB(env, m.args[:])
-				if err != nil {
-					return 0, err
-				}
-				m.regs[0] = r
-				pc++
+		case opJmp:
+			pc = int(d.imm)
+			cycles += TakenBranchPenalty
+			continue
+		case opJmpIf:
+			if regs[d.rs1] != 0 {
+				pc = int(d.imm)
+				cycles += TakenBranchPenalty
 				continue
 			}
-			if len(m.stack) >= maxCallDepth {
-				return 0, rt.Trapf("call depth exceeded")
+		case opBuiltin:
+			fnB := m.builtins[d.imm]
+			if fnB == nil {
+				err = rt.Trapf("builtin %q not registered", m.Exe.Builtins[d.imm])
+				break loop
 			}
-			m.stack = append(m.stack, frame{fn: fn, pc: pc + 1, sp: m.regs[mir.SP]})
-			fn = in.FuncIdx
-			code = m.Exe.Funcs[fn].Code
-			pc = 0
-		case mir.Ret:
-			if len(m.stack) == 0 {
-				return m.regs[0], nil
+			m.Cycles, env.Steps = cycles+BuiltinCallCost, steps
+			copy(m.args[:], regs[:mir.MaxRegArgs])
+			regs[0], err = fnB(env, m.args[:])
+			if cycles, steps = m.Cycles, env.Steps; err != nil {
+				break loop
 			}
-			fr := m.stack[len(m.stack)-1]
-			m.stack = m.stack[:len(m.stack)-1]
-			fn, pc = fr.fn, fr.pc
-			m.regs[mir.SP] = fr.sp
-			code = m.Exe.Funcs[fn].Code
-		case mir.Enter:
-			m.regs[mir.SP] -= in.Imm
-			if m.regs[mir.SP] < rt.InputBase+rt.InputMax {
-				return 0, rt.Trapf("stack overflow")
+		case opCall:
+			if len(stack) >= maxCallDepth {
+				err = rt.Trapf("call depth exceeded")
+				break loop
 			}
-			pc++
-		case mir.Leave:
-			m.regs[mir.SP] += in.Imm
-			pc++
-		case mir.Trap:
-			return 0, rt.Trapf("trap executed in %s", m.Exe.Funcs[fn].Name)
-		case mir.CostSim:
-			pc++
-		case mir.Probe:
-			// Binary-instrumentation counter bump (saturating byte).
-			env.Bump(in.ProbeAddr)
-			pc++
+			stack = append(stack, frame{fn: fn, pc: pc + 1, sp: regs[mir.SP]})
+			fn, pc, code = int(d.imm), 0, m.funcs[d.imm].code
+			continue
+		case opRet:
+			if len(stack) == 0 {
+				ret = regs[0]
+				break loop
+			}
+			fr := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			fn, pc, code, regs[mir.SP] = fr.fn, fr.pc, m.funcs[fr.fn].code, fr.sp
+			continue
+		case opEnter:
+			if regs[mir.SP] -= d.imm; regs[mir.SP] < rt.InputBase+rt.InputMax {
+				err = rt.Trapf("stack overflow")
+				break loop
+			}
+		case opLeave:
+			regs[mir.SP] += d.imm
+		case opTrap:
+			err = rt.Trapf("trap executed in %s", m.Exe.Funcs[fn].Name)
+			break loop
+		case opProbe:
+			env.Bump(d.imm) // binary instrumentation's saturating counter
+		case opBadPC:
+			steps-- // running off the code executes nothing
+			err = rt.Trapf("pc %d out of range in %s", d.imm, m.Exe.Funcs[fn].Name)
+			break loop
 		default:
-			return 0, rt.Trapf("bad machine op %s", in.Op)
+			err = rt.Trapf("bad machine op %s", m.funcs[fn].src[pc].Op)
+			break loop
 		}
+		pc++
 	}
+	m.Cycles, env.Steps, m.stack = cycles, steps, stack
+	return ret, err
 }
+
+// trunc sign-normalizes an ALU result to 64-sh bits (sh is taken mod 64, so
+// a 64-bit result has 0 or 64).
+func trunc(v, sh int64) int64 { return v << (sh & 63) >> (sh & 63) }
 
 // RunProgram executes @fuzz_target(ptr,len) (or @main) on input and returns
 // (result, output, cycles, error). The machine is reset first.
