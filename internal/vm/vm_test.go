@@ -9,6 +9,7 @@ import (
 	"odin/internal/ir"
 	"odin/internal/irtext"
 	"odin/internal/link"
+	"odin/internal/mir"
 	"odin/internal/progen"
 	"odin/internal/rt"
 	"odin/internal/toolchain"
@@ -410,5 +411,67 @@ func TestVMTrapParityWithInterp(t *testing.T) {
 		if errV != nil && !strings.Contains(errV.Error(), "abort") {
 			t.Fatalf("input %v: wrong trap: %v", in, errV)
 		}
+	}
+}
+
+// TestVMPCOutOfRange: running off a function's code, jumping outside it and
+// calling an empty function trap "pc out of range" at no cycle and no step,
+// also when the step limit would run out on that very instruction.
+func TestVMPCOutOfRange(t *testing.T) {
+	cases := []struct {
+		name   string
+		code   []mir.Inst
+		limit  int64
+		want   string
+		cycles int64
+		steps  int64
+	}{
+		{"fall off the end", []mir.Inst{{Op: mir.MovImm, Rd: mir.R0, Imm: 1}}, 0, "pc 1 out of range in f", 1, 1},
+		{"jump past the end", []mir.Inst{{Op: mir.Nop}, {Op: mir.Jmp, Target: 5}}, 0, "pc 5 out of range in f", 3, 2},
+		{"taken branch below 0", []mir.Inst{{Op: mir.MovImm, Rd: mir.R1, Imm: 1}, {Op: mir.JmpIf, Rs1: mir.R1, Target: -1}}, 0, "pc -1 out of range in f", 3, 2},
+		{"branch not taken, then off the end", []mir.Inst{{Op: mir.JmpIf, Rs1: mir.R1, Target: 9}, {Op: mir.Jmp, Target: 2}}, 0, "pc 2 out of range in f", 3, 2},
+		{"call an empty function", []mir.Inst{{Op: mir.Call, FuncIdx: 1}}, 0, "pc 0 out of range in g", 2, 1},
+		{"step limit on the way out", []mir.Inst{{Op: mir.Nop}}, 1, "pc 1 out of range in f", 1, 1},
+		{"step limit before", []mir.Inst{{Op: mir.Nop}, {Op: mir.Nop}}, 1, "step limit 1 exceeded", 2, 2},
+	}
+	for _, c := range cases {
+		m := New(&link.Executable{
+			Funcs:   []link.Func{{Name: "f", Code: c.code}, {Name: "g"}},
+			FuncIdx: map[string]int{"f": 0},
+		})
+		m.Env.StepLimit = c.limit
+		_, err := m.Run("f")
+		if err == nil || err.Error() != "trap: "+c.want || m.Cycles != c.cycles || m.Env.Steps != c.steps {
+			t.Errorf("%s: err %v, cycles %d, steps %d; want %q, %d, %d", c.name, err, m.Cycles, m.Env.Steps, c.want, c.cycles, c.steps)
+		}
+	}
+}
+
+// TestVMBuiltinSeesCounters: a builtin sees the cycles and steps of the run
+// so far, its own call included, and an unregistered one traps after
+// paying for the call instruction only.
+func TestVMBuiltinSeesCounters(t *testing.T) {
+	exe := &link.Executable{
+		Funcs: []link.Func{{Name: "f", Code: []mir.Inst{
+			{Op: mir.MovImm, Rd: mir.R0, Imm: 5},
+			{Op: mir.Call, FuncIdx: -1},
+			{Op: mir.Call, FuncIdx: -2},
+			{Op: mir.Ret},
+		}}},
+		FuncIdx:  map[string]int{"f": 0},
+		Builtins: []string{"hook", "missing"},
+	}
+	m := New(exe)
+	var cycles, steps int64
+	m.Env.Builtins["hook"] = func(e *rt.Env, args []int64) (int64, error) {
+		cycles, steps = m.Cycles, e.Steps
+		return args[0], nil
+	}
+	_, err := m.Run("f")
+	if cycles != 11 || steps != 2 {
+		t.Errorf("hook saw cycles %d, steps %d; want 11, 2", cycles, steps)
+	}
+	if err == nil || err.Error() != `trap: builtin "missing" not registered` || m.Cycles != 13 || m.Env.Steps != 3 {
+		t.Errorf("err %v, cycles %d, steps %d; want the missing builtin's trap at 13, 3", err, m.Cycles, m.Env.Steps)
 	}
 }
