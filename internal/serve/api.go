@@ -123,18 +123,6 @@ func writeTicketError(w http.ResponseWriter, err error) {
 	}
 }
 
-// retryableFailover reports whether an operation that failed with err
-// should be parked and re-admitted: the slot it ran on was swapped out (or
-// is being swapped out) by a failover, so the failure is the old engine's
-// teardown, not the request's fault. The caller loops back through acquire,
-// which parks on the swap gate.
-func retryableFailover(sh *shard, slot *engineSlot, err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, core.ErrSupervisorClosed) && sh.stale(slot)
-}
-
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Fleet())
 }
@@ -200,19 +188,15 @@ func (s *Server) handleProbeAdd(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	var engID int
-	slot, res, ok := s.request(ctx, w, sh, tenant, func(slot *engineSlot) (tk *core.Ticket, err error) {
-		engID, tk, err = slot.sup.AddProbeCtx(ctx, buildProbe(spec, sh.site.Add(1)))
-		return tk, err
+	op := journalOp{Op: jopAdd, Tenant: tenant, Spec: &spec}
+	res, ok := s.request(ctx, w, sh, tenant, &op, func(slot *engineSlot) (int, *core.Ticket, error) {
+		return slot.sup.AddProbeCtx(ctx, buildProbe(spec, sh.site.Add(1)))
 	})
 	if !ok {
 		return
 	}
-	id := sh.nextProbeID()
-	sh.record(slot, id, engID, tenant, spec)
-	sh.committed(slot, journalOp{Op: jopAdd, ID: id, Tenant: tenant, Spec: &spec})
 	writeJSON(w, http.StatusOK, ProbeResult{
-		ID: id, Gen: res.Gen, Coalesced: res.Coalesced, Salvaged: res.Salvaged,
+		ID: op.ID, Gen: res.Gen, Coalesced: res.Coalesced, Salvaged: res.Salvaged,
 	})
 }
 
@@ -254,18 +238,19 @@ func (s *Server) handleProbeAction(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	slot, res, ok := s.request(ctx, w, sh, tenant, func(slot *engineSlot) (*core.Ticket, error) {
+	op := journalOp{Op: action, ID: id, Tenant: tenant}
+	res, ok := s.request(ctx, w, sh, tenant, &op, func(slot *engineSlot) (int, *core.Ticket, error) {
 		// Re-resolve the engine ID each attempt: a failover rewrites it.
 		rec, ok := sh.lookupProbe(id)
 		if !ok {
-			return nil, fmt.Errorf("%w %d on shard %s", errNoProbe, id, sh.name)
+			return 0, nil, fmt.Errorf("%w %d on shard %s", errNoProbe, id, sh.name)
 		}
-		return submitOp(ctx, slot.sup, action, rec.EngID)
+		tk, err := submitOp(ctx, slot.sup, action, rec.EngID)
+		return rec.EngID, tk, err
 	})
 	if !ok {
 		return
 	}
-	sh.committed(slot, journalOp{Op: action, ID: id, Tenant: tenant})
 	writeJSON(w, http.StatusOK, ProbeResult{
 		ID: id, Gen: res.Gen, Coalesced: res.Coalesced, Salvaged: res.Salvaged,
 	})
@@ -289,8 +274,9 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	_, res, ok := s.request(ctx, w, sh, "", func(slot *engineSlot) (*core.Ticket, error) {
-		return slot.sup.SyncCtx(ctx)
+	res, ok := s.request(ctx, w, sh, "", nil, func(slot *engineSlot) (int, *core.Ticket, error) {
+		tk, err := slot.sup.SyncCtx(ctx)
+		return 0, tk, err
 	})
 	if ok {
 		writeJSON(w, http.StatusOK, ProbeResult{Gen: res.Gen, Coalesced: res.Coalesced})
@@ -298,35 +284,38 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 }
 
 // request drives one supervisor request to its resolution: acquire the
-// serving slot, submit, and wait out the generation. A request that lands
-// in a failover window parks on the shard gate and is re-admitted against
-// the new slot — delayed, not dropped. A non-empty tenant has the outcome
-// attributed to its failure breaker, unless the engine rather than the
-// request failed. Every failure is written to w; ok reports that the
-// request committed on slot.
-func (s *Server) request(ctx context.Context, w http.ResponseWriter, sh *shard, tenant string,
-	submit func(*engineSlot) (*core.Ticket, error)) (*engineSlot, core.TicketResult, bool) {
+// serving slot, submit, wait out the generation, and commit op (nil for a
+// sync) with the engine probe ID submit returns. A request that lands in a
+// failover window parks on the shard gate and is re-admitted against the
+// new slot — delayed, not dropped. So is one whose submit error or ticket
+// result comes from a slot that no longer serves, or whose commit the shard
+// refuses: what the old engine did is not the state the serving slot has.
+// A non-empty tenant has the outcome attributed to its failure breaker,
+// unless the engine rather than the request failed. Every failure is
+// written to w; ok reports that the request committed.
+func (s *Server) request(ctx context.Context, w http.ResponseWriter, sh *shard, tenant string, op *journalOp,
+	submit func(*engineSlot) (int, *core.Ticket, error)) (core.TicketResult, bool) {
 	for {
 		slot, err := sh.acquire(ctx)
 		if err != nil {
 			writeAcquireError(w, sh, err)
-			return nil, core.TicketResult{}, false
+			return core.TicketResult{}, false
 		}
-		tk, err := submit(slot)
+		engID, tk, err := submit(slot)
 		if err != nil {
-			if retryableFailover(sh, slot, err) {
+			if sh.stale(slot) {
 				continue
 			}
 			s.writeSubmitError(w, sh, slot, err)
-			return nil, core.TicketResult{}, false
+			return core.TicketResult{}, false
 		}
 		res, err := tk.Wait(ctx)
 		if err != nil {
 			writeError(w, http.StatusServiceUnavailable, "closed",
 				"timed out waiting for generation: "+err.Error(), 0)
-			return nil, res, false
+			return res, false
 		}
-		if retryableFailover(sh, slot, res.Err) {
+		if res.Err == nil && !sh.commit(slot, op, engID) || res.Err != nil && sh.stale(slot) {
 			continue
 		}
 		if tenant != "" && !errors.Is(res.Err, core.ErrEngineUnhealthy) {
@@ -334,9 +323,9 @@ func (s *Server) request(ctx context.Context, w http.ResponseWriter, sh *shard, 
 		}
 		if res.Err != nil {
 			writeTicketError(w, res.Err)
-			return nil, res, false
+			return res, false
 		}
-		return slot, res, true
+		return res, true
 	}
 }
 

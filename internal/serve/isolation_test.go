@@ -248,3 +248,42 @@ func TestEngineFailureIsRetryable(t *testing.T) {
 		t.Fatalf("retry after recovery: %v", err)
 	}
 }
+
+// TestTenantBreakerSavesCompileWork pins what the tenant breaker buys beyond
+// isolation: less compile work. One tenant sends 24 sequential poison adds.
+// With the breaker on (default threshold, a one-minute window) only the
+// first DefFailThreshold reach the engine, each one failed generation, and
+// the rest are shed at admission; with it off every add costs a generation.
+func TestTenantBreakerSavesCompileWork(t *testing.T) {
+	const adds = 24
+	for _, tc := range []struct {
+		name      string
+		admission AdmissionOptions
+		failures  uint64
+	}{
+		{"on", AdmissionOptions{FailBackoff: time.Minute}, DefFailThreshold},
+		{"off", AdmissionOptions{FailThreshold: -1}, adds},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _, client := newTestServer(t, Options{
+				Shards:    []ShardSpec{{Name: "alpha", Module: testModule(t, 4), Watchdog: WatchdogOptions{Disable: true}}},
+				Admission: tc.admission,
+			})
+			c := client("evil")
+			for i := 0; i < adds; i++ {
+				_, err := c.AddProbe("alpha", ProbeSpec{Func: "f0", Kind: KindPoison})
+				var ae *APIError
+				if !errors.As(err, &ae) || (ae.Code != "quarantined" && ae.Code != "shed") {
+					t.Fatalf("poison add %d: %v, want quarantined or shed", i, err)
+				}
+			}
+			snap := srv.Fleet()
+			if got := snap.Shards[0].Supervisor.GenerationFailures; got != tc.failures {
+				t.Fatalf("generation failures = %d, want %d", got, tc.failures)
+			}
+			if shed := snap.Tenants[0].Shed; shed != adds-tc.failures {
+				t.Fatalf("shed = %d, want %d", shed, adds-tc.failures)
+			}
+		})
+	}
+}

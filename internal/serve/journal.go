@@ -10,7 +10,9 @@ import (
 
 // The tenant-probe journal is the shard's durable record of committed probe
 // operations: an append-only persist.Log of JSON-encoded journalOp records,
-// one per committed add/enable/remove/change. Replaying it reconstructs the
+// one per committed add/enable/remove (a change leaves no state to replay,
+// so it is not journaled; older journals' change records are ignored).
+// Replaying it reconstructs the
 // shard's probe state on a fresh engine — the mechanism behind crash
 // restarts (probes survive a process bounce); a restart in place replays
 // the in-memory probe ledger the journal mirrors. Engine probe IDs are

@@ -171,13 +171,11 @@ type lifecycle struct {
 	sh   *shard
 	opts WatchdogOptions
 
-	mu           sync.Mutex
-	state        ShardState
-	cause        string
-	restartsUsed int
-	lastPanics   uint64
-	events       []FailoverEvent
-	recovering   bool
+	mu         sync.Mutex
+	state      ShardState
+	lastPanics uint64
+	events     []FailoverEvent
+	recovering bool
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -252,7 +250,6 @@ func (lc *lifecycle) watch() {
 			continue
 		}
 		lc.state = state
-		lc.cause = cause
 		wedged := state == ShardWedged
 		if wedged {
 			lc.state = ShardRecovering
@@ -319,9 +316,6 @@ func (lc *lifecycle) runLadder(cause string) {
 			}
 		}
 		if err := lc.restartInPlace(cause); err == nil {
-			lc.mu.Lock()
-			lc.restartsUsed = 0
-			lc.mu.Unlock()
 			return
 		}
 	}
@@ -348,9 +342,10 @@ func (lc *lifecycle) restartInPlace(cause string) error {
 
 	if old := sh.current(); old != nil {
 		// Abandon, not Close or Drain: both wait on the wedged loop.
-		// Queued tickets resolve with ErrSupervisorClosed once the loop
-		// unsticks and re-admit against the new slot; a late commit from the
-		// abandoned generation is re-applied by shard.committed.
+		// Whatever the abandoned generation and its queued tickets resolve
+		// with once the loop unsticks — a late commit included — comes from
+		// a slot that no longer serves, so the request re-admits against
+		// the new slot (Server.request) and commits there.
 		old.sup.Abandon()
 		// Engine.Close is safe against an in-flight rebuild; it saves the
 		// snapshot and releases the persist writer lock so the replacement

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,6 +107,74 @@ func TestJournalReplayAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestChangeNotJournaled: a change commits no lasting state, so add →
+// change → remove journals two records and a reopen replays the same
+// states. A journal written before changes were dropped still decodes, and
+// its change records are ignored.
+func TestChangeNotJournaled(t *testing.T) {
+	dataDir := t.TempDir()
+	mod := testModule(t, 4)
+	boot := func() *Server {
+		clone, _ := ir.CloneModule(mod)
+		srv, err := New(Options{
+			DataDir: dataDir,
+			Shards:  []ShardSpec{{Name: "alpha", Module: clone, Watchdog: WatchdogOptions{Disable: true}}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	srv := boot()
+	hs, client := startTest(t, srv)
+	c := client("acme")
+	res, err := c.AddProbe("alpha", ProbeSpec{Func: "f0"})
+	if err != nil {
+		t.Fatalf("AddProbe: %v", err)
+	}
+	for _, action := range []string{"change", "remove"} {
+		if _, err := c.ProbeAction("alpha", res.ID, action); err != nil {
+			t.Fatalf("%s: %v", action, err)
+		}
+	}
+	if n := srv.Fleet().Shards[0].JournalRecords; n != 2 {
+		t.Fatalf("journal holds %d records after add, change, remove; want 2", n)
+	}
+	want := srv.byName["alpha"].ledgerStates()
+	hs.Close()
+	if err := srv.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	srv2 := boot()
+	defer srv2.Close(ctx)
+	if got := srv2.byName["alpha"].ledgerStates(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopen replayed %+v, want %+v", got, want)
+	}
+
+	add := journalOp{Op: jopAdd, ID: 1, Tenant: "acme", Spec: &ProbeSpec{Func: "f0", Kind: KindCounter}}
+	change := journalOp{Op: jopChange, ID: 1, Tenant: "acme"}
+	remove := journalOp{Op: jopRemove, ID: 1, Tenant: "acme"}
+	var recs [][]byte
+	for _, op := range []journalOp{add, change, remove} {
+		b, err := json.Marshal(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, b)
+	}
+	old := decodeJournalOps(recs)
+	if len(old) != 3 {
+		t.Fatalf("old journal decoded %d of 3 records", len(old))
+	}
+	if got, want := reduceJournal(old), reduceJournal([]journalOp{add, remove}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("old journal with a change reduces to %+v, want %+v", got, want)
+	}
+}
+
 // startTest is newTestServer's tail for a server built by the caller.
 func startTest(t *testing.T, srv *Server) (*httptest.Server, func(string) *Client) {
 	t.Helper()
@@ -189,7 +260,8 @@ func TestWatchdogRestartFromSnapshot(t *testing.T) {
 		return len(srv.ShardFailovers("alpha")) > 0
 	})
 	// The new slot serves while the old generation is still blocked.
-	if _, err := c.AddProbe("alpha", ProbeSpec{Func: "f3"}); err != nil {
+	res3, err := c.AddProbe("alpha", ProbeSpec{Func: "f3"})
+	if err != nil {
 		t.Fatalf("AddProbe on the new slot during the wedge: %v", err)
 	}
 	select {
@@ -204,12 +276,10 @@ func TestWatchdogRestartFromSnapshot(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("wedged AddProbe f1: %v", r.err)
 	}
+	// The wedged add answered from a swapped-out slot, so it re-admitted:
+	// it is already active on the serving engine when its reply arrives.
 	sh := srv.byName["alpha"]
-	waitFor(t, 10*time.Second, "wedged probe on the new slot", func() bool {
-		rec, ok := sh.lookupProbe(r.res.ID)
-		slot := sh.current()
-		return ok && slot != nil && rec.gen == slot.gen
-	})
+	requireActive(t, sh, res0.ID, res2.ID, res3.ID, r.res.ID)
 	if _, err := c.ProbeAction("alpha", r.res.ID, "remove"); err != nil {
 		t.Fatalf("remove wedged probe %d after restart: %v", r.res.ID, err)
 	}
@@ -257,6 +327,117 @@ func TestWatchdogRestartFromSnapshot(t *testing.T) {
 	}
 	if _, err := c2.ProbeAction("alpha", res2.ID, "remove"); err != nil {
 		t.Fatalf("remove pre-wedge probe %d after reopen: %v", res2.ID, err)
+	}
+}
+
+// TestLateCommitReadmits holds acme's add of f2 in slot A's generation
+// across a restart in place, then releases it. Slot B has meanwhile given
+// its engine probe ID 2 to evil's f3, the ID acme's add got on A. The late
+// result comes from a slot that no longer serves, so the add re-admits
+// against B: "breaker-open" has opened B's breaker first, so the re-admitted
+// add fails and leaves no record; "healthy" keeps B serving, so the add
+// answers 200 and is active on B when the reply arrives. Either way every
+// ledger record names an engine probe on its own function, and evil's probe
+// stays active.
+func TestLateCommitReadmits(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		openBreaker bool
+	}{{"breaker-open", true}, {"healthy", false}} {
+		t.Run(tc.name, func(t *testing.T) { lateCommitReadmits(t, tc.openBreaker) })
+	}
+}
+
+func lateCommitReadmits(t *testing.T, openBreaker bool) {
+	var hold, failing atomic.Bool
+	held := make(chan struct{})
+	release := make(chan struct{})
+	srv, _, client := newTestServer(t, Options{
+		DataDir: t.TempDir(),
+		Shards: []ShardSpec{{
+			Name:     "alpha",
+			Module:   testModule(t, 5),
+			Watchdog: WatchdogOptions{Disable: true},
+			FaultHook: func(site string) error {
+				if site != "supervisor:commit" {
+					return nil
+				}
+				if hold.CompareAndSwap(true, false) {
+					close(held)
+					<-release
+					return nil
+				}
+				if failing.Load() {
+					return errors.New("injected engine failure")
+				}
+				return nil
+			},
+		}},
+	})
+	var releaseOnce sync.Once
+	releaseA := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(releaseA)
+	acme, evil := client("acme"), client("evil")
+	var ids []int64
+	for _, fn := range []string{"f0", "f1"} {
+		res, err := acme.AddProbe("alpha", ProbeSpec{Func: fn})
+		if err != nil {
+			t.Fatalf("AddProbe %s: %v", fn, err)
+		}
+		ids = append(ids, res.ID)
+	}
+
+	hold.Store(true)
+	type addResult struct {
+		res ProbeResult
+		err error
+	}
+	late := make(chan addResult, 1)
+	go func() {
+		res, err := acme.AddProbe("alpha", ProbeSpec{Func: "f2"})
+		late <- addResult{res, err}
+	}()
+	select {
+	case <-held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("acme's add of f2 never reached slot A's commit")
+	}
+	sh := srv.byName["alpha"]
+	if err := sh.lc.restartInPlace("test"); err != nil {
+		t.Fatalf("restart in place: %v", err)
+	}
+	e3, err := evil.AddProbe("alpha", ProbeSpec{Func: "f3"})
+	if err != nil {
+		t.Fatalf("evil AddProbe f3 on slot B: %v", err)
+	}
+	ids = append(ids, e3.ID)
+	if openBreaker {
+		failing.Store(true)
+		for i := 0; i < 3; i++ {
+			var ae *APIError
+			if _, err := acme.Sync("alpha"); !errors.As(err, &ae) || ae.Code != "engine_failed" {
+				t.Fatalf("sync %d under engine failure: %v", i, err)
+			}
+		}
+		if b := sh.current().sup.Breaker(); b != core.BreakerOpen {
+			t.Fatalf("slot B breaker %v after three failed syncs, want open", b)
+		}
+	}
+
+	releaseA()
+	r := <-late
+	if !openBreaker {
+		if r.err != nil {
+			t.Fatalf("late add of f2 on a healthy slot B: %v", r.err)
+		}
+		ids = append(ids, r.res.ID)
+	}
+	requireActive(t, sh, ids...)
+	if openBreaker {
+		var ae *APIError
+		if !errors.As(r.err, &ae) || ae.Code != "breaker_open" {
+			t.Fatalf("late add of f2 with slot B's breaker open: %v (%+v), want breaker_open", r.err, r.res)
+		}
 	}
 }
 
@@ -396,18 +577,31 @@ func TestJournalCloseErrorReported(t *testing.T) {
 	}
 }
 
-// requireActive asserts that each committed serve-level probe is in the
-// ledger as active and is active on the serving slot's engine, and that the
-// engine runs no other probe.
+// requireActive asserts that every ledger record names an engine probe on
+// its own function in the serving slot's engine, that each committed
+// serve-level probe is in the ledger as active and is active on that engine,
+// and that the engine runs no other probe.
 func requireActive(t *testing.T, sh *shard, ids ...int64) {
 	t.Helper()
 	slot := sh.current()
 	if slot == nil {
 		t.Fatal("no serving slot")
 	}
+	sh.mu.Lock()
+	ledger := make(map[int64]probeRec, len(sh.probes))
+	for id, rec := range sh.probes {
+		ledger[id] = *rec
+	}
+	sh.mu.Unlock()
+	for id, rec := range ledger {
+		p, ok := slot.eng.Manager.Get(rec.EngID)
+		if !ok || p.PatchTarget() != rec.Spec.Func {
+			t.Fatalf("ledger probe %d (%s, %s) names engine probe %d = %+v", id, rec.Tenant, rec.Spec.Func, rec.EngID, p)
+		}
+	}
 	for _, id := range ids {
-		rec, ok := sh.lookupProbe(id)
-		if !ok || !rec.Active || rec.gen != slot.gen || !slot.eng.Manager.IsActive(rec.EngID) {
+		rec, ok := ledger[id]
+		if !ok || !rec.Active || !slot.eng.Manager.IsActive(rec.EngID) {
 			t.Fatalf("committed probe %d not active on the serving slot (record %+v, found %v)", id, rec, ok)
 		}
 	}

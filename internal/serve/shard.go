@@ -63,11 +63,6 @@ type engineSlot struct {
 	warmHits uint64
 	// booted is when the slot went live.
 	booted time.Time
-	// gen is the slot's installation generation (assigned when the slot
-	// becomes the serving slot). Probe records carry the generation of the
-	// slot they were registered on, so late commits that raced a swap can
-	// tell whether the current slot already knows the probe.
-	gen int64
 }
 
 // shard is one hosted program: a swappable engine slot plus the stable
@@ -91,42 +86,34 @@ type shard struct {
 	// funcs lists the instrumentable (defined, non-empty) functions of the
 	// hosted module, so clients can discover probe targets.
 	funcs []string
-	// site allocates shard-unique hit-site IDs for counter probes; nextID
-	// allocates serve-level probe IDs, which — unlike engine probe IDs —
-	// are stable across engine restarts.
-	site   atomic.Int64
-	nextID atomic.Int64
+	// site allocates shard-unique hit-site IDs for counter probes.
+	site atomic.Int64
 
 	journal *probeJournal
 
-	// mu guards the slot machinery (slot, swapping, gate, deadErr) and the
-	// probe ledger.
+	// mu guards the slot machinery (slot, swapping, gate, deadErr), the
+	// probe ledger, and nextID, the last serve-level probe ID handed out:
+	// unlike engine probe IDs, serve IDs are stable across engine restarts.
 	mu       sync.Mutex
 	slot     *engineSlot
-	slotGen  int64
 	swapping bool
 	gate     chan struct{}
 	deadErr  error
 	probes   map[int64]*probeRec
-	// pendingOps collects ops that commit while a swap is in flight; the
-	// swap's endSwap replays them onto the incoming slot, so no committed
-	// op is lost to a failover.
-	pendingOps []journalOp
+	nextID   int64
 
 	lc      *lifecycle
 	metrics *shardMetrics
 }
 
 // probeRec is the control plane's per-probe bookkeeping, keyed by the
-// serve-level probe ID. EngID is the probe's ID on the *current* engine
+// serve-level probe ID. EngID is the probe's ID on the serving engine
 // slot; replays rewrite it.
 type probeRec struct {
 	Tenant string
 	Spec   ProbeSpec
 	EngID  int
 	Active bool
-	// gen is the generation of the slot EngID is valid on.
-	gen int64
 }
 
 // bootEngine builds one engine + supervisor over the shard's module and
@@ -270,14 +257,10 @@ func newShard(spec ShardSpec, paths persist.ShardPaths) (*shard, error) {
 			return nil, errors.Join(fmt.Errorf("serve: shard %s journal replay: %w", spec.Name, rerr), sh.journal.close())
 		}
 		for _, st := range states {
-			sh.probes[st.ID] = &probeRec{Tenant: st.Tenant, Spec: st.Spec, EngID: engIDs[st.ID], Active: st.Active, gen: 1}
-			if st.ID > sh.nextID.Load() {
-				sh.nextID.Store(st.ID)
-			}
+			sh.probes[st.ID] = &probeRec{Tenant: st.Tenant, Spec: st.Spec, EngID: engIDs[st.ID], Active: st.Active}
+			sh.nextID = max(sh.nextID, st.ID)
 		}
 	}
-	sh.slotGen = 1
-	slot.gen = 1
 	sh.slot = slot
 	sh.lc = newLifecycle(sh, spec.Watchdog)
 	return sh, nil
@@ -325,7 +308,7 @@ func (sh *shard) acquire(ctx context.Context) (*engineSlot, error) {
 
 // stale reports whether slot is no longer the serving slot (a swap started
 // or completed since the caller acquired it) — the signal to park and
-// re-admit instead of failing a request that hit ErrSupervisorClosed.
+// re-admit instead of failing a request on the old engine's teardown.
 func (sh *shard) stale(slot *engineSlot) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -343,32 +326,24 @@ func (sh *shard) beginSwap() {
 // endSwap installs the new slot (nil keeps the old one, e.g. a failed
 // recovery that will retry) and reopens the gate. engIDs is the serve-ID →
 // engine-ID mapping the swap's replay produced; the ledger is rewritten to
-// it under the same lock that installs the slot. Ops that committed during
-// the swap window are then replayed onto the new slot, in commit order.
+// it under the same lock that installs the slot. The ledger cannot have
+// moved since the swap read it: commit refuses every op while a swap is in
+// flight, and the refused requests re-admit through the gate.
 func (sh *shard) endSwap(slot *engineSlot, engIDs map[int64]int) {
-	var pending []journalOp
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if slot != nil {
-		sh.slotGen++
-		slot.gen = sh.slotGen
 		for id, engID := range engIDs {
 			if rec := sh.probes[id]; rec != nil {
 				rec.EngID = engID
-				rec.gen = sh.slotGen
 			}
 		}
 		sh.slot = slot
-		pending = sh.pendingOps
-		sh.pendingOps = nil
 	}
 	sh.swapping = false
 	if sh.gate != nil {
 		close(sh.gate)
 		sh.gate = nil
-	}
-	sh.mu.Unlock()
-	if len(pending) > 0 {
-		go sh.applyOps(pending)
 	}
 }
 
@@ -378,24 +353,10 @@ func (sh *shard) markDead(cause error) {
 	sh.mu.Lock()
 	sh.deadErr = fmt.Errorf("%w: %v", ErrShardDead, cause)
 	sh.swapping = false
-	sh.pendingOps = nil
 	if sh.gate != nil {
 		close(sh.gate)
 		sh.gate = nil
 	}
-	sh.mu.Unlock()
-}
-
-// nextProbeID allocates a serve-level probe ID.
-func (sh *shard) nextProbeID() int64 { return sh.nextID.Add(1) }
-
-// record enters a committed add into the ledger as active, tagged with the
-// generation of the slot it committed on: a swap that read the ledger
-// afterwards replays it active, and if a swap has replaced that slot
-// without it, committed re-adds the probe to the new one.
-func (sh *shard) record(slot *engineSlot, id int64, engID int, tenant string, spec ProbeSpec) {
-	sh.mu.Lock()
-	sh.probes[id] = &probeRec{Tenant: tenant, Spec: spec, EngID: engID, Active: true, gen: slot.gen}
 	sh.mu.Unlock()
 }
 
@@ -410,88 +371,36 @@ func (sh *shard) lookupProbe(id int64) (probeRec, bool) {
 	return *rec, true
 }
 
-// committed journals one committed probe op and updates the ledger. slot is
-// the slot the op committed on. Two races with
-// failover are closed here: an op committing while a swap is in flight is
-// parked in pendingOps (endSwap replays it onto the incoming slot), and an
-// op that committed on a slot that has already been swapped out is
-// re-applied to the current slot in the background. Either way the journal
-// has the op first, so a crash mid-convergence is repaired by replay.
-func (sh *shard) committed(slot *engineSlot, op journalOp) {
-	sh.journal.append(op)
+// commit records op, which committed on slot as engine probe engID, and
+// reports whether it counts. It counts only if slot is the serving slot and
+// no swap is in flight — beginSwap takes the same lock — so every op a
+// client sees succeed is in the ledger the next swap replays, under an
+// engine ID of the serving slot. A refused op's request re-admits through
+// the gate. A counted add gets its serve ID (written to op.ID) and a ledger
+// record; add, enable and remove update the ledger and are journaled. A
+// change or a sync (nil op) has no lasting state to record.
+func (sh *shard) commit(slot *engineSlot, op *journalOp, engID int) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.swapping || sh.slot != slot {
+		return false
+	}
+	if op == nil {
+		return true
+	}
+	switch op.Op {
+	case jopAdd:
+		sh.nextID++
+		op.ID = sh.nextID
+		sh.probes[op.ID] = &probeRec{Tenant: op.Tenant, Spec: *op.Spec, EngID: engID, Active: true}
+	case jopEnable, jopRemove:
+		sh.probes[op.ID].Active = op.Op == jopEnable
+	default:
+		return true
+	}
+	sh.journal.append(*op)
 	sh.metrics.journalAppends.Inc()
-	sh.mu.Lock()
-	if rec := sh.probes[op.ID]; rec != nil {
-		switch op.Op {
-		case jopAdd, jopEnable:
-			rec.Active = true
-		case jopRemove:
-			rec.Active = false
-		}
-	}
-	if sh.swapping {
-		sh.pendingOps = append(sh.pendingOps, op)
-		sh.mu.Unlock()
-		return
-	}
-	cur := sh.slot
-	sh.mu.Unlock()
-	if cur != nil && cur != slot {
-		go sh.applyOps([]journalOp{op})
-	}
-}
-
-// applyOps replays committed ops onto the current serving slot, in order.
-// Used for late commits that raced a swap; best-effort (see committed).
-func (sh *shard) applyOps(ops []journalOp) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	for _, op := range ops {
-		sh.applyOp(ctx, op)
-	}
-}
-
-// applyOp converges the current slot with one committed op. The record's
-// slot generation says whether the slot already knows the probe: an add
-// whose record is already on the current generation was covered by the
-// swap's replay and is skipped; a non-add op whose record is on an older
-// generation targets a probe the slot never registered, so it is left for
-// journal replay to repair.
-func (sh *shard) applyOp(ctx context.Context, op journalOp) {
-	sh.mu.Lock()
-	slot := sh.slot
-	rec := sh.probes[op.ID]
-	if slot == nil || rec == nil {
-		sh.mu.Unlock()
-		return
-	}
-	current := rec.gen == slot.gen
-	engID := rec.EngID
-	spec := rec.Spec
-	sh.mu.Unlock()
-	if op.Op != jopAdd {
-		if !current {
-			return
-		}
-		if tk, err := submitOp(ctx, slot.sup, op.Op, engID); err == nil {
-			tk.Wait(ctx)
-		}
-		return
-	}
-	if current {
-		return
-	}
-	newID, tk, err := slot.sup.AddProbeCtx(ctx, buildProbe(spec, sh.site.Add(1)))
-	if err != nil {
-		return
-	}
-	sh.mu.Lock()
-	if r := sh.probes[op.ID]; r != nil {
-		r.EngID = newID
-		r.gen = slot.gen
-	}
-	sh.mu.Unlock()
-	tk.Wait(ctx)
+	return true
 }
 
 // ledgerStates reduces the in-memory probe ledger to replayable states (the

@@ -64,6 +64,13 @@ echo "== tenant isolation x50 =="
 # unlucky interleaving; fifty take a few seconds.
 go test ./internal/serve -run 'TestTenantIsolation' -count=50
 
+echo "== failover convergence x10 (-race) =="
+# A result from a slot that a failover swapped out must re-admit against the
+# serving slot, never land in the ledger under the old engine's probe IDs.
+# These tests hold a generation across a restart in place; ten race-detector
+# runs of each catch an interleaving a single tier-1 run can miss.
+go test -race ./internal/serve -run 'TestLateCommit|TestWatchdogRestartFromSnapshot|TestParkedRequestsReadmit' -count=10
+
 echo "== supervisor soak (-race, ~30s) =="
 # Bounded concurrent-supervisor soak: 8 goroutines of random probe toggles
 # against a fault-injecting engine under the race detector. The test asserts
