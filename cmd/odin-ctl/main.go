@@ -14,7 +14,7 @@
 //	probe-add SHARD FUNC [KIND]  add + activate a probe (kind: counter|poison)
 //	probe-enable SHARD ID        re-enable a removed probe
 //	probe-remove SHARD ID        deactivate a probe
-//	probe-change SHARD ID        re-instrument a probe
+//	probe-change SHARD ID        generation barrier on an owned probe
 //	sync SHARD                   generation barrier
 //	storm SHARD N                add/remove N counter probes round-robin over
 //	                             the shard's functions (load generator)
@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"time"
 
+	"odin/internal/backoff"
 	"odin/internal/serve"
 )
 
@@ -215,17 +216,14 @@ func storm(c *serve.Client, shard string, n int) error {
 	return nil
 }
 
-// retryMaxBackoff clamps the exponential retry ceiling: a fleet of clients
-// honoring a long Retry-After verbatim would re-converge on the same
-// instant, so waits are capped and fully jittered instead.
-const retryMaxBackoff = 5 * time.Second
-
-// retryTemporary retries shed/backpressure verdicts with full jitter:
-// the server's Retry-After (floored at 100ms) doubles per attempt up to
-// retryMaxBackoff, and the actual sleep is drawn uniformly from (0, cap] —
-// decorrelating a thundering herd of retrying clients instead of marching
-// them back in lockstep.
+// retryTemporary retries shed/backpressure verdicts with full jitter: the
+// server's first Retry-After, floored at 100ms and clamped to backoff.Max,
+// seeds a backoff that doubles per attempt, and the actual sleep is drawn
+// uniformly from (0, wait]. A fleet of clients honoring a long Retry-After
+// verbatim would re-converge on the same instant; capped, jittered waits
+// decorrelate the thundering herd instead of marching it back in lockstep.
 func retryTemporary(op func() (serve.ProbeResult, error)) (serve.ProbeResult, error) {
+	var wait backoff.Backoff
 	for attempt := 0; ; attempt++ {
 		res, err := op()
 		if err == nil || attempt >= 20 {
@@ -235,14 +233,9 @@ func retryTemporary(op func() (serve.ProbeResult, error)) (serve.ProbeResult, er
 		if !ok || !ae.Temporary() {
 			return res, err
 		}
-		base := ae.RetryAfter
-		if base < 100*time.Millisecond {
-			base = 100 * time.Millisecond
+		if attempt == 0 {
+			wait = backoff.New(min(max(ae.RetryAfter, 100*time.Millisecond), backoff.Max))
 		}
-		capped := base << attempt
-		if capped > retryMaxBackoff || capped <= 0 {
-			capped = retryMaxBackoff
-		}
-		time.Sleep(time.Duration(1 + rand.Int63n(int64(capped))))
+		time.Sleep(time.Duration(1 + rand.Int63n(int64(wait.Next()))))
 	}
 }

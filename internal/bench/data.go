@@ -93,19 +93,6 @@ func Prepare(p progen.Profile, campaignIters int) (*ProgramData, error) {
 	return &ProgramData{Name: p.Name, Profile: p, Module: m, Corpus: f.CorpusBytes(), Repeats: 5}, nil
 }
 
-// PrepareSuite prepares all 13 programs.
-func PrepareSuite(campaignIters int) ([]*ProgramData, error) {
-	var out []*ProgramData
-	for _, p := range progen.Suite() {
-		pd, err := Prepare(p, campaignIters)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pd)
-	}
-	return out, nil
-}
-
 // replay executes the corpus repeats times on a machine and returns total
 // cycles. Crashes (traps) are counted with the cycles they consumed.
 func replay(mach *vm.Machine, corpus [][]byte, repeats int) (int64, error) {

@@ -164,7 +164,10 @@ func (pm *PatchManager) Get(id int) (Probe, bool) {
 
 // MarkChanged records that the probe's logic changed (e.g. its annotation
 // now requires different instrumentation), scheduling its target for
-// recompilation.
+// recompilation. It is for callers that drive an Engine directly and own
+// their rollback: a Supervisor has no change request, because a dirty mark
+// cannot be withdrawn, so a failed generation could not be rolled back to
+// the committed probe set its control rebuild judges the engine by.
 func (pm *PatchManager) MarkChanged(id int) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"odin/internal/backoff"
 	"odin/internal/link"
 )
 
@@ -37,8 +38,8 @@ var (
 // ProbeQuarantinedError reports that poison-probe bisection isolated this
 // probe as the cause of a failed rebuild generation and quarantined it: the
 // request was rolled back, the remaining co-batched requests committed, and
-// further Enable/MarkChanged requests for the probe fail fast until a
-// successful Remove clears the quarantine.
+// further Enable requests for the probe fail fast until a successful Remove
+// clears the quarantine.
 type ProbeQuarantinedError struct {
 	ProbeID int
 	Cause   error
@@ -84,10 +85,8 @@ type SupervisorOptions struct {
 	BreakerThreshold int
 	// BreakerBackoff is the initial open interval before a half-open
 	// trial (default 100ms). A failed trial reopens with the backoff
-	// doubled, capped at BreakerMaxBackoff.
+	// doubled, capped at backoff.Max.
 	BreakerBackoff time.Duration
-	// BreakerMaxBackoff caps the exponential reopen backoff (default 5s).
-	BreakerMaxBackoff time.Duration
 }
 
 func (o SupervisorOptions) withDefaults() SupervisorOptions {
@@ -99,9 +98,6 @@ func (o SupervisorOptions) withDefaults() SupervisorOptions {
 	}
 	if o.BreakerBackoff <= 0 {
 		o.BreakerBackoff = 100 * time.Millisecond
-	}
-	if o.BreakerMaxBackoff <= 0 {
-		o.BreakerMaxBackoff = 5 * time.Second
 	}
 	return o
 }
@@ -182,7 +178,6 @@ type reqKind int
 const (
 	reqEnable reqKind = iota
 	reqRemove
-	reqChange
 	reqSync
 )
 
@@ -234,7 +229,7 @@ type Supervisor struct {
 	mu          sync.Mutex
 	state       BreakerState
 	consecFails int
-	backoff     time.Duration
+	backoff     backoff.Backoff
 	reopenAt    time.Time
 	openSince   time.Time
 	gen         uint64
@@ -284,7 +279,7 @@ func Supervise(e *Engine, opts SupervisorOptions) *Supervisor {
 		queue:       make(chan *request, opts.QueueDepth),
 		stop:        make(chan struct{}),
 		loopDone:    make(chan struct{}),
-		backoff:     opts.BreakerBackoff,
+		backoff:     backoff.New(opts.BreakerBackoff),
 		quarantined: map[int]error{},
 	}
 	s.sm = newSupervisorMetrics(e.Telemetry(), s)
@@ -344,16 +339,6 @@ func (s *Supervisor) RemoveProbeCtx(ctx context.Context, id int) (*Ticket, error
 	return s.submit(ctx, reqRemove, id, true)
 }
 
-// MarkChanged enqueues re-instrumentation of a probe whose logic changed.
-func (s *Supervisor) MarkChanged(id int) (*Ticket, error) {
-	return s.submit(nil, reqChange, id, false)
-}
-
-// MarkChangedCtx is MarkChanged with blocking admission.
-func (s *Supervisor) MarkChangedCtx(ctx context.Context, id int) (*Ticket, error) {
-	return s.submit(ctx, reqChange, id, true)
-}
-
 // Sync enqueues a no-op request whose ticket resolves with the next
 // generation's result — a barrier over everything enqueued before it, and
 // the way to drive an initial build through the supervisor.
@@ -369,7 +354,7 @@ func (s *Supervisor) SyncCtx(ctx context.Context) (*Ticket, error) {
 // submit runs the admission path: quarantine fast-fail, breaker fast-fail,
 // then the bounded enqueue.
 func (s *Supervisor) submit(ctx context.Context, kind reqKind, probeID int, blocking bool) (*Ticket, error) {
-	if kind == reqEnable || kind == reqChange {
+	if kind == reqEnable {
 		s.mu.Lock()
 		cause, q := s.quarantined[probeID]
 		s.mu.Unlock()
@@ -463,27 +448,17 @@ func (s *Supervisor) breakerAdmit() error {
 	return nil
 }
 
-// BreakerRetryAfter reports how long callers should wait before retrying
-// while the breaker is open: the time remaining until the half-open trial
-// is allowed, rounded up to a whole second (the HTTP Retry-After grain),
-// with a 1s floor. It returns 0 when the breaker is closed or half-open,
-// letting serving layers map "non-zero" directly to a 503 + Retry-After.
+// BreakerRetryAfter reports how long callers should wait before retrying:
+// the time left in the open window before the half-open trial is allowed.
+// It returns 0 when the breaker is closed or half-open, or when the window
+// has already elapsed and the next admission will run the trial.
 func (s *Supervisor) BreakerRetryAfter() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != BreakerOpen {
 		return 0
 	}
-	wait := time.Until(s.reopenAt)
-	if wait <= 0 {
-		// Backoff elapsed: the next admission flips to half-open, so a
-		// retry is worthwhile immediately; report the minimum grain.
-		return time.Second
-	}
-	if rem := wait % time.Second; rem != 0 {
-		wait += time.Second - rem
-	}
-	return wait
+	return max(time.Until(s.reopenAt), 0)
 }
 
 // Close stops admission, lets the in-flight generation finish, resolves
@@ -799,8 +774,6 @@ func (s *Supervisor) applyReq(r *request) {
 		r.flipped, _ = s.eng.Manager.setActive(r.probeID, true)
 	case reqRemove:
 		r.flipped, _ = s.eng.Manager.setActive(r.probeID, false)
-	case reqChange:
-		s.eng.Manager.MarkChanged(r.probeID)
 	}
 }
 
@@ -816,9 +789,6 @@ func (s *Supervisor) unapplyReq(r *request) {
 			s.eng.Manager.SetActive(r.probeID, true)
 			r.flipped = false
 		}
-	case reqChange:
-		// A changed mark cannot be meaningfully withdrawn; the target
-		// stays dirty and the extra recompile is a cache hit.
 	}
 }
 
@@ -863,7 +833,7 @@ func (s *Supervisor) breakerSuccess() {
 	s.consecFails = 0
 	if s.state != BreakerClosed {
 		s.setStateLocked(BreakerClosed)
-		s.backoff = s.opts.BreakerBackoff
+		s.backoff.Reset()
 	}
 }
 
@@ -871,17 +841,10 @@ func (s *Supervisor) breakerFailure() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.consecFails++
-	switch {
-	case s.state == BreakerHalfOpen:
-		// Failed trial: reopen with the backoff doubled.
-		s.backoff *= 2
-		if s.backoff > s.opts.BreakerMaxBackoff {
-			s.backoff = s.opts.BreakerMaxBackoff
-		}
-		s.reopenAt = time.Now().Add(s.backoff)
-		s.setStateLocked(BreakerOpen)
-	case s.state == BreakerClosed && s.consecFails >= s.opts.BreakerThreshold:
-		s.reopenAt = time.Now().Add(s.backoff)
+	if s.state == BreakerHalfOpen || s.state == BreakerClosed && s.consecFails >= s.opts.BreakerThreshold {
+		// K consecutive failures open the breaker and a failed trial
+		// reopens it, each time for the next, doubled window.
+		s.reopenAt = time.Now().Add(s.backoff.Next())
 		s.setStateLocked(BreakerOpen)
 	}
 }

@@ -165,7 +165,7 @@ func TestSupervisorStorm(t *testing.T) {
 				case 1:
 					tk, err = s.EnableProbeCtx(ctx, id)
 				default:
-					tk, err = s.MarkChangedCtx(ctx, id)
+					tk, err = s.SyncCtx(ctx)
 				}
 				if !submit(tk, err) {
 					return
@@ -306,9 +306,6 @@ func TestSupervisorPoisonBisection(t *testing.T) {
 	// Quarantine gates re-activation at admission.
 	if _, err := s.EnableProbe(poisonID); !errors.As(err, &qerr) {
 		t.Fatalf("enable of quarantined probe: %v, want fail-fast quarantine error", err)
-	}
-	if _, err := s.MarkChanged(poisonID); !errors.As(err, &qerr) {
-		t.Fatalf("mark of quarantined probe: %v, want fail-fast quarantine error", err)
 	}
 
 	// Remove is the recovery path: it commits and clears the quarantine, and
@@ -812,7 +809,7 @@ func TestSupervisorSoak(t *testing.T) {
 				case op < 7:
 					tk, err = s.RemoveProbeCtx(ctx, ids[rng.Intn(len(ids))])
 				case op < 9:
-					tk, err = s.MarkChangedCtx(ctx, ids[rng.Intn(len(ids))])
+					tk, err = s.SyncCtx(ctx)
 				default:
 					tk, err = s.SyncCtx(ctx)
 				}

@@ -57,12 +57,6 @@ func New(m *ir.Module, env *rt.Env) (*Interp, error) {
 
 func align(a, to int64) int64 { return (a + to - 1) &^ (to - 1) }
 
-// GlobalAddr returns the assigned address of a global symbol.
-func (ip *Interp) GlobalAddr(name string) (int64, bool) {
-	a, ok := ip.globalAddr[name]
-	return a, ok
-}
-
 // Run executes the named function with the given arguments and returns its
 // result value (0 for void functions).
 func (ip *Interp) Run(fnName string, args ...int64) (int64, error) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"odin/internal/backoff"
 	"odin/internal/telemetry"
 )
 
@@ -28,9 +29,8 @@ type AdmissionOptions struct {
 	// disables the breaker).
 	FailThreshold int
 	// FailBackoff is the breaker's initial open window, doubled per
-	// consecutive trip up to FailMaxBackoff.
-	FailBackoff    time.Duration
-	FailMaxBackoff time.Duration
+	// consecutive trip up to backoff.Max.
+	FailBackoff time.Duration
 }
 
 // Admission ladder defaults.
@@ -41,11 +41,8 @@ const (
 	DefFailThreshold = 3
 )
 
-// Default failure-breaker windows.
-var (
-	DefFailBackoff    = 250 * time.Millisecond
-	DefFailMaxBackoff = 5 * time.Second
-)
+// DefFailBackoff is the failure breaker's default initial window.
+var DefFailBackoff = 250 * time.Millisecond
 
 func (o AdmissionOptions) withDefaults() AdmissionOptions {
 	if o.TenantRPS == 0 {
@@ -62,9 +59,6 @@ func (o AdmissionOptions) withDefaults() AdmissionOptions {
 	}
 	if o.FailBackoff <= 0 {
 		o.FailBackoff = DefFailBackoff
-	}
-	if o.FailMaxBackoff <= 0 {
-		o.FailMaxBackoff = DefFailMaxBackoff
 	}
 	return o
 }
@@ -92,7 +86,7 @@ type tenantState struct {
 	// Failure breaker.
 	fails     int
 	openUntil time.Time
-	backoff   time.Duration
+	backoff   backoff.Backoff
 
 	// Counters for the fleet snapshot.
 	admitted uint64
@@ -150,7 +144,7 @@ func (a *admission) shedCounter(tenant, reason string) *telemetry.Counter {
 func (a *admission) tenant(name string) *tenantState {
 	t, ok := a.tenants[name]
 	if !ok {
-		t = &tenantState{tokens: a.opts.TenantBurst, lastFill: time.Now(), backoff: a.opts.FailBackoff}
+		t = &tenantState{tokens: a.opts.TenantBurst, lastFill: time.Now(), backoff: backoff.New(a.opts.FailBackoff)}
 		a.tenants[name] = t
 	}
 	return t
@@ -229,19 +223,15 @@ func (a *admission) report(tenant string, ok bool) {
 	t := a.tenant(tenant)
 	if ok {
 		t.fails = 0
-		t.backoff = a.opts.FailBackoff
+		t.backoff.Reset()
 		return
 	}
 	t.failed++
 	t.fails++
 	if t.fails >= a.opts.FailThreshold {
-		t.openUntil = time.Now().Add(t.backoff)
+		t.openUntil = time.Now().Add(t.backoff.Next())
 		t.trips++
 		t.fails = 0
-		t.backoff *= 2
-		if t.backoff > a.opts.FailMaxBackoff {
-			t.backoff = a.opts.FailMaxBackoff
-		}
 	}
 }
 

@@ -70,7 +70,7 @@ func TestAdmissionInFlightCap(t *testing.T) {
 func TestAdmissionTenantBreaker(t *testing.T) {
 	a := newAdmission(AdmissionOptions{
 		TenantRPS: -1, MaxInFlight: -1,
-		FailThreshold: 2, FailBackoff: 50 * time.Millisecond, FailMaxBackoff: 200 * time.Millisecond,
+		FailThreshold: 2, FailBackoff: 50 * time.Millisecond,
 	}, telemetry.NewRegistry())
 
 	admitOK := func(tenant string) bool {

@@ -88,8 +88,9 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, sh *shard, slot *engine
 	case errors.Is(err, errNoProbe):
 		writeError(w, http.StatusNotFound, "not_found", err.Error(), 0)
 	case errors.Is(err, core.ErrCircuitOpen):
+		// A window that has just elapsed still sends the 1s grain.
 		writeError(w, http.StatusServiceUnavailable, "breaker_open",
-			fmt.Sprintf("shard %s circuit breaker open", sh.name), slot.sup.BreakerRetryAfter())
+			fmt.Sprintf("shard %s circuit breaker open", sh.name), max(slot.sup.BreakerRetryAfter(), time.Second))
 	case errors.Is(err, core.ErrQueueFull):
 		writeError(w, http.StatusTooManyRequests, "shed",
 			fmt.Sprintf("shard %s admission queue full", sh.name), time.Second)
@@ -338,7 +339,9 @@ func submitOp(ctx context.Context, sup *core.Supervisor, op string, engID int) (
 	case jopRemove:
 		return sup.RemoveProbeCtx(ctx, engID)
 	case jopChange:
-		return sup.MarkChangedCtx(ctx, engID)
+		// A change re-instruments to the same IR for every probe kind serve
+		// builds, so it is a generation barrier, like a sync.
+		return sup.SyncCtx(ctx)
 	}
 	return nil, fmt.Errorf("serve: %q is not a probe action", op)
 }

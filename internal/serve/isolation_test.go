@@ -39,16 +39,14 @@ func TestTenantIsolation(t *testing.T) {
 		{"tuned", AdmissionOptions{
 			// Rate limiting off: the test wants the failure breaker, not the
 			// bucket, to do the containing.
-			TenantRPS:      -1,
-			FailThreshold:  2,
-			FailBackoff:    100 * time.Millisecond,
-			FailMaxBackoff: time.Second,
+			TenantRPS:     -1,
+			FailThreshold: 2,
+			FailBackoff:   100 * time.Millisecond,
 		}, 10 * time.Millisecond},
 		{"default", AdmissionOptions{
-			TenantRPS:      5000,
-			TenantBurst:    1000,
-			FailBackoff:    100 * time.Millisecond,
-			FailMaxBackoff: 2 * time.Second,
+			TenantRPS:   5000,
+			TenantBurst: 1000,
+			FailBackoff: 100 * time.Millisecond,
 		}, 5 * time.Millisecond},
 	}
 	for _, tc := range cases {
@@ -246,6 +244,45 @@ func TestEngineFailureIsRetryable(t *testing.T) {
 	failing.Store(false)
 	if _, err := c.AddProbe("alpha", ProbeSpec{Func: "f0"}); err != nil {
 		t.Fatalf("retry after recovery: %v", err)
+	}
+}
+
+// TestChangeAfterInstrumentFailureKeepsShardHealthy: a committed probe
+// whose Instrument starts failing must not wedge the shard. A change is a
+// generation barrier, so it leaves no dirty mark the control rebuild cannot
+// withdraw: every change answers 200, and so does another tenant's add,
+// with the shard breaker closed throughout.
+func TestChangeAfterInstrumentFailureKeepsShardHealthy(t *testing.T) {
+	var armed atomic.Bool
+	srv, _, client := newTestServer(t, Options{
+		Shards: []ShardSpec{{
+			Name: "alpha", Module: testModule(t, 4),
+			FaultHook: func(site string) error {
+				if site == "instrument:f3" && armed.Load() {
+					return errors.New("injected instrument failure")
+				}
+				return nil
+			},
+			Watchdog: WatchdogOptions{Disable: true},
+		}},
+		Admission: AdmissionOptions{TenantRPS: -1},
+	})
+	acme := client("acme")
+	res, err := acme.AddProbe("alpha", ProbeSpec{Func: "f3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	for i := 0; i < 4; i++ {
+		if _, err := acme.ProbeAction("alpha", res.ID, "change"); err != nil {
+			t.Fatalf("change %d with f3's instrumentation failing: %v", i+1, err)
+		}
+	}
+	if _, err := client("other").AddProbe("alpha", ProbeSpec{Func: "f1"}); err != nil {
+		t.Fatalf("healthy add after the changes: %v", err)
+	}
+	if b := srv.Fleet().Shards[0].Supervisor.Breaker; b != "closed" {
+		t.Fatalf("shard breaker %s, want closed", b)
 	}
 }
 

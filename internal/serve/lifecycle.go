@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"odin/internal/backoff"
 	"odin/internal/telemetry"
 )
 
@@ -75,9 +76,8 @@ type WatchdogOptions struct {
 	// marked dead. A value <= 0 means the default (2).
 	RestartAttempts int
 	// RestartBackoff is the delay before the first restart retry, doubling
-	// up to RestartMaxBackoff. Defaults 250ms / 5s.
-	RestartBackoff    time.Duration
-	RestartMaxBackoff time.Duration
+	// up to backoff.Max. Default 250ms.
+	RestartBackoff time.Duration
 	// BootTimeout bounds a replacement engine's boot build (warm starts are
 	// fast; a cold rebuild of a large module is not). Default 2m.
 	BootTimeout time.Duration
@@ -106,9 +106,6 @@ func (o WatchdogOptions) withDefaults() WatchdogOptions {
 	}
 	if o.RestartBackoff <= 0 {
 		o.RestartBackoff = 250 * time.Millisecond
-	}
-	if o.RestartMaxBackoff <= 0 {
-		o.RestartMaxBackoff = 5 * time.Second
 	}
 	if o.BootTimeout <= 0 {
 		o.BootTimeout = 2 * time.Minute
@@ -303,16 +300,13 @@ func (lc *lifecycle) runLadder(cause string) {
 		lc.mu.Unlock()
 	}()
 
-	backoff := lc.opts.RestartBackoff
+	wait := backoff.New(lc.opts.RestartBackoff)
 	for attempt := 0; attempt < lc.opts.RestartAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-lc.stopCh:
 				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > lc.opts.RestartMaxBackoff {
-				backoff = lc.opts.RestartMaxBackoff
+			case <-time.After(wait.Next()):
 			}
 		}
 		if err := lc.restartInPlace(cause); err == nil {

@@ -71,6 +71,14 @@ echo "== failover convergence x10 (-race) =="
 # runs of each catch an interleaving a single tier-1 run can miss.
 go test -race ./internal/serve -run 'TestLateCommit|TestWatchdogRestartFromSnapshot|TestParkedRequestsReadmit' -count=10
 
+echo "== retry windows x10 (-race) =="
+# The supervisor breaker, the tenant breaker and the restart ladder all take
+# their windows from internal/backoff; these tests sleep against those
+# windows, so ten race-detector runs of each catch a timing slip a single
+# tier-1 run can miss.
+go test -race ./internal/core -run 'TestSupervisorBreaker|TestSupervisorHealthBreakerOpen' -count=10
+go test -race ./internal/serve -run 'TestAdmissionTenantBreaker|TestTenantBreakerSavesCompileWork|TestRestart|TestChangeAfter' -count=10
+
 echo "== supervisor soak (-race, ~30s) =="
 # Bounded concurrent-supervisor soak: 8 goroutines of random probe toggles
 # against a fault-injecting engine under the race detector. The test asserts
