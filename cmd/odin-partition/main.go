@@ -83,9 +83,7 @@ type snapDump struct {
 	OptLevel      int    `json:"opt_level"`
 	Fragments     int    `json:"fragments"`
 	VerifyTier    int    `json:"verify_tier"`
-	FragHashes    int    `json:"frag_hashes"`
 	Quarantined   int    `json:"quarantined"`
-	Deferred      int    `json:"deferred"`
 	VerifiedFuncs int    `json:"verified_funcs"`
 	HasSurvey     bool   `json:"has_survey"`
 	// PlanMatch reports that the snapshot's variant and fragment count agree
@@ -127,9 +125,7 @@ func inspectPersist(cacheDir, snapshot string, plan *core.Plan) *persistDump {
 				OptLevel:      es.OptLevel,
 				Fragments:     es.Fragments,
 				VerifyTier:    es.VerifyTier,
-				FragHashes:    len(es.Hashes),
 				Quarantined:   len(es.Quarantine),
-				Deferred:      len(es.Deferred),
 				VerifiedFuncs: len(es.VerifiedFuncs),
 				HasSurvey:     es.Survey != nil,
 				PlanMatch: es.Variant == plan.Variant.String() &&
@@ -157,8 +153,8 @@ func printPersist(d *persistDump) {
 		s := d.Snapshot
 		fmt.Printf("  snapshot %s: module %s, variant %s, O%d, %d fragments, verify tier %d\n",
 			d.SnapshotPath, s.ModuleHash, s.Variant, s.OptLevel, s.Fragments, s.VerifyTier)
-		fmt.Printf("    %d fragment hashes, %d quarantined, %d deferred, %d verified funcs, survey=%v\n",
-			s.FragHashes, s.Quarantined, s.Deferred, s.VerifiedFuncs, s.HasSurvey)
+		fmt.Printf("    %d quarantined, %d verified funcs, survey=%v\n",
+			s.Quarantined, s.VerifiedFuncs, s.HasSurvey)
 		if s.PlanMatch {
 			fmt.Printf("    matches this plan (variant + fragment count); module hash checked at engine start\n")
 		} else {

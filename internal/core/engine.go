@@ -66,8 +66,8 @@ type Options struct {
 	// telemetry counting the fallback.
 	CacheDir string
 	// SnapshotPath, when non-empty, names the engine state snapshot file:
-	// New restores matching state from it (fingerprints, quarantined passes,
-	// deferred fragments, survey, verified functions) and Close atomically
+	// New restores matching state from it (quarantined passes, survey,
+	// verified functions) and Close atomically
 	// rewrites it. A corrupt, skewed or mismatched snapshot degrades to a
 	// cold start.
 	SnapshotPath string
@@ -226,7 +226,7 @@ func (st *RebuildStats) SerialEquivalent() time.Duration {
 // cache entry of Figure 5 and, beside it, what the degradation ladder needs
 // to know about it. A compile copies its fragment's record once; finish
 // commits every staged result in one critical section; the state snapshot
-// saves and restores the newest object's fields.
+// saves and restores its pass quarantine.
 type fragState struct {
 	// obj is the cached object; nil until the fragment's first build.
 	obj *obj.Object
@@ -450,9 +450,6 @@ func (e *Engine) Executable() *link.Executable {
 func (e *Engine) Builtins() []string {
 	return toolchain.StdBuiltins(e.opts.ExtraBuiltins...)
 }
-
-// Workers returns the resolved compile-pool size this engine rebuilds with.
-func (e *Engine) Workers() int { return e.opts.workers() }
 
 // BuildAll runs a full schedule-instrument-rebuild cycle, applying every
 // active probe that implements Instrumenter. It is both the initial build

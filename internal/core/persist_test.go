@@ -107,11 +107,7 @@ func writeLayout1Snapshot(t *testing.T, path, buildID string, st *persist.Engine
 	i(int64(st.OptLevel))
 	i(int64(st.VerifyTier))
 	i(int64(st.Fragments))
-	u(uint64(len(st.Hashes)))
-	for id, h := range st.Hashes {
-		i(int64(id))
-		u(h)
-	}
+	u(0) // fragment hashes
 	u(uint64(len(funcHashes)))
 	for id, hashes := range funcHashes {
 		i(int64(id))

@@ -190,9 +190,8 @@ func (e *Engine) openPersistence(moduleHash uint64, pm *persist.Metrics, st *per
 }
 
 // applySnapshot restores engine state from a preloaded, identity-checked
-// snapshot: per fragment the committed fingerprint (effective once the
-// object warm-loads from the store), quarantined passes and deferral; and the
-// verified-clean function hashes.
+// snapshot: per fragment the quarantined passes, and the verified-clean
+// function hashes.
 func (e *Engine) applySnapshot(st *persist.EngineState) {
 	if st.Fragments != len(e.frags) {
 		// The identity fields matched but the partition disagrees — only
@@ -204,17 +203,11 @@ func (e *Engine) applySnapshot(st *persist.EngineState) {
 	}
 	for id := range e.frags {
 		fs := &e.frags[id]
-		fs.hash, fs.hashKnown = st.Hashes[id]
 		if passes := st.Quarantine[id]; len(passes) > 0 {
 			fs.quarantine = make(map[string]bool, len(passes))
 			for _, p := range passes {
 				fs.quarantine[p] = true
 			}
-		}
-	}
-	for _, id := range st.Deferred {
-		if id >= 0 && id < len(e.frags) {
-			e.frags[id].deferred = true
 		}
 	}
 	for name, h := range st.VerifiedFuncs {
@@ -342,7 +335,6 @@ func (e *Engine) buildState() *persist.EngineState {
 		OptLevel:      e.opts.OptLevel,
 		VerifyTier:    int(e.opts.Verify),
 		Fragments:     len(e.frags),
-		Hashes:        make(map[int]uint64, len(e.frags)),
 		Survey:        surveyFromClassification(e.Plan.Class),
 		VerifiedFuncs: e.verified.newest(),
 	}
@@ -350,17 +342,11 @@ func (e *Engine) buildState() *persist.EngineState {
 	defer e.mu.RUnlock()
 	for id := range e.frags {
 		fs := &e.frags[id]
-		if fs.hashKnown {
-			st.Hashes[id] = fs.hash
-		}
 		if len(fs.quarantine) > 0 {
 			if st.Quarantine == nil {
 				st.Quarantine = map[int][]string{}
 			}
 			st.Quarantine[id] = sortedKeys(fs.quarantine)
-		}
-		if fs.deferred {
-			st.Deferred = append(st.Deferred, id)
 		}
 	}
 	return st

@@ -23,8 +23,9 @@ var (
 	// many consecutive failed rebuild generations; requests fail fast
 	// until the half-open trial succeeds.
 	ErrCircuitOpen = errors.New("core: supervisor circuit breaker open")
-	// ErrSupervisorClosed reports that Close or Drain stopped admission;
-	// tickets still queued at Close time resolve with this error.
+	// ErrSupervisorClosed reports that Close, Drain or Abandon stopped
+	// admission; submitters blocked on a full queue fail with it at once,
+	// and tickets still queued at Close time resolve with it.
 	ErrSupervisorClosed = errors.New("core: supervisor closed")
 	// ErrEngineUnhealthy reports that a failed generation's control
 	// rebuild — the already-committed probe set, with the batch rolled
@@ -77,7 +78,7 @@ func (b BreakerState) String() string {
 type SupervisorOptions struct {
 	// QueueDepth bounds the admission queue (default 256). When full,
 	// non-blocking requests fail with ErrQueueFull; blocking variants wait
-	// for space or context cancellation.
+	// for space, context cancellation or shutdown.
 	QueueDepth int
 	// BreakerThreshold is K: consecutive generations whose control rebuild
 	// failed (the engine could not rebuild even the committed probe set)
@@ -196,7 +197,7 @@ type request struct {
 // Supervisor owns an Engine and serializes all probe traffic through one
 // rebuild loop, making the engine safe for many concurrent — possibly
 // hostile — callers. Requests enter a bounded admission queue; the loop
-// drains and coalesces everything pending into one rebuild generation
+// takes everything queued into one rebuild generation
 // (N probe toggles → 1 rebuild); when a generation fails, a control
 // rebuild of the committed probe set tells a sick engine (fail the batch as
 // retryable, charge the circuit breaker, which fails requests fast after K
@@ -212,18 +213,20 @@ type Supervisor struct {
 	eng  *Engine
 	opts SupervisorOptions
 
-	queue    chan *request
-	stop     chan struct{}
-	loopDone chan struct{}
-
-	// admitMu serializes admission against shutdown: submitters hold the
-	// read side across the closing-check + enqueue, Close/Drain hold the
-	// write side to set closing before closing stop. A request therefore
-	// either lands in the queue before the final drain or is rejected —
-	// no ticket is ever lost.
-	admitMu   sync.RWMutex
+	// qmu guards the admission queue and the shutdown flags. The queue holds
+	// at most QueueDepth requests, oldest first; a request is either in it
+	// before closing is set or rejected, so no ticket is ever lost. space is
+	// closed and replaced whenever room appears (or admission stops): blocked
+	// *Ctx submitters wait on it. wake, one slot, nudges the loop after an
+	// enqueue; stop is closed at shutdown.
+	qmu       sync.Mutex
+	queue     []*request
+	space     chan struct{}
 	closing   bool
 	drainMode bool
+	wake      chan struct{}
+	stop      chan struct{}
+	loopDone  chan struct{}
 
 	// mu guards the breaker, generation counter, and quarantine set.
 	mu          sync.Mutex
@@ -234,14 +237,6 @@ type Supervisor struct {
 	openSince   time.Time
 	gen         uint64
 	quarantined map[int]error
-
-	// pendMu guards pending, a FIFO of enqueue timestamps mirroring the
-	// admission queue so Health can report the oldest queued request's age
-	// without draining the channel. Pushes and pops are count-balanced with
-	// channel sends and receives; ordering between concurrent submitters is
-	// approximate, which is fine for health introspection.
-	pendMu  sync.Mutex
-	pending []time.Time
 
 	// Health bookkeeping: wall-clock of the last committed generation, the
 	// in-flight generation's start (0 when the loop is idle), and how many
@@ -276,7 +271,8 @@ func Supervise(e *Engine, opts SupervisorOptions) *Supervisor {
 	s := &Supervisor{
 		eng:         e,
 		opts:        opts,
-		queue:       make(chan *request, opts.QueueDepth),
+		space:       make(chan struct{}),
+		wake:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 		loopDone:    make(chan struct{}),
 		backoff:     backoff.New(opts.BreakerBackoff),
@@ -352,7 +348,8 @@ func (s *Supervisor) SyncCtx(ctx context.Context) (*Ticket, error) {
 }
 
 // submit runs the admission path: quarantine fast-fail, breaker fast-fail,
-// then the bounded enqueue.
+// then the bounded enqueue. A request's age counts from the enqueue, not
+// from a blocking wait for room.
 func (s *Supervisor) submit(ctx context.Context, kind reqKind, probeID int, blocking bool) (*Ticket, error) {
 	if kind == reqEnable {
 		s.mu.Lock()
@@ -366,70 +363,39 @@ func (s *Supervisor) submit(ctx context.Context, kind reqKind, probeID int, bloc
 		s.nRejectedOpen.Add(1)
 		return nil, err
 	}
-	r := &request{kind: kind, probeID: probeID, t: newTicket(), enqueued: time.Now()}
-	s.admitMu.RLock()
-	defer s.admitMu.RUnlock()
-	if s.closing {
-		return nil, ErrSupervisorClosed
+	if blocking && ctx == nil {
+		ctx = context.Background()
 	}
-	// Mirror the enqueue into the health FIFO before the channel send so the
-	// loop's pop can never observe a send without its timestamp; a rejected
-	// send withdraws the mirror entry.
-	s.pushPending(r.enqueued)
-	if blocking {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		select {
-		case s.queue <- r:
-		case <-ctx.Done():
-			s.unpushPending()
-			return nil, ctx.Err()
-		}
-	} else {
-		select {
-		case s.queue <- r:
-		default:
-			s.unpushPending()
+	r := &request{kind: kind, probeID: probeID, t: newTicket()}
+	s.qmu.Lock()
+	for !s.closing && len(s.queue) >= s.opts.QueueDepth {
+		if !blocking {
+			s.qmu.Unlock()
 			s.nRejectedFull.Add(1)
 			return nil, ErrQueueFull
 		}
+		space := s.space
+		s.qmu.Unlock()
+		select {
+		case <-space:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		s.qmu.Lock()
 	}
+	if s.closing {
+		s.qmu.Unlock()
+		return nil, ErrSupervisorClosed
+	}
+	r.enqueued = time.Now()
+	s.queue = append(s.queue, r)
+	s.qmu.Unlock()
 	s.nRequests.Add(1)
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 	return r.t, nil
-}
-
-// pushPending/unpushPending/popPending maintain the enqueue-timestamp FIFO
-// behind Health's oldest-queued-age reading.
-func (s *Supervisor) pushPending(t time.Time) {
-	s.pendMu.Lock()
-	s.pending = append(s.pending, t)
-	s.pendMu.Unlock()
-}
-
-func (s *Supervisor) unpushPending() {
-	s.pendMu.Lock()
-	if n := len(s.pending); n > 0 {
-		s.pending = s.pending[:n-1]
-	}
-	s.pendMu.Unlock()
-}
-
-func (s *Supervisor) popPending() {
-	s.pendMu.Lock()
-	if len(s.pending) > 0 {
-		s.pending = s.pending[1:]
-	}
-	s.pendMu.Unlock()
-}
-
-func (s *Supervisor) oldestPending() time.Duration {
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	if len(s.pending) == 0 {
-		return 0
-	}
-	return time.Since(s.pending[0])
 }
 
 // breakerAdmit fails fast while the breaker is open, transitioning to
@@ -471,7 +437,7 @@ func (s *Supervisor) Close() error {
 }
 
 // Drain stops admission and processes everything already queued to
-// completion (coalesced into generations as usual), then stops the loop.
+// completion (batched into generations as usual), then stops the loop.
 // It returns when the loop has exited or ctx is done; on ctx expiry the
 // loop keeps draining in the background. While the breaker is open, Drain
 // runs the half-open trial immediately rather than sleeping out the
@@ -494,69 +460,74 @@ func (s *Supervisor) Abandon() {
 	s.shutdown(false)
 }
 
+// shutdown stops admission: submitters blocked on a full queue wake and
+// fail with ErrSupervisorClosed, and the loop finishes its in-flight
+// generation before it runs (drain) or fails (otherwise) what is queued.
 func (s *Supervisor) shutdown(drain bool) {
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
 	if s.closing {
 		return
 	}
 	s.closing = true
 	s.drainMode = drain
+	close(s.space)
 	close(s.stop)
 }
 
-// loop is the single rebuild goroutine: block for the first request, drain
-// and coalesce everything else pending, honor the breaker, run the
-// generation.
+// loop is the single rebuild goroutine: take the queued batch, honor the
+// breaker, run the generation.
 func (s *Supervisor) loop() {
 	defer close(s.loopDone)
 	for {
-		// Check stop with priority: a two-way select against a non-empty
-		// queue picks randomly, and once Close was called no new generation
-		// may start outside finalDrain's control.
-		select {
-		case <-s.stop:
-			s.finalDrain()
-			return
-		default:
-		}
-		var first *request
-		select {
-		case first = <-s.queue:
-			s.popPending()
-		case <-s.stop:
-			s.finalDrain()
+		batch := s.next()
+		if batch == nil {
 			return
 		}
-		batch := s.coalesce(first)
 		if !s.awaitBreaker() {
+			// Stopped without draining: the next call fails the rest.
 			s.failBatch(batch, ErrSupervisorClosed)
-			s.finalDrain()
-			return
+			continue
 		}
 		s.runGenerationSafe(batch)
 	}
 }
 
-// coalesce drains the queue without blocking, bounding the batch at the
-// queue depth so a sustained storm cannot grow one generation unboundedly.
-func (s *Supervisor) coalesce(first *request) []*request {
-	batch := []*request{first}
-	for len(batch) < s.opts.QueueDepth {
-		select {
-		case r := <-s.queue:
-			s.popPending()
-			batch = append(batch, r)
-		default:
+// next blocks until requests are queued and takes them all, oldest first:
+// admission bounds the queue, so one batch holds at most QueueDepth requests.
+// Once admission stops it keeps returning batches only in drain mode; it
+// otherwise resolves every queued ticket with ErrSupervisorClosed, and
+// returns nil when the loop should exit.
+func (s *Supervisor) next() []*request {
+	for {
+		s.qmu.Lock()
+		batch := s.queue
+		if len(batch) > 0 && (!s.closing || s.drainMode) {
+			s.queue = nil
+			if !s.closing {
+				close(s.space)
+				s.space = make(chan struct{})
+			}
+			s.qmu.Unlock()
 			return batch
 		}
+		if s.closing {
+			s.queue = nil
+			s.qmu.Unlock()
+			s.failBatch(batch, ErrSupervisorClosed)
+			return nil
+		}
+		s.qmu.Unlock()
+		select {
+		case <-s.wake:
+		case <-s.stop:
+		}
 	}
-	return batch
 }
 
 // awaitBreaker sleeps out an open breaker's backoff before the half-open
 // trial. It returns false when the supervisor stopped in discard mode and
-// the pending batch should be failed instead of tried.
+// the batch in hand should be failed instead of tried.
 func (s *Supervisor) awaitBreaker() bool {
 	for {
 		s.mu.Lock()
@@ -587,30 +558,6 @@ func (s *Supervisor) awaitBreaker() bool {
 			}
 			s.mu.Unlock()
 			return true
-		}
-	}
-}
-
-// finalDrain empties the queue after stop: in drain mode remaining requests
-// still run as generations; otherwise their tickets resolve with
-// ErrSupervisorClosed.
-func (s *Supervisor) finalDrain() {
-	for {
-		select {
-		case r := <-s.queue:
-			s.popPending()
-			if s.drainMode {
-				batch := s.coalesce(r)
-				if s.awaitBreaker() {
-					s.runGenerationSafe(batch)
-				} else {
-					s.failBatch(batch, ErrSupervisorClosed)
-				}
-			} else {
-				s.resolveTicket(r, TicketResult{Exe: s.eng.Executable(), Err: ErrSupervisorClosed})
-			}
-		default:
-			return
 		}
 	}
 }
@@ -883,6 +830,12 @@ func (s *Supervisor) QuarantinedProbes() []int {
 	return out
 }
 
+func (s *Supervisor) queueLen() int {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	return len(s.queue)
+}
+
 // SupervisorStats is a point-in-time snapshot of the supervisor's
 // counters, also served by the telemetry gauges.
 type SupervisorStats struct {
@@ -914,8 +867,8 @@ func (s *Supervisor) Stats() SupervisorStats {
 		RejectedQueueFull:   s.nRejectedFull.Load(),
 		RejectedCircuitOpen: s.nRejectedOpen.Load(),
 		DoubleResolves:      s.nDoubleResolves.Load(),
-		QueueDepth:          len(s.queue),
-		QueueCapacity:       cap(s.queue),
+		QueueDepth:          s.queueLen(),
+		QueueCapacity:       s.opts.QueueDepth,
 		Breaker:             s.Breaker().String(),
 		BreakerTransitions:  s.nTransitions.Load(),
 		QuarantinedProbes:   s.QuarantinedProbes(),
@@ -960,11 +913,14 @@ type SupervisorHealth struct {
 // cheap internal locks (never the engine lock) and is safe to poll at
 // watchdog frequency from any goroutine.
 func (s *Supervisor) Health() SupervisorHealth {
-	h := SupervisorHealth{
-		QueueDepth:      len(s.queue),
-		OldestQueuedAge: s.oldestPending(),
-		LoopPanics:      s.nLoopPanics.Load(),
+	h := SupervisorHealth{LoopPanics: s.nLoopPanics.Load()}
+	s.qmu.Lock()
+	h.QueueDepth = len(s.queue)
+	if h.QueueDepth > 0 {
+		h.OldestQueuedAge = time.Since(s.queue[0].enqueued)
 	}
+	h.Closing = s.closing
+	s.qmu.Unlock()
 	if ns := s.lastCommitNS.Load(); ns > 0 {
 		h.LastCommitAge = time.Since(time.Unix(0, ns))
 	}
@@ -978,8 +934,5 @@ func (s *Supervisor) Health() SupervisorHealth {
 		h.BreakerOpenFor = time.Since(s.openSince)
 	}
 	s.mu.Unlock()
-	s.admitMu.RLock()
-	h.Closing = s.closing
-	s.admitMu.RUnlock()
 	return h
 }

@@ -146,7 +146,6 @@ func TestSupervisorLoopPanicCapture(t *testing.T) {
 	s := &Supervisor{
 		eng:         e,
 		opts:        SupervisorOptions{}.withDefaults(),
-		queue:       make(chan *request, 4),
 		quarantined: map[int]error{},
 	}
 	// A nil manager makes applyReq panic — a stand-in for any corruption in

@@ -48,8 +48,8 @@ func newSupervisorMetrics(reg *telemetry.Registry, s *Supervisor) supervisorMetr
 	reg.Describe(MetricSupQueueAge, "Time requests spent queued before their generation started.")
 	reg.Describe(MetricSupTicketDur, "End-to-end latency from admission to ticket resolution.")
 
-	reg.GaugeFunc(MetricSupQueueDepth, func() int64 { return int64(len(s.queue)) })
-	reg.GaugeFunc(MetricSupQueueCapacity, func() int64 { return int64(cap(s.queue)) })
+	reg.GaugeFunc(MetricSupQueueDepth, func() int64 { return int64(s.queueLen()) })
+	reg.GaugeFunc(MetricSupQueueCapacity, func() int64 { return int64(s.opts.QueueDepth) })
 	reg.GaugeFunc(MetricSupRequests, func() int64 { return int64(s.nRequests.Load()) })
 	reg.GaugeFunc(MetricSupRejectedFull, func() int64 { return int64(s.nRejectedFull.Load()) })
 	reg.GaugeFunc(MetricSupRejectedOpen, func() int64 { return int64(s.nRejectedOpen.Load()) })

@@ -560,56 +560,96 @@ func TestSupervisorEngineFailureQuarantinesNobody(t *testing.T) {
 // TestSupervisorAbandon: Abandon returns while the loop is stuck inside a
 // generation, admission closes at once, and when the generation unsticks it
 // commits its own batch while everything queued behind it resolves with
-// ErrSupervisorClosed — the serve layer's cue to re-admit elsewhere.
+// ErrSupervisorClosed — the serve layer's cue to re-admit elsewhere. In the
+// "blocked submitter" case a depth-1 queue is full and a SyncCtx waits for
+// room behind it: Abandon must not wait on that submitter's context, and the
+// submitter fails with ErrSupervisorClosed.
 func TestSupervisorAbandon(t *testing.T) {
-	e, box := supEngine(t, 4, 2)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	box.fn = func(site string) error {
-		if site == "supervisor:commit" {
-			once.Do(func() {
-				close(entered)
-				<-release
-			})
-		}
-		return nil
-	}
-	s := Supervise(e, SupervisorOptions{})
-	defer s.Close()
+	for _, tc := range []struct {
+		name    string
+		depth   int
+		blocked bool
+	}{
+		{"queued", 0, false},
+		{"blocked submitter", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, box := supEngine(t, 4, 2)
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			var once sync.Once
+			box.fn = func(site string) error {
+				if site == "supervisor:commit" {
+					once.Do(func() {
+						close(entered)
+						<-release
+					})
+				}
+				return nil
+			}
+			s := Supervise(e, SupervisorOptions{QueueDepth: tc.depth})
+			defer s.Close()
+			defer func() {
+				select {
+				case <-release:
+				default:
+					close(release)
+				}
+			}()
 
-	inFlight, err := s.Sync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	queued, err := s.Sync()
-	if err != nil {
-		t.Fatalf("queued request rejected: %v", err)
-	}
+			inFlight, err := s.Sync()
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			queued, err := s.Sync()
+			if err != nil {
+				t.Fatalf("queued request rejected: %v", err)
+			}
+			blockedErr := make(chan error, 1)
+			if tc.blocked {
+				go func() {
+					ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+					defer cancel()
+					_, err := s.SyncCtx(ctx)
+					blockedErr <- err
+				}()
+				time.Sleep(50 * time.Millisecond) // the submitter is waiting for room
+			}
 
-	returned := make(chan struct{})
-	go func() {
-		s.Abandon()
-		close(returned)
-	}()
-	select {
-	case <-returned:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Abandon waited on the stuck generation")
-	}
-	if _, err := s.Sync(); !errors.Is(err, ErrSupervisorClosed) {
-		t.Fatalf("admission after Abandon: %v, want ErrSupervisorClosed", err)
-	}
+			returned := make(chan struct{})
+			go func() {
+				s.Abandon()
+				close(returned)
+			}()
+			limit := 10 * time.Second
+			if tc.blocked {
+				limit = time.Second
+			}
+			select {
+			case <-returned:
+			case <-time.After(limit):
+				t.Fatalf("Abandon did not return within %v", limit)
+			}
+			if tc.blocked {
+				if err := <-blockedErr; !errors.Is(err, ErrSupervisorClosed) {
+					t.Fatalf("blocked submitter: %v, want ErrSupervisorClosed", err)
+				}
+			}
+			if _, err := s.Sync(); !errors.Is(err, ErrSupervisorClosed) {
+				t.Fatalf("admission after Abandon: %v, want ErrSupervisorClosed", err)
+			}
 
-	close(release)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if res, err := inFlight.Wait(ctx); err != nil || res.Err != nil {
-		t.Fatalf("in-flight ticket: %v / %v", err, res.Err)
-	}
-	if res, err := queued.Wait(ctx); err != nil || !errors.Is(res.Err, ErrSupervisorClosed) {
-		t.Fatalf("queued ticket: %v / %v, want ErrSupervisorClosed", err, res.Err)
+			close(release)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if res, err := inFlight.Wait(ctx); err != nil || res.Err != nil {
+				t.Fatalf("in-flight ticket: %v / %v", err, res.Err)
+			}
+			if res, err := queued.Wait(ctx); err != nil || !errors.Is(res.Err, ErrSupervisorClosed) {
+				t.Fatalf("queued ticket: %v / %v, want ErrSupervisorClosed", err, res.Err)
+			}
+		})
 	}
 }
 

@@ -209,8 +209,8 @@ func (e *Engine) verifyCompiled(fm *ir.Module) error {
 
 // VerifyCacheStats returns the verified-clean table's cumulative hit and miss
 // counts — how often a rebuild skipped re-verifying a function whose content
-// hash was already proven clean. The bench harness reads it to report the
-// boundaries tier's steady-state cache behavior.
+// hash was already proven clean. Tests read it to check the boundaries
+// tier's cache behaviour within a session and across a warm restart.
 func (e *Engine) VerifyCacheStats() (hits, misses uint64) {
 	e.verified.mu.Lock()
 	defer e.verified.mu.Unlock()

@@ -34,9 +34,10 @@ const entryCodecVersion = 1
 // stateCodecVersion guards the snapshot payload layout. It moves on its own
 // so that a snapshot change leaves the entry format, and every cache
 // directory written under it, loadable. Version 1 carried a function-cache
-// metadata section and the supervisor's breaker and probe quarantine; a
-// version-1 snapshot is refused as skew, and the engine starts without it.
-const stateCodecVersion = 2
+// metadata section and the supervisor's breaker and probe quarantine;
+// version 2 carried per-fragment hashes and deferrals that no restore read.
+// An older snapshot is refused as skew, and the engine starts without it.
+const stateCodecVersion = 3
 
 type encoder struct{ buf []byte }
 
@@ -368,11 +369,6 @@ func encodeState(st *EngineState) []byte {
 	e.i64(int64(st.OptLevel))
 	e.i64(int64(st.VerifyTier))
 	e.i64(int64(st.Fragments))
-	e.u64(uint64(len(st.Hashes)))
-	for id, h := range st.Hashes {
-		e.i64(int64(id))
-		e.u64(h)
-	}
 	e.u64(uint64(len(st.Quarantine)))
 	for id, passes := range st.Quarantine {
 		e.i64(int64(id))
@@ -380,10 +376,6 @@ func encodeState(st *EngineState) []byte {
 		for _, p := range passes {
 			e.str(p)
 		}
-	}
-	e.u64(uint64(len(st.Deferred)))
-	for _, id := range st.Deferred {
-		e.i64(int64(id))
 	}
 	e.bool(st.Survey != nil)
 	if s := st.Survey; s != nil {
@@ -434,13 +426,6 @@ func decodeState(payload []byte) (*EngineState, error) {
 		Fragments:  d.int(),
 	}
 	if n := d.count(); d.err == nil && n > 0 {
-		st.Hashes = make(map[int]uint64, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			id := d.int()
-			st.Hashes[id] = d.u64()
-		}
-	}
-	if n := d.count(); d.err == nil && n > 0 {
 		st.Quarantine = make(map[int][]string, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			id := d.int()
@@ -450,12 +435,6 @@ func decodeState(payload []byte) (*EngineState, error) {
 				passes = append(passes, d.str())
 			}
 			st.Quarantine[id] = passes
-		}
-	}
-	if n := d.count(); d.err == nil && n > 0 {
-		st.Deferred = make([]int, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			st.Deferred = append(st.Deferred, d.int())
 		}
 	}
 	if d.bool() && d.err == nil {

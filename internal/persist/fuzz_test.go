@@ -70,9 +70,7 @@ func FuzzDecodeState(f *testing.F) {
 		Variant:       "callgraph",
 		OptLevel:      2,
 		Fragments:     4,
-		Hashes:        map[int]uint64{0: 1, 1: 2},
 		Quarantine:    map[int][]string{3: {"licm"}},
-		Deferred:      []int{2},
 		Survey:        &SurveyState{Cat: map[string]int{"f": 1}, BondPairs: [][2]string{{"f", "g"}}, CopyUsers: map[string][]string{"g": {"f"}}},
 		VerifiedFuncs: map[string]uint64{"f": 7},
 	})

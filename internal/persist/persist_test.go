@@ -440,9 +440,7 @@ func TestStateRoundTrip(t *testing.T) {
 		Variant:    "callgraph",
 		OptLevel:   2,
 		Fragments:  4,
-		Hashes:     map[int]uint64{0: 1, 1: 2},
 		Quarantine: map[int][]string{3: {"licm"}},
-		Deferred:   []int{2},
 	}
 	if err := SaveState(path, want, o); err != nil {
 		t.Fatalf("SaveState: %v", err)
@@ -521,21 +519,44 @@ func layout1StatePayload() []byte {
 	return e.buf
 }
 
-// TestStateRefusesLayout1: a snapshot in the older state layout is version
-// skew, never misparsed into a current EngineState, and is removed so the
-// next save writes the current layout.
+// layout2StatePayload encodes a snapshot payload in state layout 2, which
+// carried per-fragment hashes and deferrals: fragment 0 hashed, 2 deferred.
+func layout2StatePayload() []byte {
+	e := &encoder{}
+	e.byte(2)
+	e.u64(0xfeed)
+	e.str("callgraph")
+	e.i64(2) // opt level
+	e.i64(0) // verify tier
+	e.i64(4) // fragments
+	e.u64(1) // hashes
+	e.i64(0)
+	e.u64(1)
+	e.u64(0) // pass quarantine
+	e.u64(1) // deferred
+	e.i64(2)
+	e.bool(false) // survey
+	e.u64(0)      // verified functions
+	return e.buf
+}
+
+// TestStateRefusesLayout1: a snapshot in an older state layout (1 or 2) is
+// version skew, never misparsed into a current EngineState, and is removed
+// so the next save writes the current layout.
 func TestStateRefusesLayout1(t *testing.T) {
 	o := testOptions()
-	path := filepath.Join(t.TempDir(), "engine.snap")
-	if _, err := writeBlobAtomic(path, MagicSnapshot, o.BuildID, layout1StatePayload()); err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadState(path, o)
-	if st != nil || !errors.Is(err, ErrSchemaSkew) || errors.Is(err, ErrCorrupt) {
-		t.Fatalf("layout-1 snapshot: (%+v, %v), want ErrSchemaSkew", st, err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("skewed snapshot not removed")
+	for layout, payload := range map[int][]byte{1: layout1StatePayload(), 2: layout2StatePayload()} {
+		path := filepath.Join(t.TempDir(), "engine.snap")
+		if _, err := writeBlobAtomic(path, MagicSnapshot, o.BuildID, payload); err != nil {
+			t.Fatal(err)
+		}
+		st, err := LoadState(path, o)
+		if st != nil || !errors.Is(err, ErrSchemaSkew) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("layout-%d snapshot: (%+v, %v), want ErrSchemaSkew", layout, st, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("skewed layout-%d snapshot not removed", layout)
+		}
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 )
 
 // EngineState is the persisted form of an engine's warm-start metadata: the
-// committed fragment hashes that let a restarted engine recognize its
-// persisted artifacts, plus the per-fragment degradation state (pass
-// quarantine, deferrals) that must survive a restart so a crashing pass is
-// not re-trusted just because the process bounced. Every fact in it is keyed
+// identity guards, the pass quarantine that must survive a restart so a
+// crashing pass is not re-trusted just because the process bounced, and the
+// survey and verification results a warm engine would otherwise recompute.
+// It holds only what a restore reads: a restored fragment has no object
+// until its first build, which recomputes its hash (the store finds the
+// persisted object by it). Every fact in it is keyed
 // by fragment ID or symbol name, which an identical module partitions to
 // identically; nothing keyed by a process-local ID (probe IDs, supervisor
 // generations) belongs here.
@@ -31,13 +33,8 @@ type EngineState struct {
 	// strict input-module check only when the snapshotting session held the
 	// module to that bar (the module hash proves the content is identical).
 	VerifyTier int
-	// Hashes are the committed per-fragment content hashes.
-	Hashes map[int]uint64
 	// Quarantine maps fragment ID to the pass names quarantined for it.
 	Quarantine map[int][]string
-	// Deferred lists fragment IDs whose last compile deferred to the cached
-	// object.
-	Deferred []int
 	// Survey, when non-nil, is the partitioner's classification survey for
 	// this module at this opt level. The survey is a pure function of
 	// (module, optLevel) but costs a trial optimization run of the whole

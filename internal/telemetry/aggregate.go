@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -65,14 +64,14 @@ func (a *Aggregate) members() (names []string, regs []*Registry) {
 
 // aggEntry is one member registry's metric with the member label merged in.
 type aggEntry struct {
-	e      *entry
-	labels []string // member labels + the aggregate label, sorted by key
-	owner  string
+	promSample
+	owner string
 }
 
 // WritePrometheus writes every attached registry's metrics in the Prometheus
 // text exposition format with the aggregate label injected, families grouped
-// across members and deterministically ordered. Nil aggregate writes nothing.
+// across members and deterministically ordered; a family's HELP comes from
+// the first member that has it. Nil aggregate writes nothing.
 func (a *Aggregate) WritePrometheus(w io.Writer) error {
 	if a == nil {
 		return nil
@@ -84,7 +83,7 @@ func (a *Aggregate) WritePrometheus(w io.Writer) error {
 			merged := make([]string, 0, len(e.labels)+2)
 			merged = append(merged, e.labels...)
 			merged = append(merged, a.labelKey, names[i])
-			all = append(all, aggEntry{e: e, labels: sortLabels(merged), owner: names[i]})
+			all = append(all, aggEntry{promSample{e: e, ls: renderLabels(sortLabels(merged))}, names[i]})
 		}
 	}
 	sort.SliceStable(all, func(i, j int) bool {
@@ -93,60 +92,18 @@ func (a *Aggregate) WritePrometheus(w io.Writer) error {
 		}
 		return all[i].owner < all[j].owner
 	})
-	lastFamily := ""
-	for _, ae := range all {
-		e := ae.e
-		if e.name != lastFamily {
-			lastFamily = e.name
-			if err := a.writeHeader(w, regs, e); err != nil {
-				return err
+	samples := make([]promSample, len(all))
+	for i := range all {
+		samples[i] = all[i].promSample
+	}
+	return writePrometheus(w, samples, func(name string) string {
+		for _, r := range regs {
+			if help := r.helpFor(name); help != "" {
+				return help
 			}
 		}
-		ls := renderLabels(ae.labels)
-		var err error
-		switch e.kind {
-		case kindCounter:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, ls, e.c.Value())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, ls, e.g.Value())
-		case kindGaugeFunc:
-			var v int64
-			if e.gf != nil {
-				v = e.gf()
-			}
-			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, ls, v)
-		case kindHitVec:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, ls, e.hv.Total())
-		case kindHistogram:
-			err = writePromHistogram(w, e.name, e.h, ls)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeHeader emits the HELP (first member that has it wins) and TYPE lines
-// for a family.
-func (a *Aggregate) writeHeader(w io.Writer, regs []*Registry, e *entry) error {
-	for _, r := range regs {
-		if help := r.helpFor(e.name); help != "" {
-			if _, err := io.WriteString(w, "# HELP "+e.name+" "+help+"\n"); err != nil {
-				return err
-			}
-			break
-		}
-	}
-	typ := e.kind
-	switch e.kind {
-	case kindGaugeFunc:
-		typ = "gauge"
-	case kindHitVec:
-		typ = "counter"
-	}
-	_, err := io.WriteString(w, "# TYPE "+e.name+" "+typ+"\n")
-	return err
+		return ""
+	})
 }
 
 // Snapshot returns every member's metric snapshot keyed by member name.

@@ -434,12 +434,30 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	entries := r.sortedEntries()
+	samples := make([]promSample, len(entries))
+	for i, e := range entries {
+		samples[i] = promSample{e: e, ls: e.labelString()}
+	}
+	return writePrometheus(w, samples, r.helpFor)
+}
+
+// promSample is one exported metric instance with its rendered label set.
+type promSample struct {
+	e  *entry
+	ls string
+}
+
+// writePrometheus writes samples, grouped by family, in the text exposition
+// format: the family's HELP line (when help has text for it) and TYPE line
+// before its first sample. Registry and Aggregate both export through it.
+func writePrometheus(w io.Writer, samples []promSample, help func(name string) string) error {
 	lastFamily := ""
-	for _, e := range entries {
+	for _, s := range samples {
+		e := s.e
 		if e.name != lastFamily {
 			lastFamily = e.name
-			if help := r.helpFor(e.name); help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", e.name, help); err != nil {
+			if h := help(e.name); h != "" {
+				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", e.name, h); err != nil {
 					return err
 				}
 			}
@@ -454,23 +472,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		}
-		ls := e.labelString()
 		var err error
 		switch e.kind {
 		case kindCounter:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, ls, e.c.Value())
+			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, s.ls, e.c.Value())
 		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, ls, e.g.Value())
+			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, s.ls, e.g.Value())
 		case kindGaugeFunc:
 			var v int64
 			if e.gf != nil {
 				v = e.gf()
 			}
-			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, ls, v)
+			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, s.ls, v)
 		case kindHitVec:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, ls, e.hv.Total())
+			_, err = fmt.Fprintf(w, "%s%s %d\n", e.name, s.ls, e.hv.Total())
 		case kindHistogram:
-			err = writePromHistogram(w, e.name, e.h, ls)
+			err = writePromHistogram(w, e.name, e.h, s.ls)
 		}
 		if err != nil {
 			return err

@@ -79,6 +79,13 @@ echo "== retry windows x10 (-race) =="
 go test -race ./internal/core -run 'TestSupervisorBreaker|TestSupervisorHealthBreakerOpen' -count=10
 go test -race ./internal/serve -run 'TestAdmissionTenantBreaker|TestTenantBreakerSavesCompileWork|TestRestart|TestChangeAfter' -count=10
 
+echo "== supervisor admission x10 (-race) =="
+# The admission queue is one slice under one mutex; blocked *Ctx submitters
+# wait on a channel closed when room appears or admission stops. These tests
+# fill the queue, block submitters behind it and shut down around them; ten
+# race-detector runs catch a lost wake-up a single tier-1 run can miss.
+go test -race ./internal/core -run 'TestSupervisorAbandon|TestSupervisorQueueFull|TestSupervisorClose|TestSupervisorDrain|TestDrainRacesAdmission|TestSupervisorHealthSnapshot' -count=10
+
 echo "== supervisor soak (-race, ~30s) =="
 # Bounded concurrent-supervisor soak: 8 goroutines of random probe toggles
 # against a fault-injecting engine under the race detector. The test asserts
