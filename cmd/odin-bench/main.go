@@ -5,9 +5,8 @@
 //
 //	odin-bench [-experiment all|fig3|fig8|fig9|fig10|fig11|fig12|headline|ablation]
 //	           [-campaign N] [-programs a,b,c] [-json] [-metrics-addr HOST:PORT]
-//	           [-verify off|boundaries|all]
 //
-// -verify forces the engine verification tier (ODIN_VERIFY) for every engine
+// ODIN_VERIFY=off|boundaries|all picks the verification tier of every engine
 // the harness creates.
 //
 // With -json the selected experiments' raw results — including every
@@ -32,7 +31,6 @@ import (
 	"strings"
 
 	"odin/internal/bench"
-	"odin/internal/core"
 	"odin/internal/progen"
 	"odin/internal/telemetry"
 )
@@ -46,19 +44,8 @@ func main() {
 	programs := flag.String("programs", "", "comma-separated subset of programs (default: all 13)")
 	jsonOut := flag.Bool("json", false, "emit raw experiment results (full RebuildStats included) as JSON on stdout")
 	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry for the run on this host:port (port 0 = pick a free port)")
-	verify := flag.String("verify", "", "engine IR-verification tier for the run: off, boundaries, all (default: ODIN_VERIFY or boundaries)")
 	flag.Parse()
 
-	if *verify != "" {
-		if _, ok := core.ParseVerifyMode(*verify); !ok {
-			fmt.Fprintf(os.Stderr, "odin-bench: -verify %q: want off, boundaries, or all\n", *verify)
-			os.Exit(2)
-		}
-		// The harness builds engines in many places; route the tier through
-		// the engine's environment resolution instead of threading an option
-		// into every constructor.
-		os.Setenv("ODIN_VERIFY", *verify)
-	}
 	if !slices.Contains(experiments, *experiment) {
 		fmt.Fprintf(os.Stderr, "odin-bench: -experiment %q: want one of %s\n", *experiment, strings.Join(experiments, "|"))
 		os.Exit(2)

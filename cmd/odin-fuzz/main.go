@@ -7,14 +7,15 @@
 // through the strict IR verifier (SSA dominance + full type checking) before
 // it reaches the optimizer; verifier failures are reported as their own crash
 // class ("invalid-ir") rather than being fed into opt, and the same
-// classification applies to rebuild failures during the campaign. The -verify
-// flag picks the engine's rebuild-path tier (see DESIGN.md).
+// classification applies to rebuild failures during the campaign.
+// ODIN_VERIFY=off|boundaries|all picks the engine's rebuild-path tier (see
+// DESIGN.md).
 //
 // Usage:
 //
 //	odin-fuzz [-program demo | -ir file.ir] [-iters 5000] [-seed 1] [-prune]
 //	          [-rebuild-timeout D] [-metrics-addr HOST:PORT] [-storm N]
-//	          [-verify off|boundaries|all]
+//	          [-cache-dir DIR] [-snapshot FILE]
 //
 // With -storm N the harness fires N concurrent probe toggles through the
 // rebuild supervisor before the campaign — a stress pass proving the
@@ -28,19 +29,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 	"time"
 
+	"odin/internal/cli"
 	"odin/internal/core"
 	"odin/internal/cov"
 	"odin/internal/fuzz"
 	"odin/internal/ir"
-	"odin/internal/irtext"
-	"odin/internal/progen"
 	"odin/internal/rt"
-	"odin/internal/telemetry"
 )
 
 type covTarget struct {
@@ -84,77 +81,14 @@ func main() {
 	iters := flag.Int("iters", 5000, "fuzz iterations")
 	seed := flag.Uint64("seed", 1, "campaign RNG seed")
 	prune := flag.Bool("prune", true, "prune covered probes via on-the-fly recompilation")
-	rebuildTimeout := flag.Duration("rebuild-timeout", 0, "deadline for one on-the-fly rebuild (0 = none)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry (rebuild metrics, per-probe hit counts, traces) on this host:port")
 	storm := flag.Int("storm", 0, "fire this many concurrent probe toggles through the rebuild supervisor before the campaign (0 = off)")
-	verify := flag.String("verify", "", "engine IR-verification tier during the campaign: off, boundaries (default), or all")
-	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (warm-starts the campaign's first build across runs)")
-	snapshot := flag.String("snapshot", "", "engine state snapshot file (restored at startup, rewritten at exit)")
+	engine := cli.EngineFlags()
 	flag.Parse()
 
-	verifyMode, ok := core.ParseVerifyMode(*verify)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "odin-fuzz: -verify %q: want off, boundaries, or all\n", *verify)
-		os.Exit(2)
-	}
-
-	if err := run(*program, *irFile, *iters, *seed, *prune, *rebuildTimeout, *metricsAddr, *storm, verifyMode, *cacheDir, *snapshot); err != nil {
+	if err := run(*program, *irFile, *iters, *seed, *prune, *storm, engine); err != nil {
 		fmt.Fprintf(os.Stderr, "odin-fuzz: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// closeOnSignal runs cleanup when the process receives SIGINT or SIGTERM —
-// flushing the persistent artifact store and state snapshot a finished
-// campaign would have written — then exits with the conventional 128+signal
-// status. The returned function releases the handler on the normal path.
-func closeOnSignal(cleanup func() error) func() {
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		select {
-		case sig := <-sigCh:
-			fmt.Fprintf(os.Stderr, "odin-fuzz: %v, flushing persistence\n", sig)
-			if err := cleanup(); err != nil {
-				fmt.Fprintf(os.Stderr, "odin-fuzz: close: %v\n", err)
-			}
-			code := 130 // 128 + SIGINT
-			if sig == syscall.SIGTERM {
-				code = 143
-			}
-			os.Exit(code)
-		case <-done:
-		}
-	}()
-	return func() { signal.Stop(sigCh); close(done) }
-}
-
-// loadModule resolves the campaign target: a parsed IR file or a generated
-// suite program.
-func loadModule(program, irFile string) (string, *ir.Module, error) {
-	if irFile != "" {
-		src, err := os.ReadFile(irFile)
-		if err != nil {
-			return "", nil, err
-		}
-		m, err := irtext.Parse(irFile, string(src))
-		if err != nil {
-			return "", nil, err
-		}
-		return irFile, m, nil
-	}
-	var profile progen.Profile
-	if program == "demo" {
-		profile = progen.Demo()
-	} else {
-		p, ok := progen.ByName(program)
-		if !ok {
-			return "", nil, fmt.Errorf("unknown program %q", program)
-		}
-		profile = p
-	}
-	return profile.Name, profile.Generate(), nil
 }
 
 // classifyInvalidIR reports verifier failures as their own crash class: the
@@ -246,8 +180,8 @@ func stormToggle(tool *cov.Tool, n int) error {
 	return nil
 }
 
-func run(program, irFile string, iters int, seed uint64, prune bool, rebuildTimeout time.Duration, metricsAddr string, storm int, verify core.VerifyMode, cacheDir, snapshot string) error {
-	name, m, err := loadModule(program, irFile)
+func run(program, irFile string, iters int, seed uint64, prune bool, storm int, engine *cli.Flags) error {
+	m, err := cli.LoadModule(program, irFile)
 	if err != nil {
 		return err
 	}
@@ -256,34 +190,21 @@ func run(program, irFile string, iters int, seed uint64, prune bool, rebuildTime
 	if err := ir.VerifyStrict(m); err != nil {
 		return classifyInvalidIR("before campaign", err)
 	}
-	opts := core.Options{
-		Variant:        core.VariantOdin,
-		RebuildTimeout: rebuildTimeout,
-		Verify:         verify,
-		CacheDir:       cacheDir,
-		SnapshotPath:   snapshot,
-	}
-	if metricsAddr != "" {
-		opts.Telemetry = telemetry.NewRegistry()
-	}
-	tool, err := cov.New(m, opts, prune)
+	tool, err := cov.New(m, engine.Options(core.Options{Variant: core.VariantOdin}), prune)
 	if err != nil {
 		return err
 	}
 	defer tool.Engine.Close()
 	// An interrupted campaign still flushes the artifact cache and snapshot:
 	// Close is Once-guarded, so the deferred call stays a no-op afterwards.
-	defer closeOnSignal(tool.Engine.Close)()
-	if metricsAddr != "" {
-		srv, err := telemetry.Serve(metricsAddr, opts.Telemetry, func() any { return tool.Engine.Snapshot() })
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving on %s\n", srv.Addr())
+	defer cli.CloseOnSignal("odin-fuzz", tool.Engine.Close)()
+	stop, err := engine.Serve(tool.Engine.Telemetry(), func() any { return tool.Engine.Snapshot() })
+	if err != nil {
+		return err
 	}
+	defer stop()
 	fmt.Printf("target %s: %d probes over %d fragments\n",
-		name, len(tool.Probes), len(tool.Engine.Plan.Fragments))
+		m.Name, len(tool.Probes), len(tool.Engine.Plan.Fragments))
 	if storm > 0 {
 		if err := stormToggle(tool, storm); err != nil {
 			return err

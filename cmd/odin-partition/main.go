@@ -26,11 +26,10 @@ import (
 	"os"
 	"sort"
 
+	"odin/internal/cli"
 	"odin/internal/core"
 	"odin/internal/ir"
-	"odin/internal/irtext"
 	"odin/internal/persist"
-	"odin/internal/progen"
 )
 
 func main() {
@@ -249,22 +248,9 @@ func run(variantName, program, file string, classify, jsonOut, fanout bool, veri
 		return fmt.Errorf("unknown variant %q", variantName)
 	}
 
-	var m *ir.Module
-	if file != "" {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		m, err = irtext.Parse(file, string(src))
-		if err != nil {
-			return err
-		}
-	} else {
-		p, ok := progen.ByName(program)
-		if !ok {
-			return fmt.Errorf("unknown program %q (try one of the 13 suite names)", program)
-		}
-		m = p.Generate()
+	m, err := cli.LoadModule(program, file)
+	if err != nil {
+		return err
 	}
 	switch verify {
 	case "basic":

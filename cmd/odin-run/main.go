@@ -7,12 +7,18 @@
 //
 //	odin-run [-O 2] [-interp] [-input "bytes"] [-fn main] [-dump] file.ir
 //	odin-run -program sqlite -input "select"      # run a suite program
-//	odin-run -odin [-workers N] [-rebuild-timeout D] [-verify off|boundaries|all]
-//	               -program sqlite                # build via the Odin engine
+//	odin-run -odin [-workers N] [-rebuild-timeout D] -program sqlite
+//	                                              # build via the Odin engine
 //	odin-run -odin -supervise -program sqlite     # route the build through the
 //	                                              # concurrent rebuild supervisor
 //	odin-run -odin -metrics-addr 127.0.0.1:9090 [-metrics-hold 30s] -program sqlite
 //	                                              # + live introspection endpoint
+//	odin-run -odin -cache-dir DIR -snapshot FILE -program sqlite
+//	                                              # warm-start across runs
+//
+// The engine flags (-rebuild-timeout, -metrics-addr, -cache-dir, -snapshot)
+// apply with -odin. ODIN_VERIFY=off|boundaries|all picks the engine's IR
+// verification tier (see DESIGN.md).
 package main
 
 import (
@@ -20,80 +26,68 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"odin/internal/cli"
 	"odin/internal/core"
 	"odin/internal/interp"
 	"odin/internal/ir"
-	"odin/internal/irtext"
 	"odin/internal/link"
-	"odin/internal/progen"
 	"odin/internal/rt"
-	"odin/internal/telemetry"
 	"odin/internal/toolchain"
 	"odin/internal/vm"
 )
 
+// config is odin-run's parsed command line.
+type config struct {
+	level                            int
+	useInterp, dump, odin, supervise bool
+	input, fn, program               string
+	workers                          int
+	metricsHold                      time.Duration
+	engine                           *cli.Flags
+}
+
 func main() {
-	level := flag.Int("O", 2, "optimization level (0-2)")
-	useInterp := flag.Bool("interp", false, "use the reference interpreter instead of compiling")
-	input := flag.String("input", "", "fuzz input bytes (for programs with @fuzz_target)")
-	fn := flag.String("fn", "", "function to run (default: fuzz_target if present, else main)")
-	dump := flag.Bool("dump", false, "print the optimized IR instead of running")
-	program := flag.String("program", "", "run a generated suite program instead of a file")
-	odin := flag.Bool("odin", false, "build through the Odin fragment engine instead of the whole-module toolchain")
-	workers := flag.Int("workers", 0, "fragment compile workers for -odin (0 = GOMAXPROCS)")
-	rebuildTimeout := flag.Duration("rebuild-timeout", 0, "with -odin: deadline for one rebuild (0 = none)")
-	supervise := flag.Bool("supervise", false, "with -odin: run the build through the concurrent rebuild supervisor")
-	metricsAddr := flag.String("metrics-addr", "", "with -odin: serve telemetry on this host:port (port 0 = pick a free port)")
-	metricsHold := flag.Duration("metrics-hold", 0, "with -metrics-addr: keep serving this long after the run finishes")
-	verify := flag.String("verify", "", "with -odin: IR verification tier — off, boundaries (default), or all (strict check after every optimizer pass)")
-	cacheDir := flag.String("cache-dir", "", "with -odin: persistent artifact cache directory (warm-starts fragment compiles across runs)")
-	snapshot := flag.String("snapshot", "", "with -odin: engine state snapshot file (restored at startup, rewritten at exit)")
+	var c config
+	flag.IntVar(&c.level, "O", 2, "optimization level (0-2)")
+	flag.BoolVar(&c.useInterp, "interp", false, "use the reference interpreter instead of compiling")
+	flag.StringVar(&c.input, "input", "", "fuzz input bytes (for programs with @fuzz_target)")
+	flag.StringVar(&c.fn, "fn", "", "function to run (default: fuzz_target if present, else main)")
+	flag.BoolVar(&c.dump, "dump", false, "print the optimized IR instead of running")
+	flag.StringVar(&c.program, "program", "", "run a generated suite program instead of a file")
+	flag.BoolVar(&c.odin, "odin", false, "build through the Odin fragment engine instead of the whole-module toolchain")
+	flag.IntVar(&c.workers, "workers", 0, "fragment compile workers for -odin (0 = GOMAXPROCS)")
+	flag.BoolVar(&c.supervise, "supervise", false, "with -odin: run the build through the concurrent rebuild supervisor")
+	flag.DurationVar(&c.metricsHold, "metrics-hold", 0, "with -metrics-addr: keep serving this long after the run finishes")
+	c.engine = cli.EngineFlags()
 	flag.Parse()
 
-	verifyMode, ok := core.ParseVerifyMode(*verify)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "odin-run: -verify %q: want off, boundaries, or all\n", *verify)
-		os.Exit(2)
-	}
-
-	if err := run(*level, *useInterp, *input, *fn, *dump, *odin, *supervise, *workers, *rebuildTimeout, *metricsAddr, *metricsHold, verifyMode, *cacheDir, *snapshot, *program, flag.Args()); err != nil {
+	if err := run(c, flag.Args()); err != nil {
 		fmt.Fprintf(os.Stderr, "odin-run: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool, workers int, rebuildTimeout time.Duration, metricsAddr string, metricsHold time.Duration, verify core.VerifyMode, cacheDir, snapshot, program string, args []string) error {
-	var m *ir.Module
-	switch {
-	case program != "":
-		p, ok := progen.ByName(program)
-		if !ok {
-			return fmt.Errorf("unknown suite program %q", program)
+func run(c config, args []string) error {
+	var file string
+	if c.program == "" {
+		if len(args) != 1 {
+			return fmt.Errorf("need exactly one .ir file or -program NAME")
 		}
-		m = p.Generate()
-	case len(args) == 1:
-		src, err := os.ReadFile(args[0])
-		if err != nil {
-			return err
-		}
-		m, err = irtext.Parse(args[0], string(src))
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("need exactly one .ir file or -program NAME")
+		file = args[0]
+	}
+	m, err := cli.LoadModule(c.program, file)
+	if err != nil {
+		return err
 	}
 	if err := ir.Verify(m); err != nil {
 		return err
 	}
 
-	if dump {
+	if c.dump {
 		clone, _ := ir.CloneModule(m)
-		exe, st, err := toolchain.Build(clone, level)
+		exe, st, err := toolchain.Build(clone, c.level)
 		if err != nil {
 			return err
 		}
@@ -103,6 +97,7 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 		return nil
 	}
 
+	fn := c.fn
 	if fn == "" {
 		fn = "main"
 		if m.LookupFunc("fuzz_target") != nil {
@@ -110,7 +105,7 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 		}
 	}
 
-	if useInterp {
+	if c.useInterp {
 		env := rt.NewEnv()
 		ip, err := interp.New(m, env)
 		if err != nil {
@@ -118,7 +113,7 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 		}
 		var ret int64
 		if fn == "fuzz_target" {
-			p, n, err := env.WriteInput([]byte(input))
+			p, n, err := env.WriteInput([]byte(c.input))
 			if err != nil {
 				return err
 			}
@@ -138,20 +133,12 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 		return nil
 	}
 
-	if odin {
-		opts := core.Options{
-			Workers:        workers,
-			RebuildTimeout: rebuildTimeout,
-			Verify:         verify,
-			CacheDir:       cacheDir,
-			SnapshotPath:   snapshot,
+	if c.odin {
+		eng, err := core.New(m, c.engine.Options(core.Options{
+			Workers: c.workers,
 			// The module was parsed solely for this engine.
 			AdoptModule: true,
-		}
-		if metricsAddr != "" {
-			opts.Telemetry = telemetry.NewRegistry()
-		}
-		eng, err := core.New(m, opts)
+		}))
 		if err != nil {
 			return err
 		}
@@ -160,21 +147,18 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 		defer eng.Close()
 		// An interrupt must flush the same state: Close is Once-guarded, so
 		// the deferred call above stays a no-op if the handler fires first.
-		defer closeOnSignal("odin-run", eng.Close)()
-		if metricsAddr != "" {
-			srv, err := telemetry.Serve(metricsAddr, opts.Telemetry, func() any { return eng.Snapshot() })
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "telemetry: serving on %s\n", srv.Addr())
-			if metricsHold > 0 {
-				defer time.Sleep(metricsHold)
-			}
+		defer cli.CloseOnSignal("odin-run", eng.Close)()
+		stop, err := c.engine.Serve(eng.Telemetry(), func() any { return eng.Snapshot() })
+		if err != nil {
+			return err
+		}
+		defer stop()
+		if c.engine.MetricsAddr != "" && c.metricsHold > 0 {
+			defer time.Sleep(c.metricsHold)
 		}
 		var exe *link.Executable
 		var st *core.RebuildStats
-		if supervise {
+		if c.supervise {
 			sup := core.Supervise(eng, core.SupervisorOptions{})
 			tk, err := sup.Sync()
 			if err != nil {
@@ -202,7 +186,7 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 			}
 		}
 		mach := vm.New(exe)
-		ret, err := runOn(mach, fn, input)
+		ret, err := runOn(mach, fn, c.input)
 		if err != nil {
 			return err
 		}
@@ -215,19 +199,19 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 			"; @%s = %d (%d cycles; odin: %d fragments, %d workers, %d cache hits; compile wall %v, serial-eq %v; link %v %s)\n",
 			fn, ret, mach.Cycles, len(st.Fragments), st.Workers, st.CacheHits,
 			st.CompileWall, st.SerialEquivalent(), st.LinkDur, linkMode)
-		if cacheDir != "" || snapshot != "" {
+		if c.engine.CacheDir != "" || c.engine.Snapshot != "" {
 			fmt.Fprintf(os.Stderr, "; persist: %d/%d fragments warm, snapshot restored %v, image %016x\n",
 				st.WarmHits, len(st.Fragments), eng.SnapshotRestored(), exe.Fingerprint())
 		}
 		return nil
 	}
 
-	exe, st, err := toolchain.BuildPreserving(m, level)
+	exe, st, err := toolchain.BuildPreserving(m, c.level)
 	if err != nil {
 		return err
 	}
 	mach := vm.New(exe)
-	ret, err := runOn(mach, fn, input)
+	ret, err := runOn(mach, fn, c.input)
 	if err != nil {
 		return err
 	}
@@ -235,33 +219,6 @@ func run(level int, useInterp bool, input, fn string, dump, odin, supervise bool
 	fmt.Fprintf(os.Stderr, "; @%s = %d (%d cycles; build: opt %v, codegen %v, link %v)\n",
 		fn, ret, mach.Cycles, st.Optimize, st.CodeGen, st.Link)
 	return nil
-}
-
-// closeOnSignal runs cleanup when the process receives SIGINT or SIGTERM —
-// flushing the persistent artifact store and state snapshot that the normal
-// deferred Close would have written — then exits with the conventional
-// 128+signal status. The returned function releases the handler so the
-// normal exit path does not leave a dangling goroutine claiming signals.
-func closeOnSignal(prog string, cleanup func() error) func() {
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		select {
-		case sig := <-sigCh:
-			fmt.Fprintf(os.Stderr, "%s: %v, flushing persistence\n", prog, sig)
-			if err := cleanup(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: close: %v\n", prog, err)
-			}
-			code := 130 // 128 + SIGINT
-			if sig == syscall.SIGTERM {
-				code = 143
-			}
-			os.Exit(code)
-		case <-done:
-		}
-	}()
-	return func() { signal.Stop(sigCh); close(done) }
 }
 
 // runOn executes fn on the machine, wiring the fuzz input buffer when the

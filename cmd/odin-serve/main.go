@@ -12,13 +12,12 @@
 // engine is restarted in place warm from its snapshot, with backoff, and
 // the shard is marked dead once the restarts fail. The watchdog
 // thresholds are tunable (-watchdog-interval, -gen-deadline,
-// -stuck-queue-age, -restart-attempts) and the -chaos-* flags arm a
-// one-shot injected fault after boot so CI can rehearse a failover against
-// a real daemon.
+// -stuck-queue-age) and the -chaos-* flags arm a one-shot injected fault
+// after boot so CI can rehearse a failover against a real daemon.
 //
 // SIGINT/SIGTERM drain every shard supervisor (admitted work commits and
-// per-shard snapshots are written) before exit, so a restart warm-starts
-// each shard from its own cache.
+// per-shard snapshots are written, within drainTimeout) before exit, so a
+// restart warm-starts each shard from its own cache.
 package main
 
 import (
@@ -34,6 +33,9 @@ import (
 	"odin/internal/faultinject"
 	"odin/internal/serve"
 )
+
+// drainTimeout bounds how long shutdown waits for the shards to drain.
+const drainTimeout = time.Minute
 
 // shardFlags collects repeatable -shard name=program declarations.
 type shardFlags []serve.ShardSpec
@@ -60,25 +62,16 @@ func main() {
 	flag.Var(&shards, "shard", "host a shard: name=program (repeatable; program is a suite profile name)")
 	addr := flag.String("addr", "127.0.0.1:0", "listen address (port 0 = pick a free port)")
 	data := flag.String("data", "", "persist root; each shard gets its own cache and snapshot under DATA/shards/<name>/")
-	workers := flag.Int("workers", 0, "fragment compile workers per shard (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue-depth", 0, "per-shard supervisor admission queue depth (0 = default)")
-	tenantRPS := flag.Float64("tenant-rps", 0, "per-tenant sustained admission rate (0 = default, <0 = off)")
-	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant admission burst (0 = default)")
-	maxInFlight := flag.Int("max-inflight", 0, "global in-flight request cap (0 = default, <0 = off)")
-	failThreshold := flag.Int("fail-threshold", 0, "consecutive probe failures that trip a tenant's breaker (0 = default, <0 = off)")
-	reqTimeout := flag.Duration("request-timeout", 0, "end-to-end bound for one probe operation (0 = 30s)")
-	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for shards to drain")
 	lcCfg := lifecycleCfg{}
 	flag.DurationVar(&lcCfg.interval, "watchdog-interval", 0, "health watchdog sample interval (0 = default 500ms)")
 	flag.DurationVar(&lcCfg.genDeadline, "gen-deadline", 0, "a generation running longer than this wedges the shard (0 = default 60s)")
 	flag.DurationVar(&lcCfg.stuckQueueAge, "stuck-queue-age", 0, "a ticket queued longer than this wedges the shard (0 = default 30s)")
-	flag.IntVar(&lcCfg.restartAttempts, "restart-attempts", 0, "restarts in place before the shard is marked dead (<= 0 = default 2)")
 	flag.StringVar(&lcCfg.chaosSite, "chaos-site", "", "arm a one-shot injected fault at this site after boot (e.g. supervisor:commit; CI failover rehearsal)")
 	flag.DurationVar(&lcCfg.chaosStall, "chaos-stall", 2*time.Second, "stall duration for the -chaos-site fault")
 	flag.DurationVar(&lcCfg.chaosDelay, "chaos-delay", time.Second, "delay after listen before arming the -chaos-site fault")
 	flag.Parse()
 
-	if err := run(shards, *addr, *data, *workers, *queueDepth, *tenantRPS, *tenantBurst, *maxInFlight, *failThreshold, *reqTimeout, *drainTimeout, lcCfg); err != nil {
+	if err := run(shards, *addr, *data, lcCfg); err != nil {
 		fmt.Fprintf(os.Stderr, "odin-serve: %v\n", err)
 		os.Exit(1)
 	}
@@ -86,16 +79,15 @@ func main() {
 
 // lifecycleCfg carries the shard-lifecycle and chaos-rehearsal flags.
 type lifecycleCfg struct {
-	interval        time.Duration
-	genDeadline     time.Duration
-	stuckQueueAge   time.Duration
-	restartAttempts int
-	chaosSite       string
-	chaosStall      time.Duration
-	chaosDelay      time.Duration
+	interval      time.Duration
+	genDeadline   time.Duration
+	stuckQueueAge time.Duration
+	chaosSite     string
+	chaosStall    time.Duration
+	chaosDelay    time.Duration
 }
 
-func run(shards shardFlags, addr, data string, workers, queueDepth int, tenantRPS, tenantBurst float64, maxInFlight, failThreshold int, reqTimeout, drainTimeout time.Duration, lcCfg lifecycleCfg) error {
+func run(shards shardFlags, addr, data string, lcCfg lifecycleCfg) error {
 	if len(shards) == 0 {
 		return fmt.Errorf("at least one -shard name=program is required")
 	}
@@ -105,29 +97,16 @@ func run(shards shardFlags, addr, data string, workers, queueDepth int, tenantRP
 		inj.SetStall(lcCfg.chaosStall)
 	}
 	for i := range shards {
-		shards[i].Workers = workers
-		shards[i].QueueDepth = queueDepth
 		shards[i].Watchdog = serve.WatchdogOptions{
-			Interval:        lcCfg.interval,
-			GenDeadline:     lcCfg.genDeadline,
-			StuckQueueAge:   lcCfg.stuckQueueAge,
-			RestartAttempts: lcCfg.restartAttempts,
+			Interval:      lcCfg.interval,
+			GenDeadline:   lcCfg.genDeadline,
+			StuckQueueAge: lcCfg.stuckQueueAge,
 		}
 		if inj != nil {
 			shards[i].FaultHook = inj.At
 		}
 	}
-	srv, err := serve.New(serve.Options{
-		Shards:  shards,
-		DataDir: data,
-		Admission: serve.AdmissionOptions{
-			TenantRPS:     tenantRPS,
-			TenantBurst:   tenantBurst,
-			MaxInFlight:   maxInFlight,
-			FailThreshold: failThreshold,
-		},
-		RequestTimeout: reqTimeout,
-	})
+	srv, err := serve.New(serve.Options{Shards: shards, DataDir: data})
 	if err != nil {
 		return err
 	}

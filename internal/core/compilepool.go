@@ -201,19 +201,12 @@ func (e *Engine) compileFragments(ctx context.Context, temp *ir.Module, th tempH
 		workers = n
 	}
 
-	if workers == 1 {
-		// Serial fast path: no goroutines, deterministic early stop, with
-		// the deadline checked between fragments.
+	if workers == 1 && e.opts.RebuildTimeout == 0 {
+		// Serial fast path: no goroutines, deterministic early stop. A
+		// rebuild with a deadline takes the pool even for one fragment, so
+		// the deadline can abandon a compile in flight.
 		outs := make([]fragOut, n)
 		for i, id := range frags {
-			if ctx.Err() != nil {
-				te := &TimeoutError{Limit: e.opts.RebuildTimeout}
-				for j := 0; j < i; j++ {
-					te.Compiled = append(te.Compiled, frags[j])
-				}
-				te.Skipped = append(te.Skipped, frags[i:]...)
-				return nil, workers, te
-			}
 			outs[i] = e.compileOne(id, temp, th, comp)
 			if outs[i].err != nil {
 				break
@@ -332,20 +325,15 @@ func asFragError(id int, err error) FragError {
 	return FragError{FragID: id, Err: err}
 }
 
-// ladderLevels returns the degradation ladder for a configured optimization
-// level: the configured level first, then -O1, then -O0. The last rung
-// after these — falling back to the fragment's last-good cached object — is
-// handled by degradeToCache.
-func ladderLevels(level int) []int {
-	switch {
-	case level >= 2:
-		return []int{level, 1, 0}
-	case level == 1:
-		return []int{1, 0}
-	default:
-		return []int{0}
-	}
-}
+// optLevel is the optimization level every fragment compiles at first.
+// Snapshots record it and persistKey folds it; both stay so that existing
+// cache dirs and snapshots keep matching.
+const optLevel = 2
+
+// ladderLevels is the degradation ladder: optLevel first, then -O1, then
+// -O0. The last rung after these — falling back to the fragment's last-good
+// cached object — is handled by degradeToCache.
+var ladderLevels = [...]int{optLevel, 1, 0}
 
 // fragmentHash folds the part hashes of a fragment's members and clones (in
 // plan order) into the fragment-level cache key. It replaces hashing the
@@ -404,7 +392,7 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 	frag := e.Plan.Fragments[id]
 
 	out.hash = fragmentHash(frag, th)
-	out.fc = FragCompile{FragID: id, Level: e.opts.OptLevel, FuncsTotal: countMemberFuncs(frag, temp)}
+	out.fc = FragCompile{FragID: id, Level: optLevel, FuncsTotal: countMemberFuncs(frag, temp)}
 	e.mu.RLock()
 	st := e.frags[id]
 	bypass := e.persistBypass
@@ -448,7 +436,7 @@ func (e *Engine) compileOne(id int, temp *ir.Module, th tempHashes, parent *tele
 
 	quarantined := st.quarantine
 	var lastErr FragError
-	for attempt, lv := range ladderLevels(e.opts.OptLevel) {
+	for attempt, lv := range ladderLevels {
 		// Every rung starts from a pristine fragment module: a failed
 		// attempt may have left the previous one half-transformed.
 		fm, merr := e.materializeIsolated(frag, temp, arena, &out.fc, fs)

@@ -18,8 +18,6 @@ import (
 type Options struct {
 	// Variant selects the partition scheme (default VariantOdin).
 	Variant Variant
-	// OptLevel is the per-fragment optimization level (default 2).
-	OptLevel int
 	// ExtraBuiltins lists instrumentation hook symbols the linker may
 	// bind calls to (e.g. "__odin_cov_hit").
 	ExtraBuiltins []string
@@ -119,7 +117,7 @@ type FragCompile struct {
 	FuncsCompiled int `json:"funcs_compiled,omitempty"`
 	FuncCacheHits int `json:"func_cache_hits,omitempty"`
 	// Level is the optimization level the committed object was compiled
-	// at; below Options.OptLevel it reflects the degradation ladder.
+	// at; below optLevel (2) it reflects the degradation ladder.
 	Level int `json:"level"`
 	// Attempts counts compile attempts the degradation ladder made (1 for
 	// a clean first-try compile; 0 for cache hits and deferrals before
@@ -353,9 +351,6 @@ type Engine struct {
 // New surveys and partitions the program, returning an engine whose cache is
 // cold (the first Rebuild compiles everything).
 func New(m *ir.Module, opts Options) (*Engine, error) {
-	if opts.OptLevel == 0 {
-		opts.OptLevel = 2
-	}
 	opts.Verify = opts.Verify.resolve()
 	// Wrap the fault hook with injection counters before fanning it out to
 	// the back end and linker, so every site's faults are counted once.
@@ -387,7 +382,7 @@ func New(m *ir.Module, opts Options) (*Engine, error) {
 	if snapState != nil {
 		cls = classificationFromSurvey(snapState.Survey)
 	}
-	plan, err := PartitionWith(pristine, opts.Variant, opts.OptLevel, cls)
+	plan, err := PartitionWith(pristine, opts.Variant, optLevel, cls)
 	if err != nil {
 		return nil, err
 	}

@@ -34,9 +34,15 @@ func (b *hookBox) at(site string) error {
 // returns the reference result of main(7).
 func faultEngine(t *testing.T, n, workers int) (*Engine, *hookBox, int64) {
 	t.Helper()
+	return variantFaultEngine(t, VariantMax, n, workers)
+}
+
+// variantFaultEngine is faultEngine under partition variant v.
+func variantFaultEngine(t *testing.T, v Variant, n, workers int) (*Engine, *hookBox, int64) {
+	t.Helper()
 	box := &hookBox{}
 	m := irtext.MustParse("m", manyFuncSrc(n))
-	e, err := New(m, Options{Variant: VariantMax, Workers: workers, FaultHook: box.at})
+	e, err := New(m, Options{Variant: v, Workers: workers, FaultHook: box.at})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,33 +369,51 @@ func TestFaultPanicAttribution(t *testing.T) {
 }
 
 // TestRebuildTimeout: a stalled pipeline site trips Options.RebuildTimeout
-// on both the parallel pool and the serial fast path. The rebuild returns a
-// *TimeoutError that unwraps to context.DeadlineExceeded, the cache and
-// executable are untouched, and the engine rebuilds cleanly afterwards.
+// on the parallel pool, with one worker, and on a one-fragment schedule that
+// clamps the pool to one worker. The rebuild returns a *TimeoutError that
+// unwraps to context.DeadlineExceeded within the deadline's reach, the cache
+// and executable are untouched, and the engine rebuilds cleanly afterwards.
 func TestRebuildTimeout(t *testing.T) {
-	for _, workers := range []int{4, 1} {
-		e, box, ref := faultEngine(t, 8, workers)
+	for _, tc := range []struct {
+		name           string
+		variant        Variant
+		funcs, workers int
+		wantFragments  int
+	}{
+		{"pool", VariantMax, 8, 4, 0},
+		{"one-worker", VariantMax, 8, 1, 0},
+		{"one-fragment", VariantOne, 8, 4, 1},
+	} {
+		e, box, ref := variantFaultEngine(t, tc.variant, tc.funcs, tc.workers)
+		if tc.wantFragments > 0 && len(e.Plan.Fragments) != tc.wantFragments {
+			t.Fatalf("%s: %d fragments, want %d", tc.name, len(e.Plan.Fragments), tc.wantFragments)
+		}
 		inj := faultinject.New(5).
-			SetStall(150 * time.Millisecond).
+			SetStall(300 * time.Millisecond).
 			Arm(faultinject.Rule{Site: "opt:*", Kind: faultinject.KindStall, Rate: 1, Times: 1})
 		box.fn = inj.At
 		e.opts.RebuildTimeout = 30 * time.Millisecond
 		e.InvalidateCache()
 		snap := snapEngine(e)
 
+		t0 := time.Now()
 		_, _, err := e.BuildAll()
+		took := time.Since(t0)
 		var te *TimeoutError
 		if !errors.As(err, &te) {
-			t.Fatalf("workers=%d: error %T: %v", workers, err, err)
+			t.Fatalf("%s: after %v, error %T: %v", tc.name, took, err, err)
+		}
+		if took >= 300*time.Millisecond {
+			t.Fatalf("%s: timed-out rebuild returned after %v, not before the 300ms stall ended", tc.name, took)
 		}
 		if te.Limit != 30*time.Millisecond {
-			t.Fatalf("workers=%d: limit %v recorded", workers, te.Limit)
+			t.Fatalf("%s: limit %v recorded", tc.name, te.Limit)
 		}
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("workers=%d: timeout does not unwrap to DeadlineExceeded", workers)
+			t.Fatalf("%s: timeout does not unwrap to DeadlineExceeded", tc.name)
 		}
 		if got := len(te.Compiled) + len(te.Pending) + len(te.Skipped); got != len(e.Plan.Fragments) {
-			t.Fatalf("workers=%d: accounting covers %d of %d fragments", workers, got, len(e.Plan.Fragments))
+			t.Fatalf("%s: accounting covers %d of %d fragments", tc.name, got, len(e.Plan.Fragments))
 		}
 		snap.requireUnchanged(t, e, "after timeout")
 
@@ -398,10 +422,10 @@ func TestRebuildTimeout(t *testing.T) {
 		// worker still stalled in the timed-out build reads it when it wakes.
 		e.opts.RebuildTimeout = 0
 		if _, _, err := e.BuildAll(); err != nil {
-			t.Fatalf("workers=%d: recovery rebuild: %v", workers, err)
+			t.Fatalf("%s: recovery rebuild: %v", tc.name, err)
 		}
 		if r, rerr := vmRun(e.Executable(), "main", 7); rerr != nil || r != ref {
-			t.Fatalf("workers=%d: recovered image wrong: main(7) = %d, %v, want %d", workers, r, rerr, ref)
+			t.Fatalf("%s: recovered image wrong: main(7) = %d, %v, want %d", tc.name, r, rerr, ref)
 		}
 	}
 }

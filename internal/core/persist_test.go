@@ -173,7 +173,7 @@ func TestWarmStartIgnoresFuncHashes(t *testing.T) {
 				hashes[s] = ir.FingerprintSym(f)
 			}
 		}
-		level := cold.opts.OptLevel
+		level := optLevel
 		if err := store.Put(cold.persistKey(fs.hash), &persist.Entry{Object: fs.obj, Level: level, FuncHashes: hashes}); err != nil {
 			t.Fatal(err)
 		}

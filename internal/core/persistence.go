@@ -58,7 +58,7 @@ func (o Options) persistOptions() persist.Options {
 // folded so keys, and the cache directories written under them, carry over.
 func (e *Engine) persistKey(hash uint64) uint64 {
 	h := ir.HashFold(ir.HashSeed, hash)
-	h = ir.HashFold(h, uint64(e.opts.OptLevel))
+	h = ir.HashFold(h, uint64(optLevel))
 	return ir.HashFold(h, 0)
 }
 
@@ -111,7 +111,7 @@ func preloadSnapshot(m *ir.Module, opts Options) (moduleHash uint64, symHashes t
 	if st == nil {
 		return moduleHash, symHashes, pm, nil
 	}
-	if st.ModuleHash != moduleHash || st.Variant != opts.Variant.String() || st.OptLevel != opts.OptLevel {
+	if st.ModuleHash != moduleHash || st.Variant != opts.Variant.String() || st.OptLevel != optLevel {
 		// A snapshot of some other program or configuration: its survey and
 		// per-fragment state are meaningless here. Leave the file; a later
 		// SaveSnapshot from this engine overwrites it.
@@ -238,7 +238,7 @@ func (e *Engine) loadPersisted(hash uint64) *persist.Entry {
 		return nil
 	}
 	ent, _ := e.store.Get(e.persistKey(hash))
-	if ent == nil || ent.Level != e.opts.OptLevel {
+	if ent == nil || ent.Level != optLevel {
 		// The key folds the level, so a mismatch cannot happen short of a
 		// hash collision; refuse rather than commit a wrong-level object.
 		return nil
@@ -332,7 +332,7 @@ func (e *Engine) buildState() *persist.EngineState {
 	st := &persist.EngineState{
 		ModuleHash:    e.moduleHash,
 		Variant:       e.opts.Variant.String(),
-		OptLevel:      e.opts.OptLevel,
+		OptLevel:      optLevel,
 		VerifyTier:    int(e.opts.Verify),
 		Fragments:     len(e.frags),
 		Survey:        surveyFromClassification(e.Plan.Class),

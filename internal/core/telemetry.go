@@ -248,7 +248,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	defer e.mu.RUnlock()
 	s := EngineSnapshot{
 		Variant:      e.opts.Variant.String(),
-		OptLevel:     e.opts.OptLevel,
+		OptLevel:     optLevel,
 		Workers:      e.opts.workers(),
 		Fragments:    len(e.frags),
 		ActiveProbes: e.Manager.NumActive(),

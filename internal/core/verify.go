@@ -36,7 +36,7 @@ const (
 	VerifyAll
 )
 
-// String returns the flag/env spelling of the mode.
+// String returns the ODIN_VERIFY spelling of the mode.
 func (v VerifyMode) String() string {
 	switch v {
 	case VerifyOff:
@@ -49,31 +49,18 @@ func (v VerifyMode) String() string {
 	return "default"
 }
 
-// ParseVerifyMode parses a -verify flag or ODIN_VERIFY value. Empty input
-// returns VerifyDefault; unrecognized input returns VerifyDefault with
-// ok=false so flag parsers can reject it while env resolution stays lenient.
-func ParseVerifyMode(s string) (VerifyMode, bool) {
-	switch s {
-	case "":
-		return VerifyDefault, true
-	case "off", "none":
-		return VerifyOff, true
-	case "boundaries", "boundary", "basic":
-		return VerifyBoundaries, true
-	case "all", "strict", "each":
-		return VerifyAll, true
-	}
-	return VerifyDefault, false
-}
-
-// resolve turns VerifyDefault into a concrete tier using ODIN_VERIFY, with
-// VerifyBoundaries as the final default.
+// resolve turns VerifyDefault into a concrete tier using ODIN_VERIFY: "off"
+// and "all" select those tiers, and anything else (unset, "boundaries" or
+// unrecognized) means VerifyBoundaries.
 func (v VerifyMode) resolve() VerifyMode {
 	if v != VerifyDefault {
 		return v
 	}
-	if m, ok := ParseVerifyMode(os.Getenv("ODIN_VERIFY")); ok && m != VerifyDefault {
-		return m
+	switch os.Getenv("ODIN_VERIFY") {
+	case "off":
+		return VerifyOff
+	case "all":
+		return VerifyAll
 	}
 	return VerifyBoundaries
 }

@@ -9,29 +9,6 @@ import (
 	"odin/internal/telemetry"
 )
 
-func TestParseVerifyMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		mode VerifyMode
-		ok   bool
-	}{
-		{"", VerifyDefault, true},
-		{"off", VerifyOff, true},
-		{"none", VerifyOff, true},
-		{"boundaries", VerifyBoundaries, true},
-		{"boundary", VerifyBoundaries, true},
-		{"all", VerifyAll, true},
-		{"strict", VerifyAll, true},
-		{"bogus", VerifyDefault, false},
-	}
-	for _, tc := range cases {
-		mode, ok := ParseVerifyMode(tc.in)
-		if mode != tc.mode || ok != tc.ok {
-			t.Errorf("ParseVerifyMode(%q) = %v, %v; want %v, %v", tc.in, mode, ok, tc.mode, tc.ok)
-		}
-	}
-}
-
 func TestVerifyModeEnvResolution(t *testing.T) {
 	t.Setenv("ODIN_VERIFY", "off")
 	if got := VerifyDefault.resolve(); got != VerifyOff {

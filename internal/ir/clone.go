@@ -1,7 +1,5 @@
 package ir
 
-import "fmt"
-
 // ValueMap records the correspondence between original and cloned IR
 // objects. It is the mechanism behind Odin's Sched.Map: probes hold
 // references into the pristine module and are translated into the temporary
@@ -207,31 +205,4 @@ func CloneModule(m *Module) (*Module, *ValueMap) {
 		nm.AddAlias(&Alias{Name: a.Name, Target: a.Target, Linkage: a.Linkage})
 	}
 	return nm, vmap
-}
-
-// RenameFunc changes the symbol name of f within m, keeping call sites (which
-// reference by name) consistent by rewriting all calls in the module.
-func RenameFunc(m *Module, f *Func, newName string) error {
-	if m.Lookup(newName) != nil {
-		return fmt.Errorf("ir: rename target %q already exists", newName)
-	}
-	old := f.Name
-	delete(m.symbols, old)
-	f.Name = newName
-	m.symbols[newName] = f
-	for _, fn := range m.Funcs {
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == OpCall && in.Callee == old {
-					in.Callee = newName
-				}
-			}
-		}
-	}
-	for _, a := range m.Aliases {
-		if a.Target == old {
-			a.Target = newName
-		}
-	}
-	return nil
 }

@@ -276,39 +276,6 @@ func TestReferences(t *testing.T) {
 	}
 }
 
-func TestRenameFunc(t *testing.T) {
-	m := NewModule("m")
-	callee := NewFunc(m, "callee", &FuncType{Ret: I64}, nil)
-	cb := callee.AddBlock("entry")
-	b := NewBuilder()
-	b.SetBlock(cb)
-	b.Ret(Const(I64, 7))
-	caller := NewFunc(m, "caller", &FuncType{Ret: I64}, nil)
-	blk := caller.AddBlock("entry")
-	b.SetBlock(blk)
-	c := b.Call(I64, "callee")
-	b.Ret(c)
-	m.AddAlias(&Alias{Name: "al", Target: "callee"})
-	MustVerify(m)
-
-	if err := RenameFunc(m, callee, "callee2"); err != nil {
-		t.Fatal(err)
-	}
-	MustVerify(m)
-	if m.LookupFunc("callee2") == nil || m.LookupFunc("callee") != nil {
-		t.Fatal("rename did not update symbol table")
-	}
-	if blk.Instrs[0].Callee != "callee2" {
-		t.Fatal("rename did not rewrite call site")
-	}
-	if m.Aliases[0].Target != "callee2" {
-		t.Fatal("rename did not rewrite alias")
-	}
-	if err := RenameFunc(m, m.LookupFunc("callee2"), "caller"); err == nil {
-		t.Fatal("rename to existing name should fail")
-	}
-}
-
 func TestRemoveSymbol(t *testing.T) {
 	m := NewModule("m")
 	NewFunc(m, "f", &FuncType{Ret: Void}, nil)

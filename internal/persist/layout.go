@@ -53,22 +53,3 @@ func ShardLayout(root, shard string) (ShardPaths, error) {
 		JournalPath:  filepath.Join(dir, "journal.log"),
 	}, nil
 }
-
-// ListShards returns the shard names present under root, in lexical order.
-// A root with no shards directory yields an empty list, not an error.
-func ListShards(root string) ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(root, "shards"))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("persist: list shards: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() && shardNameRE.MatchString(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	return names, nil
-}

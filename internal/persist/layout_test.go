@@ -22,21 +22,9 @@ func TestShardLayout(t *testing.T) {
 		t.Errorf("CacheDir = %q, want %q", a.CacheDir, want)
 	}
 
-	names, err := ListShards(root)
-	if err != nil {
-		t.Fatalf("ListShards: %v", err)
-	}
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
-		t.Errorf("ListShards = %v, want [alpha beta]", names)
-	}
-
 	for _, bad := range []string{"", "..", "a/b", "a\\b", ".hidden/../x", "-lead"} {
 		if _, err := ShardLayout(root, bad); err == nil {
 			t.Errorf("ShardLayout(%q) should reject", bad)
 		}
-	}
-
-	if names, err := ListShards(t.TempDir()); err != nil || names != nil {
-		t.Errorf("empty root: got %v, %v", names, err)
 	}
 }

@@ -24,7 +24,7 @@ type EngineState struct {
 	ModuleHash uint64
 	// Variant is the partitioner variant name, a second identity guard.
 	Variant string
-	// OptLevel is the engine's configured optimization level.
+	// OptLevel is the engine's optimization level (always 2).
 	OptLevel int
 	// Fragments is the partition's fragment count (identity guard).
 	Fragments int

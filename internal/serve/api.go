@@ -187,11 +187,11 @@ func (s *Server) handleProbeAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 	defer cancel()
 	op := journalOp{Op: jopAdd, Tenant: tenant, Spec: &spec}
 	res, ok := s.request(ctx, w, sh, tenant, &op, func(slot *engineSlot) (int, *core.Ticket, error) {
-		return slot.sup.AddProbeCtx(ctx, buildProbe(spec, sh.site.Add(1)))
+		return slot.sup.AddProbeCtx(ctx, buildProbe(spec))
 	})
 	if !ok {
 		return
@@ -237,7 +237,7 @@ func (s *Server) handleProbeAction(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 	defer cancel()
 	op := journalOp{Op: action, ID: id, Tenant: tenant}
 	res, ok := s.request(ctx, w, sh, tenant, &op, func(slot *engineSlot) (int, *core.Ticket, error) {
@@ -273,7 +273,7 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 	defer cancel()
 	res, ok := s.request(ctx, w, sh, "", nil, func(slot *engineSlot) (int, *core.Ticket, error) {
 		tk, err := slot.sup.SyncCtx(ctx)

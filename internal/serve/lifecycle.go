@@ -353,7 +353,7 @@ func (lc *lifecycle) restartInPlace(cause string) error {
 	if err != nil {
 		return err
 	}
-	engIDs, err := replayInto(bootCtx, slot, sh.ledgerStates(), &sh.site)
+	engIDs, err := replayInto(bootCtx, slot, sh.ledgerStates())
 	if err != nil {
 		slot.sup.Close()
 		slot.eng.Close()

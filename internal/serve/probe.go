@@ -51,12 +51,11 @@ func (ps *ProbeSpec) Validate() error {
 }
 
 // counterProbe instruments its target's entry block with a HitBuiltin call
-// carrying a shard-unique site ID — the serve-side analogue of the bench
-// storm probe.
-type counterProbe struct {
-	fnName string
-	site   int64
-}
+// — the serve-side analogue of the bench storm probe. The call carries the
+// constant 1, not a per-probe ID: nothing reads it, and a constant keeps a
+// counter on one function the same compiled bytes whichever probe asked for
+// it, so a re-add, another tenant's add or a replay hits the fragment cache.
+type counterProbe struct{ fnName string }
 
 func (p *counterProbe) PatchTarget() string { return p.fnName }
 
@@ -69,7 +68,7 @@ func (p *counterProbe) Instrument(s *core.Sched) error {
 	hook := s.LookupFunction(HitBuiltin, &ir.FuncType{Params: []ir.Type{ir.I64}, Ret: ir.Void})
 	b := ir.NewBuilder()
 	b.SetInsertBefore(nb, len(nb.Phis()))
-	b.Call(ir.Void, hook.Name, ir.Const(ir.I64, p.site))
+	b.Call(ir.Void, hook.Name, ir.Const(ir.I64, 1))
 	return nil
 }
 
@@ -88,11 +87,10 @@ func (p *poisonProbe) Instrument(s *core.Sched) error {
 	return fmt.Errorf("serve: poison probe on %s", p.fnName)
 }
 
-// buildProbe turns a validated spec into a core.Probe instance. site is the
-// shard-allocated hit-site ID (ignored by poison probes).
-func buildProbe(spec ProbeSpec, site int64) core.Probe {
+// buildProbe turns a validated spec into a core.Probe instance.
+func buildProbe(spec ProbeSpec) core.Probe {
 	if spec.Kind == KindPoison {
 		return &poisonProbe{fnName: spec.Func}
 	}
-	return &counterProbe{fnName: spec.Func, site: site}
+	return &counterProbe{fnName: spec.Func}
 }

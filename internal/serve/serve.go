@@ -22,10 +22,11 @@ type Options struct {
 	DataDir string
 	// Admission tunes the fleet admission ladder.
 	Admission AdmissionOptions
-	// RequestTimeout bounds one probe operation end to end, ticket wait
-	// included (default 30s).
-	RequestTimeout time.Duration
 }
+
+// requestTimeout bounds one probe operation end to end, ticket wait
+// included.
+const requestTimeout = 30 * time.Second
 
 // Server hosts N programs across M engine shards behind the versioned
 // JSON-over-HTTP control API. Create with New, serve with Start (or mount
@@ -37,7 +38,6 @@ type Server struct {
 	fleetReg *telemetry.Registry
 	agg      *telemetry.Aggregate
 	mux      *http.ServeMux
-	timeout  time.Duration
 
 	httpSrv *http.Server
 	ln      net.Listener
@@ -50,17 +50,12 @@ func New(opts Options) (*Server, error) {
 	if len(opts.Shards) == 0 {
 		return nil, fmt.Errorf("serve: no shards configured")
 	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 30 * time.Second
-	}
-
 	fleetReg := telemetry.NewRegistry()
 	s := &Server{
 		byName:   map[string]*shard{},
 		adm:      newAdmission(opts.Admission, fleetReg),
 		fleetReg: fleetReg,
 		agg:      telemetry.NewAggregate("shard"),
-		timeout:  opts.RequestTimeout,
 	}
 	s.agg.Attach("fleet", fleetReg)
 

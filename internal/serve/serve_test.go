@@ -235,3 +235,28 @@ func TestServeWarmStart(t *testing.T) {
 		}
 	}
 }
+
+// TestServeSecondTenantCacheHit: a counter probe's compiled bytes do not
+// depend on which probe asked for it. Tenant a adds and removes a counter on
+// f1, then tenant b adds one on f1: that rebuild must be served from the
+// fragment cache, compiling nothing.
+func TestServeSecondTenantCacheHit(t *testing.T) {
+	srv, _, client := newTestServer(t, Options{
+		Shards: []ShardSpec{{Name: "alpha", Module: testModule(t, 4)}},
+	})
+	a, b := client("a"), client("b")
+	res, err := a.AddProbe("alpha", ProbeSpec{Func: "f1"})
+	if err != nil {
+		t.Fatalf("tenant a add: %v", err)
+	}
+	if _, err := a.ProbeAction("alpha", res.ID, "remove"); err != nil {
+		t.Fatalf("tenant a remove: %v", err)
+	}
+	if _, err := b.AddProbe("alpha", ProbeSpec{Func: "f1"}); err != nil {
+		t.Fatalf("tenant b add: %v", err)
+	}
+	last := srv.byName["alpha"].current().eng.Snapshot().LastRebuild
+	if last == nil || last.CacheHits != 1 || last.FuncsCompiled != 0 {
+		t.Fatalf("tenant b's rebuild = %+v, want 1 cache hit and 0 functions compiled", last)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"odin/internal/core"
@@ -37,16 +36,10 @@ type ShardSpec struct {
 	Program string
 	// Module hosts an explicit IR module instead of a generated profile.
 	Module *ir.Module
-	// Workers sets the shard engine's compile pool size (0 = engine
-	// default).
-	Workers int
-	// QueueDepth bounds the shard supervisor's admission queue (0 =
-	// supervisor default).
-	QueueDepth int
 	// FaultHook threads a fault-injection hook into every engine instance
 	// this shard boots (the first and its restarts) — the chaos-drill
 	// substrate (internal/faultinject sites, e.g. supervisor:commit).
-	FaultHook func(site string) error
+	FaultHook func(string) error
 	// Watchdog tunes the shard's health watchdog and recovery ladder.
 	Watchdog WatchdogOptions
 }
@@ -86,8 +79,6 @@ type shard struct {
 	// funcs lists the instrumentable (defined, non-empty) functions of the
 	// hosted module, so clients can discover probe targets.
 	funcs []string
-	// site allocates shard-unique hit-site IDs for counter probes.
-	site atomic.Int64
 
 	journal *probeJournal
 
@@ -122,7 +113,6 @@ func (sh *shard) bootEngine(ctx context.Context) (*engineSlot, error) {
 	eng, err := core.New(sh.module, core.Options{
 		Telemetry:     sh.reg,
 		ExtraBuiltins: []string{HitBuiltin},
-		Workers:       sh.spec.Workers,
 		CacheDir:      sh.paths.CacheDir,
 		SnapshotPath:  sh.paths.SnapshotPath,
 		FaultHook:     sh.spec.FaultHook,
@@ -130,7 +120,7 @@ func (sh *shard) bootEngine(ctx context.Context) (*engineSlot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard %s: %w", sh.name, err)
 	}
-	sup := core.Supervise(eng, core.SupervisorOptions{QueueDepth: sh.spec.QueueDepth})
+	sup := core.Supervise(eng, core.SupervisorOptions{})
 	// Boot build through the supervisor so the image exists (and the warm
 	// cache is consulted) before the slot takes traffic.
 	tk, err := sup.SyncCtx(ctx)
@@ -158,7 +148,7 @@ func (sh *shard) bootEngine(ctx context.Context) (*engineSlot, error) {
 // state is inactive are registered and then removed so later enables can
 // find them. Individual failures (a poison probe re-quarantining itself)
 // are tolerated — the probe stays registered, just not active.
-func replayInto(ctx context.Context, slot *engineSlot, states []probeState, site *atomic.Int64) (map[int64]int, error) {
+func replayInto(ctx context.Context, slot *engineSlot, states []probeState) (map[int64]int, error) {
 	engIDs := make(map[int64]int, len(states))
 	type pending struct {
 		id int64
@@ -166,7 +156,7 @@ func replayInto(ctx context.Context, slot *engineSlot, states []probeState, site
 	}
 	var adds, removes []pending
 	for _, st := range states {
-		engID, tk, err := slot.sup.AddProbeCtx(ctx, buildProbe(st.Spec, site.Add(1)))
+		engID, tk, err := slot.sup.AddProbeCtx(ctx, buildProbe(st.Spec))
 		if err != nil {
 			return nil, fmt.Errorf("replay add probe %d: %w", st.ID, err)
 		}
@@ -250,7 +240,7 @@ func newShard(spec ShardSpec, paths persist.ShardPaths) (*shard, error) {
 		return nil, errors.Join(err, sh.journal.close())
 	}
 	if states := reduceJournal(replayOps); len(states) > 0 {
-		engIDs, rerr := replayInto(ctx, slot, states, &sh.site)
+		engIDs, rerr := replayInto(ctx, slot, states)
 		if rerr != nil {
 			slot.sup.Close()
 			slot.eng.Close()

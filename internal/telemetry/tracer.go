@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -362,23 +361,4 @@ func (t *Tracer) Last() *Trace {
 		return nil
 	}
 	return t.ring[len(t.ring)-1]
-}
-
-// SpanNames returns the sorted multiset of span names in a trace — a quick
-// structural fingerprint for tests.
-func SpanNames(t *Trace) []string {
-	var out []string
-	var walk func(s *Span)
-	walk = func(s *Span) {
-		if s == nil {
-			return
-		}
-		out = append(out, s.Name())
-		for _, c := range s.Children() {
-			walk(c)
-		}
-	}
-	walk(t.Root())
-	sort.Strings(out)
-	return out
 }

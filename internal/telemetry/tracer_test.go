@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -128,4 +129,23 @@ func TestSpanConcurrentChildren(t *testing.T) {
 	if _, err := json.Marshal(trace); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// SpanNames returns the sorted multiset of span names in a trace — a quick
+// structural fingerprint for tests.
+func SpanNames(t *Trace) []string {
+	var out []string
+	var walk func(s *Span)
+	walk = func(s *Span) {
+		if s == nil {
+			return
+		}
+		out = append(out, s.Name())
+		for _, c := range s.Children() {
+			walk(c)
+		}
+	}
+	walk(t.Root())
+	sort.Strings(out)
+	return out
 }

@@ -130,6 +130,34 @@ done
 rm -f "$errlog" "$metrics"
 echo "metrics smoke: ok"
 
+echo "== engine command smoke =="
+# The engine flags every command takes from internal/cli, end to end: a
+# strict-tier fuzz campaign into a cache dir and snapshot, a second one over
+# the same state that also serves telemetry, then odin-partition's read-only
+# inspection of that state, which must match the plan it computes.
+edir="$(mktemp -d)"
+go build -o "$edir/odin-fuzz" ./cmd/odin-fuzz
+go build -o "$edir/odin-partition" ./cmd/odin-partition
+ODIN_VERIFY=all "$edir/odin-fuzz" -program json -iters 300 \
+	-cache-dir "$edir/cache" -snapshot "$edir/state.snap" >/dev/null
+ODIN_VERIFY=all "$edir/odin-fuzz" -program json -iters 300 \
+	-cache-dir "$edir/cache" -snapshot "$edir/state.snap" \
+	-metrics-addr 127.0.0.1:0 >/dev/null 2>"$edir/fuzz.err"
+if ! grep -q '^telemetry: serving on ' "$edir/fuzz.err"; then
+	echo "engine command smoke: odin-fuzz -metrics-addr served nothing:"
+	cat "$edir/fuzz.err"
+	exit 1
+fi
+"$edir/odin-partition" -program json -cache-dir "$edir/cache" \
+	-snapshot "$edir/state.snap" -json >"$edir/plan.json"
+if ! grep -q '"plan_match": true' "$edir/plan.json"; then
+	echo "engine command smoke: snapshot does not match the partition plan:"
+	cat "$edir/plan.json"
+	exit 1
+fi
+rm -rf "$edir"
+echo "engine command smoke: ok"
+
 echo "== persist crash-restart smoke =="
 # Kill-9 tolerance end to end, at process granularity: seed a persistent
 # cache + snapshot with a clean run (recording the reference image
